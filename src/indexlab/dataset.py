@@ -144,7 +144,8 @@ def select(dataset: Dataset, names: list[str] | tuple[str, ...]) -> list[Series]
 
 def parse_dataset(csv_text: str) -> Dataset:
     """Parse CSV with a 'country' first column and numeric score columns."""
-    reader = csv.reader(io.StringIO(csv_text))
+    # spreadsheet exports often start with a UTF-8 byte order mark
+    reader = csv.reader(io.StringIO(csv_text.removeprefix("\ufeff")))
     rows = [row for row in reader if row]
     if not rows:
         raise DatasetParseError("empty input: header row required")

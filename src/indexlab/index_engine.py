@@ -30,13 +30,10 @@ class IndexComponent:
 class IndexDefinition:
     name: str
     components: tuple[IndexComponent, ...]
-    normalization: str = "none"
 
     def __post_init__(self) -> None:
         if not self.components:
             raise DefinitionError(f"index {self.name!r} has no components")
-        if self.normalization not in ("none", "min-max"):
-            raise DefinitionError(f"unknown normalization {self.normalization!r}")
         names = [c.name for c in self.components]
         if len(set(names)) != len(names):
             raise DefinitionError(f"index {self.name!r} has duplicate component names")
@@ -138,8 +135,7 @@ def rank(dataset: Dataset, column: str) -> list[tuple[int, str, float]]:
     return out
 
 
-def parse_definition(text: str, name: str,
-                     normalization: str = "none") -> IndexDefinition:
+def parse_definition(text: str, name: str) -> IndexDefinition:
     """Build a definition from declarative text: `component, weight` per line,
     with indented lines forming the previous component's sub-indicators."""
     top: list[tuple[str, float, list[IndexComponent]]] = []
@@ -170,7 +166,7 @@ def parse_definition(text: str, name: str,
         )
         for n, w, subs in top
     )
-    return IndexDefinition(name=name, components=components, normalization=normalization)
+    return IndexDefinition(name=name, components=components)
 
 
 _PRESET_TEXTS = {

@@ -1,7 +1,7 @@
 """Principal component analysis on correlation matrices.
 
-Eigenvalues come from a cyclic Jacobi sweep, which is exact to rounding at
-the matrix sizes this package handles (p <= 10ish). Component retention uses
+Eigenvalues come from the LAPACK symmetric eigensolver behind
+``numpy.linalg.eigh``, sorted in descending order. Component retention uses
 the Kaiser criterion (eigenvalue >= 1) by default, and loadings are
 eigenvectors scaled by the square root of their eigenvalue with the sign
 fixed so each component's largest-magnitude entry is positive.
@@ -19,8 +19,6 @@ from .dataset import Dataset
 from .distributions import PValue, chi2_tail_p
 from .errors import DomainError, SingularDesignError, ValidationError
 
-_OFFDIAG_TOL = 1e-12
-_MAX_SWEEPS = 100
 KAISER_THRESHOLD = 1.0
 
 
@@ -45,54 +43,20 @@ class PcaResult:
 
 
 def eigen_symmetric(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvectors of a symmetric matrix.
-
-    Cyclic Jacobi rotations run until every off-diagonal entry is below 1e-12.
-    """
+    """Eigenvalues (descending) and orthonormal eigenvectors of a symmetric matrix."""
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ValidationError("matrix is empty")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError("matrix contains non-finite values")
     if float(np.max(np.abs(a - a.T))) > 1e-10:
         raise ValidationError("matrix is not symmetric within 1e-10")
-    p = a.shape[0]
-    v = np.eye(p)
-    for _ in range(_MAX_SWEEPS):
-        off = 0.0
-        for i in range(p - 1):
-            row_max = float(np.max(np.abs(a[i, i + 1:])))
-            off = max(off, row_max)
-        if off < _OFFDIAG_TOL:
-            break
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                aij = a[i, j]
-                if aij == 0.0:
-                    continue
-                tau = (a[j, j] - a[i, i]) / (2.0 * aij)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                row_i = a[i, :].copy()
-                row_j = a[j, :].copy()
-                a[i, :] = c * row_i - s * row_j
-                a[j, :] = s * row_i + c * row_j
-                col_i = a[:, i].copy()
-                col_j = a[:, j].copy()
-                a[:, i] = c * col_i - s * col_j
-                a[:, j] = s * col_i + c * col_j
-                a[i, j] = a[j, i] = 0.0
-                col_i = v[:, i].copy()
-                col_j = v[:, j].copy()
-                v[:, i] = c * col_i - s * col_j
-                v[:, j] = s * col_i + c * col_j
-    else:
-        raise DomainError("Jacobi iteration did not converge")
-    eigenvalues = np.diag(a).copy()
+    try:
+        eigenvalues, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(f"eigendecomposition did not converge: {exc}") from exc
     order = np.argsort(-eigenvalues, kind="stable")
     return eigenvalues[order], v[:, order]
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import _version
-from .correlation import correlation_matrix, pearson
+from .correlation import CorrelationMatrix, correlation_matrix
 from .dataset import (
     DIMENSIONS,
     IDESI,
@@ -188,9 +188,7 @@ def _coefficients_table(h0: LinearModelFit, h1: LinearModelFit,
     }
 
 
-def _correlation_table(dataset: Dataset, variables: Sequence[str],
-                       style: str) -> dict:
-    matrix = correlation_matrix(dataset, variables)
+def _correlation_table(matrix: CorrelationMatrix, style: str) -> dict:
     return {
         "kind": "correlations",
         "style": style,
@@ -266,6 +264,20 @@ def prediction_record(model: str, fit: LinearModelFit, score: float,
     return record
 
 
+def _normality_gate(shapiro_wilk_p: dict, alpha: float) -> dict:
+    """Gate record: dimensions with Shapiro-Wilk p < alpha are excluded from
+    the stepwise candidates, the rest remain."""
+    gate_p = {name: shapiro_wilk_p[name] for name in DIMENSIONS}
+    excluded = [name for name in DIMENSIONS if gate_p[name] < alpha]
+    return {
+        "alpha": alpha,
+        "candidates": list(DIMENSIONS),
+        "shapiro_wilk_p": gate_p,
+        "excluded": excluded,
+        "remaining": [name for name in DIMENSIONS if name not in excluded],
+    }
+
+
 def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
                   replicates: int = DEFAULT_REPLICATES,
                   gate_alpha: float = GATE_ALPHA) -> ReportBundle:
@@ -309,7 +321,8 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
         prediction_record("simple", simple, PUBLISHED_PREDICTION_INPUT, ds)
     ]
 
-    tables["T4"] = _correlation_table(ds, _CORR_VARIABLES, style="r_and_p")
+    corr = correlation_matrix(ds, _CORR_VARIABLES)
+    tables["T4"] = _correlation_table(corr, style="r_and_p")
 
     full = fit_ols(ds, SII, list(DIMENSIONS))
     col = collinearity(ds, list(DIMENSIONS))
@@ -346,19 +359,9 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
 
     tables["T7"] = _descriptives_table(ds, _T7_COLUMNS, with_normality=True)
 
-    gate_p = {
-        name: normality_screen["p"][normality_screen["columns"].index(name)]
-        for name in DIMENSIONS
-    }
-    excluded = [name for name in DIMENSIONS if gate_p[name] < gate_alpha]
-    remaining = [name for name in DIMENSIONS if name not in excluded]
-    gate = {
-        "alpha": gate_alpha,
-        "candidates": list(DIMENSIONS),
-        "shapiro_wilk_p": gate_p,
-        "excluded": excluded,
-        "remaining": remaining,
-    }
+    gate = _normality_gate(
+        dict(zip(normality_screen["columns"], normality_screen["p"])), gate_alpha)
+    remaining = gate["remaining"]
 
     # the gate can exhaust the candidate set on other datasets; fall back to
     # the null model with an empty trace
@@ -384,8 +387,9 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
         for step in trace
     ]
 
-    tables["T10"] = _correlation_table(ds, _CORR_VARIABLES, style="r_with_stars")
-    tables["T11"] = _correlation_table(ds, _T11_VARIABLES, style="r_with_stars")
+    tables["T10"] = _correlation_table(corr, style="r_with_stars")
+    tables["T11"] = _correlation_table(correlation_matrix(ds, _T11_VARIABLES),
+                                       style="r_with_stars")
 
     figures = {
         "F3": _residual_figure(simple),
@@ -428,12 +432,8 @@ def predict_country(fit_source: str, score: float) -> dict:
     if fit_source == "simple":
         fit = fit_ols(ds, SII, [IDESI])
     else:
-        gate_excluded = [
-            name for name in DIMENSIONS
-            if shapiro_wilk(ds.column(name)).p.value < GATE_ALPHA
-        ]
-        remaining = [name for name in DIMENSIONS if name not in gate_excluded]
-        fit, _ = stepwise_fit(ds, SII, remaining)
+        gate_p = {name: shapiro_wilk(ds.column(name)).p.value for name in DIMENSIONS}
+        fit, _ = stepwise_fit(ds, SII, _normality_gate(gate_p, GATE_ALPHA)["remaining"])
     return prediction_record(fit_source, fit, score, ds)
 
 

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 import _criteria
-from indexlab import bundled_table_a1, diff_golden, reproduce_all
+from indexlab import CountryRecord, Dataset, bundled_table_a1, diff_golden, reproduce_all
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -32,3 +33,28 @@ def bundle(dataset):
 @pytest.fixture(scope="session")
 def golden_diff(bundle):
     return diff_golden(bundle)
+
+
+@pytest.fixture(scope="session")
+def degenerate_designs():
+    """Response y with three predictors p1..p3 whose design is rank deficient,
+    keyed by how: p3 duplicates p1, p3 = 0.5 p1 + 0.25 p2, or p2 is constant."""
+    rng = np.random.default_rng(7)
+    n = 20
+    y, a = rng.normal(50.0, 5.0, n), rng.normal(50.0, 5.0, n)
+    b = rng.normal(40.0, 6.0, n)
+    designs = {
+        "duplicate": (a, b, a.copy()),
+        "linear_combination": (a, b, 0.5 * a + 0.25 * b),
+        "constant": (a, np.full(n, 50.0), b),
+    }
+    names = ("p1", "p2", "p3")
+    out = {}
+    for kind, cols in designs.items():
+        records = tuple(
+            CountryRecord(f"C{i:02d}", {"y": float(y[i]),
+                                        **{name: float(col[i]) for name, col in zip(names, cols)}})
+            for i in range(n)
+        )
+        out[kind] = Dataset(("y",) + names, records)
+    return out

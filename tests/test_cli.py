@@ -37,6 +37,17 @@ def test_dataset_validate_ok(capsys, data_file):
     )
 
 
+def test_dataset_validate_accepts_utf8_bom(capsys, tmp_path):
+    assert main(["dataset", "export"]) == 0
+    path = tmp_path / "excel.csv"
+    path.write_text(capsys.readouterr().out, encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert main(["dataset", "validate", "--input", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == (
+        "OK: 29 rows, 11 columns match the schema"
+    )
+
+
 def test_dataset_validate_bad_schema(capsys, tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("Country,Alpha\nFrance,50\n")

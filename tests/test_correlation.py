@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
 from indexlab import (
+    CountryRecord,
+    Dataset,
     DegenerateDataError,
     InsufficientDataError,
     PValue,
@@ -53,6 +56,10 @@ def test_pearson_errors():
         pearson([1.0, 2.0], [3.0, 4.0])
     with pytest.raises(DegenerateDataError):
         pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+    # the mean of three 0.1s is not 0.1 in floating point, so the centred sum
+    # of squares is not zero; the series is still constant
+    with pytest.raises(DegenerateDataError):
+        pearson([1.0, 2.0, 3.0], [0.1, 0.1, 0.1])
 
 
 def test_significance_stars_strict_boundaries():
@@ -82,3 +89,50 @@ def test_correlation_matrix_structure(dataset):
 def test_correlation_matrix_resolves_aliases(dataset):
     matrix = correlation_matrix(dataset, ("sii", "connectivity"))
     assert matrix.variables == ("SII", "Connectivity")
+
+
+def _assert_matches_pearson(dataset, variables):
+    matrix = correlation_matrix(dataset, variables)
+    for i, a in enumerate(matrix.variables):
+        for j, b in enumerate(matrix.variables):
+            if i == j:
+                continue
+            ref = pearson(dataset.column(a).values, dataset.column(b).values)
+            assert abs(matrix.r[i][j] - ref.r) <= 1e-12, (a, b)
+            assert abs(matrix.p[i][j] - ref.p.value) <= 1e-12, (a, b)
+            assert matrix.stars[i][j] == ref.stars, (a, b)
+
+
+def test_correlation_matrix_matches_pearson_bundled(dataset):
+    _assert_matches_pearson(dataset, dataset.columns)
+
+
+@pytest.mark.parametrize("n", [3, 4, 10, 29, 300, 3000])
+def test_correlation_matrix_matches_pearson_random(n):
+    rng = np.random.default_rng(n)
+    factor = rng.normal(50.0, 10.0, size=(n, 1))
+    # two columns share a factor, two are independent noise
+    data = np.hstack([factor + rng.normal(0.0, 5.0, size=(n, 2)),
+                      rng.normal(50.0, 10.0, size=(n, 2))])
+    data = np.clip(data, 0.0, 100.0)
+    names = ("a", "b", "c", "d")
+    records = tuple(
+        CountryRecord(f"C{i:04d}", dict(zip(names, map(float, row))))
+        for i, row in enumerate(data)
+    )
+    _assert_matches_pearson(Dataset(names, records), names)
+
+
+def test_correlation_matrix_degenerate_designs(degenerate_designs):
+    names = ("p1", "p2", "p3")
+    assert correlation_matrix(degenerate_designs["duplicate"], names).r[0][2] == 1.0
+    correlation_matrix(degenerate_designs["linear_combination"], names)
+    with pytest.raises(DegenerateDataError, match="p2"):
+        correlation_matrix(degenerate_designs["constant"], names)
+
+
+def test_correlation_matrix_needs_three_rows():
+    records = (CountryRecord("A", {"a": 1.0, "b": 2.0}),
+               CountryRecord("B", {"a": 2.0, "b": 1.0}))
+    with pytest.raises(InsufficientDataError):
+        correlation_matrix(Dataset(("a", "b"), records), ("a", "b"))

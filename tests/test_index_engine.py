@@ -100,9 +100,6 @@ def test_definition_validation():
     with pytest.raises(DefinitionError, match="deeper"):
         IndexDefinition(name="deep", components=(
             IndexComponent("top", 1.0, sub=two_level),))
-    with pytest.raises(DefinitionError, match="normalization"):
-        IndexDefinition(name="bad", components=(IndexComponent("a", 1.0),),
-                        normalization="sigmoid")
 
 
 def test_parse_definition_round_trip():

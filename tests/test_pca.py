@@ -5,6 +5,7 @@ import pytest
 
 from indexlab import (
     CorrelationMatrix,
+    DegenerateDataError,
     DomainError,
     SingularDesignError,
     ValidationError,
@@ -64,6 +65,31 @@ def test_eigen_symmetric_validation():
         eigen_symmetric(np.zeros((2, 3)))
     with pytest.raises(ValidationError):
         eigen_symmetric(np.array([[1.0, 0.5], [0.2, 1.0]]))
+
+
+def test_eigen_symmetric_rejects_non_finite():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="non-finite"):
+            eigen_symmetric([[1.0, bad], [bad, 1.0]])
+
+
+def test_eigen_symmetric_solver_failure_is_domain_error(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(DomainError, match="did not converge"):
+        eigen_symmetric(np.eye(2))
+
+
+@pytest.mark.parametrize("kind,error", [
+    ("duplicate", SingularDesignError),
+    ("linear_combination", SingularDesignError),
+    ("constant", DegenerateDataError),
+])
+def test_run_pca_degenerate_designs(degenerate_designs, kind, error):
+    with pytest.raises(error):
+        run_pca(degenerate_designs[kind], ("p1", "p2", "p3"))
 
 
 def test_kmo_equicorrelated_closed_form():

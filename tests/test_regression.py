@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,25 @@ def test_collinearity_published(sorted_dataset):
         report.vif, (2.331, 2.476, 3.376, 3.844, 1.880), atol=0.005)
     for tol, vif in zip(report.tolerance, report.vif):
         assert abs(vif * tol - 1.0) < 1e-9
+
+
+_DEGENERATE_COLLINEARITY = {
+    "duplicate": ((0.0, 0.0, 0.0), (math.inf, math.inf, math.inf)),
+    "linear_combination": ((0.0, 0.0, 0.0), (math.inf, math.inf, math.inf)),
+    "constant": ((0.0, 1.0, 0.0), (math.inf, 1.0, math.inf)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DEGENERATE_COLLINEARITY))
+def test_degenerate_designs(degenerate_designs, kind):
+    ds = degenerate_designs[kind]
+    predictors = ["p1", "p2", "p3"]
+    with pytest.raises(SingularDesignError, match="rank deficient"):
+        fit_ols(ds, "y", predictors)
+    report = collinearity(ds, predictors)
+    tolerance, vif = _DEGENERATE_COLLINEARITY[kind]
+    assert report.tolerance == tolerance
+    assert report.vif == vif
 
 
 def test_collinearity_needs_two_predictors(sorted_dataset):
