@@ -15,7 +15,7 @@ from .correlation import correlation_matrix
 from .dataset import DIMENSIONS, IDESI, SII, Dataset, bundled_table_a1, emit_dataset, parse_dataset
 from .descriptive import describe as describe_series
 from .descriptive import shapiro_wilk
-from .errors import ColumnLookupError, IndexLabError
+from .errors import ColumnLookupError, DatasetParseError, IndexLabError
 from .golden import diff_golden, render_diff
 from .index_engine import compute_composite, preset, preset_names
 from .pca import run_pca
@@ -44,8 +44,16 @@ _PRESET_TARGETS = {"sii-2016": SII, "idesi-2020": IDESI}
 
 
 def _load(path: str) -> Dataset:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_dataset(handle.read())
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetParseError(
+            f"input is not UTF-8: invalid byte 0x{raw[exc.start]:02x} at offset {exc.start}"
+        ) from None
+    # the newline translation a text-mode read applies
+    return parse_dataset(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def _resolve_columns(dataset: Dataset, columns: tuple[str, ...],

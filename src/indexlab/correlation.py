@@ -42,6 +42,17 @@ class CorrelationMatrix:
     stars: tuple[tuple[str, ...], ...]
     n: int
 
+    def block(self, start: int, stop: int) -> "CorrelationMatrix":
+        """The matrix over ``variables[start:stop]``, a diagonal sub-block."""
+        span = slice(start, stop)
+        return CorrelationMatrix(
+            variables=self.variables[span],
+            r=tuple(row[span] for row in self.r[span]),
+            p=tuple(row[span] for row in self.p[span]),
+            stars=tuple(row[span] for row in self.stars[span]),
+            n=self.n,
+        )
+
     def pair(self, a: str, b: str) -> CorrelationResult:
         i = self.variables.index(a)
         j = self.variables.index(b)
@@ -83,7 +94,7 @@ def correlation_matrix(dataset: Dataset, variables: Sequence[str]) -> Correlatio
     if len(variables) < 2:
         raise ValidationError("correlation matrix needs at least 2 variables")
     names = tuple(dataset.resolve_column(v) for v in variables)
-    x = np.column_stack([dataset.column(name).values for name in names])
+    x = dataset.array(names)
     n, k = x.shape
     if n < 3:
         raise InsufficientDataError(f"pearson needs at least 3 pairs, got {n}")

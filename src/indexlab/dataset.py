@@ -2,8 +2,11 @@
 
 The canonical fixture is the published 29-country table with the SII, its four
 pillars, the I-DESI, and its five dimensions. Scores live on a 0-100 scale.
-Row order is preserved and semantically meaningful (serial-correlation
-statistics depend on it), so nothing here ever reorders rows implicitly.
+A dataset is columnar: its column names, its country names, and one
+read-only (countries x columns) float array that parsing fills directly and
+the analysis reads through ``Dataset.array``. Row order is preserved and
+semantically meaningful (serial-correlation statistics depend on it), so
+nothing here ever reorders rows implicitly.
 """
 from __future__ import annotations
 
@@ -12,7 +15,9 @@ import io
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ColumnLookupError, DatasetParseError, ValidationError
 
@@ -76,37 +81,59 @@ class Series:
 
 
 class Dataset:
-    """Immutable collection of country records sharing one column set."""
+    """Immutable country-by-column score table.
+
+    The scores live in one read-only (n, p) float array whose rows follow
+    ``countries`` and whose columns follow ``columns``; ``records``,
+    ``record()`` and ``column()`` are views built from it on each call.
+    """
 
     def __init__(self, columns: tuple[str, ...], records: tuple[CountryRecord, ...]):
-        self.columns = tuple(columns)
-        self.records = tuple(records)
+        columns = tuple(columns)
+        records = tuple(records)
+        for rec in records:
+            if set(rec.values) != set(columns):
+                raise ValidationError(f"record {rec.name!r} does not match the column set")
+        self.columns = columns
+        self.countries = tuple(rec.name for rec in records)
+        self._data = np.array([[rec.values[c] for c in columns] for rec in records],
+                              dtype=float).reshape(len(records), len(columns))
+        self._data.setflags(write=False)
         self._validate()
+
+    @classmethod
+    def _from_array(cls, columns: tuple[str, ...], countries: tuple[str, ...],
+                    data: np.ndarray) -> "Dataset":
+        """Wrap a built score array without validating it."""
+        dataset = cls.__new__(cls)
+        dataset.columns, dataset.countries, dataset._data = columns, countries, data
+        data.setflags(write=False)
+        return dataset
 
     def _validate(self) -> None:
         if len(set(self.columns)) != len(self.columns):
             raise ValidationError("duplicate column names")
         seen: set[str] = set()
-        colset = set(self.columns)
-        for rec in self.records:
-            if rec.name in seen:
-                raise ValidationError(f"duplicate country {rec.name!r}")
-            seen.add(rec.name)
-            if set(rec.values) != colset:
-                raise ValidationError(f"record {rec.name!r} does not match the column set")
-            for col, v in rec.values.items():
-                if not (SCORE_MIN <= v <= SCORE_MAX):
-                    raise ValidationError(
-                        f"value {v!r} out of range [{SCORE_MIN:g}, {SCORE_MAX:g}] "
-                        f"for {rec.name!r}, column {col!r}"
-                    )
+        for name in self.countries:
+            if name in seen:
+                raise ValidationError(f"duplicate country {name!r}")
+            seen.add(name)
+        # negated so that NaN is out of range too
+        bad = np.argwhere(~((self._data >= SCORE_MIN) & (self._data <= SCORE_MAX)))
+        if len(bad):
+            i, j = bad[0]
+            raise ValidationError(
+                f"value {float(self._data[i, j])!r} out of range [{SCORE_MIN:g}, {SCORE_MAX:g}] "
+                f"for {self.countries[i]!r}, column {self.columns[j]!r}"
+            )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.countries)
 
     @property
-    def countries(self) -> tuple[str, ...]:
-        return tuple(rec.name for rec in self.records)
+    def records(self) -> tuple[CountryRecord, ...]:
+        return tuple(CountryRecord(name, dict(zip(self.columns, row)))
+                     for name, row in zip(self.countries, self._data.tolist()))
 
     def resolve_column(self, name: str) -> str:
         if name in self.columns:
@@ -122,19 +149,26 @@ class Dataset:
             f"unknown column {name!r}; available: {', '.join(self.columns)}"
         )
 
+    def array(self, names: Sequence[str]) -> np.ndarray:
+        """(n, len(names)) C-ordered copy of the named columns, in row order."""
+        indices = [self.columns.index(self.resolve_column(n)) for n in names]
+        return self._data.take(indices, axis=1)
+
     def column(self, name: str) -> Series:
         col = self.resolve_column(name)
-        return Series(col, tuple(rec.values[col] for rec in self.records))
+        return Series(col, tuple(self._data[:, self.columns.index(col)].tolist()))
 
     def record(self, country: str) -> CountryRecord:
-        for rec in self.records:
-            if rec.name == country:
-                return rec
-        raise ColumnLookupError(f"unknown country {country!r}")
+        if country not in self.countries:
+            raise ColumnLookupError(f"unknown country {country!r}")
+        row = self._data[self.countries.index(country)]
+        return CountryRecord(country, dict(zip(self.columns, row.tolist())))
 
     def sorted_by_name(self) -> "Dataset":
         """Rows reordered alphabetically by country name."""
-        return Dataset(self.columns, tuple(sorted(self.records, key=lambda r: r.name)))
+        order = sorted(range(len(self)), key=self.countries.__getitem__)
+        return Dataset._from_array(self.columns, tuple(self.countries[i] for i in order),
+                                   self._data[order])
 
 
 def select(dataset: Dataset, names: list[str] | tuple[str, ...]) -> list[Series]:
@@ -146,7 +180,10 @@ def parse_dataset(csv_text: str) -> Dataset:
     """Parse CSV with a 'country' first column and numeric score columns."""
     # spreadsheet exports often start with a UTF-8 byte order mark
     reader = csv.reader(io.StringIO(csv_text.removeprefix("\ufeff")))
-    rows = [row for row in reader if row]
+    try:
+        rows = [row for row in reader if row]
+    except csv.Error as exc:  # e.g. a NUL byte before Python 3.11
+        raise DatasetParseError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise DatasetParseError("empty input: header row required")
     header = [h.strip() for h in rows[0]]
@@ -156,7 +193,8 @@ def parse_dataset(csv_text: str) -> Dataset:
     if not columns:
         raise DatasetParseError("no score columns in header")
 
-    records = []
+    names = []
+    values = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise ValidationError(
@@ -165,19 +203,21 @@ def parse_dataset(csv_text: str) -> Dataset:
         name = row[0].strip()
         if not name:
             raise ValidationError(f"row {lineno}: empty country name")
-        values = {}
+        names.append(name)
         for col, cell in zip(columns, row[1:]):
             cell = cell.strip()
             if not cell:
                 raise ValidationError(f"row {lineno}: missing value in column {col!r}")
             try:
-                values[col] = float(cell)
+                values.append(float(cell))
             except ValueError:
                 raise DatasetParseError(
                     f"row {lineno}, column {col!r}: not a number: {cell!r}"
                 ) from None
-        records.append(CountryRecord(name, values))
-    return Dataset(columns, tuple(records))
+    data = np.array(values, dtype=float).reshape(len(names), len(columns))
+    dataset = Dataset._from_array(columns, tuple(names), data)
+    dataset._validate()
+    return dataset
 
 
 def emit_dataset(dataset: Dataset) -> str:

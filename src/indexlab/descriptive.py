@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .distributions import PValue, normal_cdf, normal_quantile
@@ -71,8 +72,10 @@ _C5 = (-1.5861, -0.31082, -0.083751, 0.0038915)
 _C6 = (-0.4803, -0.082676, 0.0030302)
 
 
-def _sw_coefficients(n: int) -> list[float]:
-    """AS R94 weights a_1..a_n for the ordered sample."""
+@lru_cache(maxsize=32)
+def _sw_coefficients(n: int) -> tuple[float, ...]:
+    """AS R94 weights a_1..a_n for the ordered sample; memoised, as every
+    column of one dataset shares its n."""
     m = [normal_quantile((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)]
     ssumm2 = math.fsum(v * v for v in m)
     rsn = 1.0 / math.sqrt(n)
@@ -97,7 +100,7 @@ def _sw_coefficients(n: int) -> list[float]:
         a = [v / math.sqrt(phi) for v in m]
         a[0] = -a_n
         a[-1] = a_n
-    return a
+    return tuple(a)
 
 
 def shapiro_wilk(series: Sequence[float]) -> NormalityResult:

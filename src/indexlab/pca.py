@@ -68,10 +68,13 @@ def kmo(corr: CorrelationMatrix) -> float:
     scaled to unit diagonal and negated off the diagonal.
     """
     r = np.array(corr.r)
+    return _kmo(r, *eigen_symmetric(r))
+
+
+def _kmo(r: np.ndarray, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> float:
     p = r.shape[0]
     if p < 2:
         raise ValidationError("KMO needs at least 2 variables")
-    eigenvalues, eigenvectors = eigen_symmetric(r)
     if float(np.min(eigenvalues)) <= 1e-12:
         raise SingularDesignError("correlation matrix is singular; KMO undefined")
     r_inv = eigenvectors @ np.diag(1.0 / eigenvalues) @ eigenvectors.T
@@ -85,11 +88,14 @@ def kmo(corr: CorrelationMatrix) -> float:
 
 def bartlett_sphericity(corr: CorrelationMatrix, n: int) -> HypothesisTestResult:
     """Bartlett's test that the correlation matrix is the identity."""
-    r = np.array(corr.r)
-    p = r.shape[0]
+    eigenvalues, _ = eigen_symmetric(np.array(corr.r))
+    return _bartlett(eigenvalues, n)
+
+
+def _bartlett(eigenvalues: np.ndarray, n: int) -> HypothesisTestResult:
+    p = eigenvalues.shape[0]
     if n <= p:
         raise ValidationError(f"Bartlett's test needs n > p, got n={n}, p={p}")
-    eigenvalues, _ = eigen_symmetric(r)
     det = float(np.prod(eigenvalues))
     if det <= 0.0:
         raise DomainError("correlation matrix has non-positive determinant")
@@ -106,40 +112,33 @@ def bartlett_sphericity(corr: CorrelationMatrix, n: int) -> HypothesisTestResult
 def run_pca(dataset: Dataset, variables: Sequence[str],
             retention: float = KAISER_THRESHOLD) -> PcaResult:
     """PCA of the Pearson correlation matrix over the named columns."""
-    corr = correlation_matrix(dataset, variables)
+    return principal_components(correlation_matrix(dataset, variables), retention)
+
+
+def principal_components(corr: CorrelationMatrix,
+                         retention: float = KAISER_THRESHOLD) -> PcaResult:
+    """PCA of a correlation matrix; KMO and Bartlett share its one
+    eigendecomposition."""
     r = np.array(corr.r)
     p = r.shape[0]
-    eigenvalues, eigenvectors = eigen_symmetric(r)
-    if float(np.min(eigenvalues)) < -1e-8:
+    raw_eigenvalues, eigenvectors = eigen_symmetric(r)
+    if float(np.min(raw_eigenvalues)) < -1e-8:
         raise DomainError("correlation matrix is not positive semidefinite")
-    eigenvalues = np.maximum(eigenvalues, 0.0)
+    eigenvalues = np.maximum(raw_eigenvalues, 0.0)
     retained = int(np.sum(eigenvalues >= retention))
 
-    loadings_cols = []
-    for j in range(retained):
-        col = eigenvectors[:, j] * math.sqrt(float(eigenvalues[j]))
-        anchor = int(np.argmax(np.abs(col)))
-        if col[anchor] < 0.0:
-            col = -col
-        loadings_cols.append(col)
-    loadings = tuple(
-        tuple(float(loadings_cols[j][i]) for j in range(retained)) for i in range(p)
-    )
-
-    pct = tuple(100.0 * float(ev) / p for ev in eigenvalues)
-    cumulative = []
-    running = 0.0
-    for v in pct:
-        running += v
-        cumulative.append(running)
+    loadings = eigenvectors[:, :retained] * np.sqrt(eigenvalues[:retained])
+    anchors = loadings[np.argmax(np.abs(loadings), axis=0), np.arange(retained)]
+    loadings = np.where(anchors < 0.0, -loadings, loadings)
+    pct = 100.0 * eigenvalues / p
 
     return PcaResult(
         variables=corr.variables,
-        eigenvalues=tuple(float(ev) for ev in eigenvalues),
+        eigenvalues=tuple(eigenvalues.tolist()),
         retained=retained,
-        loadings=loadings,
-        variance_explained_pct=pct,
-        cumulative_pct=tuple(cumulative),
-        kmo=kmo(corr),
-        bartlett=bartlett_sphericity(corr, corr.n),
+        loadings=tuple(tuple(row) for row in loadings.tolist()),
+        variance_explained_pct=tuple(pct.tolist()),
+        cumulative_pct=tuple(np.cumsum(pct).tolist()),
+        kmo=_kmo(r, raw_eigenvalues, eigenvectors),
+        bartlett=_bartlett(raw_eigenvalues, corr.n),
     )

@@ -10,7 +10,7 @@ p-value comes from a seeded permutation bootstrap of the residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -110,6 +110,22 @@ def _t_statistic(coef: float, se: float) -> float:
     return coef / se
 
 
+def _centred_qr(xc: np.ndarray, predictor_names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Thin Q and inverse R of the centred predictors, after the rank test:
+    a column whose |R_jj| is at rounding level depends on the columns before it."""
+    n = xc.shape[0]
+    col_norms = np.sqrt((xc * xc).sum(axis=0))
+    q_thin, r_mat = np.linalg.qr(xc)
+    tol = n * np.finfo(float).eps * max(float(col_norms.max()), 1.0)
+    for j, name in enumerate(predictor_names):
+        if abs(float(r_mat[j, j])) <= tol:
+            raise SingularDesignError(
+                f"design is rank deficient: column {name!r} is "
+                "linearly dependent on the preceding columns (or constant)"
+            )
+    return q_thin, np.linalg.inv(r_mat)
+
+
 def _ols_arrays(x: np.ndarray, y: np.ndarray, predictor_names: Sequence[str]) -> dict:
     """Least-squares core; x may have zero columns for the intercept-only model."""
     n, k = x.shape
@@ -129,17 +145,7 @@ def _ols_arrays(x: np.ndarray, y: np.ndarray, predictor_names: Sequence[str]) ->
         x_means = np.zeros(0)
     else:
         x_means = x.mean(axis=0)
-        xc = x - x_means
-        col_norms = np.sqrt((xc * xc).sum(axis=0))
-        q_thin, r_mat = np.linalg.qr(xc)
-        tol = n * np.finfo(float).eps * max(float(col_norms.max()), 1.0)
-        for j in range(k):
-            if abs(float(r_mat[j, j])) <= tol:
-                raise SingularDesignError(
-                    f"design is rank deficient: column {predictor_names[j]!r} is "
-                    "linearly dependent on the preceding columns (or constant)"
-                )
-        r_inv = np.linalg.inv(r_mat)
+        q_thin, r_inv = _centred_qr(x - x_means, predictor_names)
         slopes = r_inv @ (q_thin.T @ yc)
         s_inv = r_inv @ r_inv.T
         leverage = 1.0 / n + (q_thin * q_thin).sum(axis=1)
@@ -214,9 +220,12 @@ class OLS(BaseEstimator):
 
     def fit(self, X, y) -> "OLS":
         X, y = check_X_y(X, y)
-        names = tuple(f"x{j}" for j in range(X.shape[1]))
-        stats = _ols_arrays(X, y, names)
-        self.n_features_in_ = X.shape[1]
+        return self._adopt(_ols_arrays(X, y, [f"x{j}" for j in range(X.shape[1])]))
+
+    def _adopt(self, stats: dict) -> "OLS":
+        """Store the results of one `_ols_arrays` call as the fitted state."""
+        names = tuple(f"x{j}" for j in range(len(stats["coefficients"]) - 1))
+        self.n_features_in_ = len(names)
         self.intercept_ = stats["coefficients"][0]
         self.coef_ = np.array(stats["coefficients"][1:])
         self.stats_ = LinearModelFit(response="y", predictors=names, **stats)
@@ -289,7 +298,8 @@ class StepwiseOLS(BaseEstimator):
                 break
         self.selected_ = tuple(selected)
         self.trace_ = tuple(trace)
-        self.model_ = OLS().fit(X[:, selected], y) if selected else None
+        # the last removal-loop fit is the fit of the final selection
+        self.model_ = OLS()._adopt(stats) if selected else None
         return self
 
     def predict(self, X) -> np.ndarray:
@@ -306,12 +316,7 @@ def _dataset_arrays(dataset: Dataset, response: str,
     names = tuple(dataset.resolve_column(p) for p in predictors)
     if response_name in names:
         raise ValidationError(f"response {response_name!r} cannot be its own predictor")
-    y = np.array(dataset.column(response_name).values)
-    if names:
-        x = np.column_stack([np.array(dataset.column(p).values) for p in names])
-    else:
-        x = np.zeros((len(y), 0))
-    return x, y, response_name, names
+    return dataset.array(names), dataset.array([response_name])[:, 0], response_name, names
 
 
 def fit_ols(dataset: Dataset, response: str, predictors: Sequence[str]) -> LinearModelFit:
@@ -380,28 +385,33 @@ def durbin_watson(fit: LinearModelFit | Sequence[float],
 
 
 def collinearity(dataset: Dataset, predictors: Sequence[str]) -> CollinearityReport:
-    """Tolerance (1 - R^2 of each predictor on the rest) and VIF per predictor."""
+    """Tolerance (1 - R^2 of each predictor on the rest) and VIF per predictor.
+
+    VIF_j = 1/tolerance_j = ss_j [(Xc'Xc)^-1]_jj for centred predictors Xc with
+    ss_j = |Xc_j|^2: the diagonal of the inverse predictor correlation matrix
+    (Marquardt 1970), from one thin QR. A rank-deficient design gives every
+    predictor tolerance 0 and VIF infinity.
+    """
     if len(predictors) < 2:
         raise ValidationError("collinearity needs at least 2 predictors")
     names = tuple(dataset.resolve_column(p) for p in predictors)
-    x = np.column_stack([np.array(dataset.column(p).values) for p in names])
-    tolerances: list[float] = []
-    vifs: list[float] = []
-    for j in range(len(names)):
-        others = [c for c in range(len(names)) if c != j]
-        try:
-            stats = _ols_arrays(x[:, others], x[:, j], [names[c] for c in others])
-            tol = 1.0 - stats["r_squared"]
-        except SingularDesignError:
-            tol = 0.0
-        if tol <= 0.0:
-            tolerances.append(0.0)
-            vifs.append(math.inf)
-        else:
-            tolerances.append(tol)
-            vifs.append(1.0 / tol)
-    return CollinearityReport(predictors=names, tolerance=tuple(tolerances),
-                              vif=tuple(vifs))
+    x = dataset.array(names)
+    n, k = x.shape
+    if n < k + 1:
+        raise InsufficientDataError(
+            f"need at least {k + 1} rows to fit {k - 1} predictors with an intercept, got {n}"
+        )
+    xc = x - x.mean(axis=0)
+    try:
+        _, r_inv = _centred_qr(xc, names)
+    except SingularDesignError:
+        return CollinearityReport(predictors=names, tolerance=(0.0,) * k,
+                                  vif=(math.inf,) * k)
+    # (Xc'Xc)^-1 = R^-1 R^-T, so its diagonal is the row sums of squares of R^-1
+    vif = (xc * xc).sum(axis=0) * (r_inv * r_inv).sum(axis=1)
+    tolerance = np.minimum(1.0, 1.0 / vif)
+    return CollinearityReport(predictors=names, tolerance=tuple(tolerance.tolist()),
+                              vif=tuple((1.0 / tolerance).tolist()))
 
 
 def casewise_diagnostics(fit: LinearModelFit) -> CasewiseDiagnostics:
@@ -435,11 +445,12 @@ def stepwise_fit(dataset: Dataset, response: str, candidates: Sequence[str],
         StepwiseStep(step.action, names[step.predictor], step.p) for step in est.trace_
     )
     selected_names = tuple(names[j] for j in est.selected_)
-    stats = _ols_arrays(x[:, list(est.selected_)], y, selected_names)
-    return (
-        LinearModelFit(response=response_name, predictors=selected_names, **stats),
-        trace,
-    )
+    if est.model_ is None:
+        fit = LinearModelFit(response=response_name, predictors=(),
+                             **_ols_arrays(x[:, :0], y, ()))
+    else:
+        fit = replace(est.model_.stats_, response=response_name, predictors=selected_names)
+    return fit, trace
 
 
 def predict(fit: LinearModelFit, x: Mapping[str, float]) -> float:

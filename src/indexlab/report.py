@@ -29,9 +29,9 @@ from .dataset import (
     bundled_table_a1,
     emit_dataset,
 )
-from .descriptive import boxplot_outliers, describe, shapiro_wilk
+from .descriptive import DescriptiveStats, NormalityResult, boxplot_outliers, describe, shapiro_wilk
 from .errors import ValidationError
-from .pca import run_pca
+from .pca import principal_components
 from .regression import (
     DEFAULT_REPLICATES,
     DEFAULT_SEED,
@@ -56,8 +56,8 @@ PUBLISHED_PREDICTION_INTERCEPT = 15.048
 _SCHEMA = (SII,) + PILLARS + (IDESI,) + DIMENSIONS
 _T1_COLUMNS = _SCHEMA
 _T7_COLUMNS = (SII,) + DIMENSIONS
-_CORR_VARIABLES = (SII,) + DIMENSIONS
-_T11_VARIABLES = DIMENSIONS + PILLARS
+# one matrix per run: T4/T10 is its block [0:6], the PCA input [1:6], T11 [1:10]
+_CORR_VARIABLES = (SII,) + DIMENSIONS + PILLARS
 
 FORMATS = ("csv", "markdown", "json")
 
@@ -101,29 +101,19 @@ def validate_schema(dataset: Dataset) -> None:
         raise ValidationError("dataset schema mismatch; " + "; ".join(parts))
 
 
-def _descriptives_table(dataset: Dataset, columns: Sequence[str],
-                        with_normality: bool) -> dict:
+def _descriptives_table(columns: Sequence[str], stats: dict[str, DescriptiveStats],
+                        normality: dict[str, NormalityResult] | None = None) -> dict:
     rows: dict[str, list] = {
-        "valid": [], "missing": [], "mean": [], "std_deviation": [],
+        "valid": [stats[c].valid for c in columns],
+        "missing": [stats[c].missing for c in columns],
+        "mean": [stats[c].mean for c in columns],
+        "std_deviation": [stats[c].std_deviation for c in columns],
     }
-    if with_normality:
-        rows["shapiro_wilk"] = []
-        rows["shapiro_wilk_p"] = []
-    rows["minimum"] = []
-    rows["maximum"] = []
-    for name in columns:
-        series = dataset.column(name)
-        stats = describe(series)
-        rows["valid"].append(stats.valid)
-        rows["missing"].append(stats.missing)
-        rows["mean"].append(stats.mean)
-        rows["std_deviation"].append(stats.std_deviation)
-        if with_normality:
-            normality = shapiro_wilk(series)
-            rows["shapiro_wilk"].append(normality.w)
-            rows["shapiro_wilk_p"].append(normality.p.value)
-        rows["minimum"].append(stats.minimum)
-        rows["maximum"].append(stats.maximum)
+    if normality is not None:
+        rows["shapiro_wilk"] = [normality[c].w for c in columns]
+        rows["shapiro_wilk_p"] = [normality[c].p.value for c in columns]
+    rows["minimum"] = [stats[c].minimum for c in columns]
+    rows["maximum"] = [stats[c].maximum for c in columns]
     return {"kind": "descriptives", "columns": list(columns), "rows": rows}
 
 
@@ -228,8 +218,9 @@ def _residual_figure(fit: LinearModelFit) -> dict:
 
 
 def _nearest_country(dataset: Dataset, value: float) -> tuple[str, float]:
-    best = min(dataset.records, key=lambda rec: abs(rec.values[SII] - value))
-    return best.name, best.values[SII]
+    sii = dataset.array([SII])[:, 0].tolist()
+    best = min(range(len(sii)), key=lambda i: abs(sii[i] - value))
+    return dataset.countries[best], sii[best]
 
 
 def prediction_record(model: str, fit: LinearModelFit, score: float,
@@ -264,10 +255,10 @@ def prediction_record(model: str, fit: LinearModelFit, score: float,
     return record
 
 
-def _normality_gate(shapiro_wilk_p: dict, alpha: float) -> dict:
+def _normality_gate(normality: dict[str, NormalityResult], alpha: float) -> dict:
     """Gate record: dimensions with Shapiro-Wilk p < alpha are excluded from
     the stepwise candidates, the rest remain."""
-    gate_p = {name: shapiro_wilk_p[name] for name in DIMENSIONS}
+    gate_p = {name: normality[name].p.value for name in DIMENSIONS}
     excluded = [name for name in DIMENSIONS if gate_p[name] < alpha]
     return {
         "alpha": alpha,
@@ -289,24 +280,23 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
     """
     validate_schema(dataset)
     ds = dataset.sorted_by_name()
+    columns = dict(zip(_SCHEMA, ds.array(_SCHEMA).T))
 
     tables: dict[str, dict] = {}
-    tables["T1"] = _descriptives_table(ds, _T1_COLUMNS, with_normality=False)
+    stats = {name: describe(values) for name, values in columns.items()}
+    tables["T1"] = _descriptives_table(_T1_COLUMNS, stats)
 
+    normality = {name: shapiro_wilk(values) for name, values in columns.items()}
     normality_screen = {
         "columns": list(_SCHEMA),
-        "w": [],
-        "p": [],
+        "w": [normality[name].w for name in _SCHEMA],
+        "p": [normality[name].p.value for name in _SCHEMA],
     }
-    for name in _SCHEMA:
-        result = shapiro_wilk(ds.column(name))
-        normality_screen["w"].append(result.w)
-        normality_screen["p"].append(result.p.value)
 
-    outlier_screen = {}
-    for name in _SCHEMA:
-        flagged = boxplot_outliers(ds.column(name))
-        outlier_screen[name] = [ds.records[i].name for i in flagged]
+    outlier_screen = {
+        name: [ds.countries[i] for i in boxplot_outliers(values)]
+        for name, values in columns.items()
+    }
 
     h0 = null_model(ds, SII)
     dw_h0 = durbin_watson(h0, replicates=replicates, seed=seed)
@@ -322,7 +312,7 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
     ]
 
     corr = correlation_matrix(ds, _CORR_VARIABLES)
-    tables["T4"] = _correlation_table(corr, style="r_and_p")
+    tables["T4"] = _correlation_table(corr.block(0, 6), style="r_and_p")
 
     full = fit_ols(ds, SII, list(DIMENSIONS))
     col = collinearity(ds, list(DIMENSIONS))
@@ -333,13 +323,13 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
 
     cw = casewise_diagnostics(full)
     casewise = {
-        "flagged_countries": [ds.records[i].name for i in cw.flagged],
+        "flagged_countries": [ds.countries[i] for i in cw.flagged],
         "flagged_count": len(cw.flagged),
         "max_abs_standardized_residual": max(abs(v) for v in cw.standardized_residuals),
         "max_cooks_distance": max(cw.cooks_distance),
     }
 
-    pca = run_pca(ds, list(DIMENSIONS))
+    pca = principal_components(corr.block(1, 6))
     tables["T6"] = {
         "kind": "pca",
         "variables": list(pca.variables),
@@ -357,10 +347,9 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
         "note": f"{pca.retained} component extracted.",
     }
 
-    tables["T7"] = _descriptives_table(ds, _T7_COLUMNS, with_normality=True)
+    tables["T7"] = _descriptives_table(_T7_COLUMNS, stats, normality)
 
-    gate = _normality_gate(
-        dict(zip(normality_screen["columns"], normality_screen["p"])), gate_alpha)
+    gate = _normality_gate(normality, gate_alpha)
     remaining = gate["remaining"]
 
     # the gate can exhaust the candidate set on other datasets; fall back to
@@ -387,17 +376,16 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
         for step in trace
     ]
 
-    tables["T10"] = _correlation_table(corr, style="r_with_stars")
-    tables["T11"] = _correlation_table(correlation_matrix(ds, _T11_VARIABLES),
-                                       style="r_with_stars")
+    tables["T10"] = _correlation_table(corr.block(0, 6), style="r_with_stars")
+    tables["T11"] = _correlation_table(corr.block(1, 10), style="r_with_stars")
 
     figures = {
         "F3": _residual_figure(simple),
         "F4": {
             "x_label": IDESI,
             "y_label": SII,
-            "countries": [rec.name for rec in ds.records],
-            "points": [[rec.values[IDESI], rec.values[SII]] for rec in ds.records],
+            "countries": list(ds.countries),
+            "points": ds.array([IDESI, SII]).tolist(),
         },
         "F5": _residual_figure(stepwise),
     }
@@ -432,8 +420,9 @@ def predict_country(fit_source: str, score: float) -> dict:
     if fit_source == "simple":
         fit = fit_ols(ds, SII, [IDESI])
     else:
-        gate_p = {name: shapiro_wilk(ds.column(name)).p.value for name in DIMENSIONS}
-        fit, _ = stepwise_fit(ds, SII, _normality_gate(gate_p, GATE_ALPHA)["remaining"])
+        normality = {name: shapiro_wilk(values)
+                     for name, values in zip(DIMENSIONS, ds.array(DIMENSIONS).T)}
+        fit, _ = stepwise_fit(ds, SII, _normality_gate(normality, GATE_ALPHA)["remaining"])
     return prediction_record(fit_source, fit, score, ds)
 
 

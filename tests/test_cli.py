@@ -1,6 +1,8 @@
 """Command-line interface: output contracts and exit codes, in process."""
 import json
 import os
+import random
+from collections import Counter
 
 import pytest
 
@@ -48,6 +50,16 @@ def test_dataset_validate_accepts_utf8_bom(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_dataset_validate_accepts_windows_and_mac_newlines(capsys, tmp_path, newline):
+    path = tmp_path / "exported.csv"
+    path.write_bytes(emit_dataset(bundled_table_a1()).replace("\n", newline).encode())
+    assert main(["dataset", "validate", "--input", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == (
+        "OK: 29 rows, 11 columns match the schema"
+    )
+
+
 def test_dataset_validate_bad_schema(capsys, tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("Country,Alpha\nFrance,50\n")
@@ -55,6 +67,47 @@ def test_dataset_validate_bad_schema(capsys, tmp_path):
     err = capsys.readouterr().err
     assert "error:" in err
     assert "schema mismatch" in err
+
+
+def test_dataset_validate_rejects_non_utf8(capsys, tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"country,SII\n\xff\xfe,1\n")
+    assert main(["dataset", "validate", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: input is not UTF-8: invalid byte 0xff at offset 12\n"
+    )
+
+
+_FUZZ_INSERTS = b',\n"\x00.-e9'
+
+
+def test_dataset_validate_byte_fuzz(capsys, tmp_path):
+    """Seeded byte mutations of the bundled CSV: bit flips, deletions and
+    insertions of CSV-significant bytes all end in exit 0 or 1, never in a
+    traceback."""
+    original = emit_dataset(bundled_table_a1()).encode("utf-8")
+    rng = random.Random(2212)
+    path = tmp_path / "mutated.csv"
+    codes = Counter()
+    for _ in range(500):
+        data = bytearray(original)
+        for _ in range(rng.randint(1, 8)):
+            at = rng.randrange(len(data))
+            kind = rng.randrange(3)
+            if kind == 0:
+                data[at] ^= 1 << rng.randrange(8)
+            elif kind == 1:
+                del data[at]
+            else:
+                data.insert(at, rng.choice(_FUZZ_INSERTS))
+        path.write_bytes(bytes(data))
+        code = main(["dataset", "validate", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code in (0, 1), bytes(data)
+        assert "Traceback" not in captured.out + captured.err
+        codes[code] += 1
+    # both outcomes occur, so the mutations neither all miss nor all break the file
+    assert codes[0] > 0 and codes[1] > 0
 
 
 # published I-DESI scores are coarser than the recomputed composites

@@ -11,6 +11,7 @@ from indexlab import (
     pearson,
     significance_stars,
 )
+from indexlab.dataset import DIMENSIONS, PILLARS, SII
 from indexlab.distributions import TWO_TAILED
 
 
@@ -107,6 +108,24 @@ def test_correlation_matrix_matches_pearson_bundled(dataset):
     _assert_matches_pearson(dataset, dataset.columns)
 
 
+def _assert_blocks_match(dataset, variables):
+    """Every contiguous diagonal block equals a direct matrix over its variables."""
+    whole = correlation_matrix(dataset, variables)
+    for start in range(len(variables) - 1):
+        for stop in range(start + 2, len(variables) + 1):
+            block = whole.block(start, stop)
+            direct = correlation_matrix(dataset, variables[start:stop])
+            assert block.variables == direct.variables and block.n == direct.n
+            np.testing.assert_allclose(block.r, direct.r, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(block.p, direct.p, rtol=0.0, atol=1e-12)
+            assert block.stars == direct.stars
+
+
+def test_correlation_blocks_bundled(dataset):
+    # the report's one matrix: T4/T10 is block [0:6], the PCA input [1:6], T11 [1:10]
+    _assert_blocks_match(dataset, (SII,) + DIMENSIONS + PILLARS)
+
+
 @pytest.mark.parametrize("n", [3, 4, 10, 29, 300, 3000])
 def test_correlation_matrix_matches_pearson_random(n):
     rng = np.random.default_rng(n)
@@ -121,6 +140,7 @@ def test_correlation_matrix_matches_pearson_random(n):
         for i, row in enumerate(data)
     )
     _assert_matches_pearson(Dataset(names, records), names)
+    _assert_blocks_match(Dataset(names, records), names)
 
 
 def test_correlation_matrix_degenerate_designs(degenerate_designs):

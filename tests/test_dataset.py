@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from indexlab import (
@@ -43,6 +45,14 @@ def test_column_and_series(dataset):
     assert len(series) == 29
     assert series[0] == 79.4
     assert list(series)[:2] == [79.4, 77.3]
+    block = dataset.array(["idesi", SII])
+    assert block.shape == (29, 2) and block.flags["C_CONTIGUOUS"]
+    assert block[:, 1].tolist() == list(series.values)
+    assert block[:, 0].tolist() == list(dataset.column(IDESI).values)
+    # the accessor hands out a copy; the dataset's own array is read-only
+    block[0, 1] = -1.0
+    assert dataset.column(SII)[0] == 79.4
+    assert [rec.values[SII] for rec in dataset.records] == list(series.values)
 
 
 def test_resolve_column_case_insensitive(dataset):
@@ -61,6 +71,8 @@ def test_sorted_by_name(dataset):
     by_name = dataset.sorted_by_name()
     assert list(by_name.countries) == sorted(dataset.countries)
     assert set(by_name.countries) == set(dataset.countries)
+    for country in dataset.countries:
+        assert by_name.record(country) == dataset.record(country)
 
 
 def test_record_lookup_error(dataset):
@@ -86,6 +98,10 @@ def test_parse_rejects_bad_cells():
         parse_dataset("country,SII\nA,\n")
     with pytest.raises(ValidationError, match="empty country name"):
         parse_dataset("country,SII\n,50\n")
+    # the csv module's own errors (an oversized field; a NUL byte before
+    # Python 3.11) are parse errors too
+    with pytest.raises(DatasetParseError, match="line 2: field larger than field limit"):
+        parse_dataset('country,SII\n"' + "x" * 200_000 + '",50\n')
 
 
 def test_constructor_validation():
@@ -100,3 +116,15 @@ def test_constructor_validation():
         Dataset(("x",), (CountryRecord("A", {"x": 101.0}),))
     with pytest.raises(ValidationError, match="out of range"):
         Dataset(("x",), (CountryRecord("A", {"x": -0.5}),))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_cells_rejected(cell):
+    message = f"value {float(cell)!r} out of range [0, 100] for 'X', column 'a'"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        parse_dataset(f"country,a\nX,{cell}\n")
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        Dataset(("a",), (CountryRecord("X", {"a": float(cell)}),))
+    # the first offending cell in row order is the one named
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        parse_dataset(f"country,b,a\nW,1,2\nX,3,{cell}\nY,{cell},{cell}\n")

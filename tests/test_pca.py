@@ -13,6 +13,7 @@ from indexlab import (
     correlation_matrix,
     eigen_symmetric,
     kmo,
+    principal_components,
     run_pca,
 )
 from indexlab.dataset import DIMENSIONS
@@ -45,6 +46,12 @@ def test_run_pca_published(sorted_dataset):
     assert abs(result.bartlett.statistic - 85.28851635900286) < 1e-9
     assert result.bartlett.df == 10
     assert result.bartlett.p.value < 0.0005
+    # KMO and Bartlett share the PCA's eigendecomposition; the one-argument
+    # forms decompose the same matrix again and agree exactly
+    corr = correlation_matrix(sorted_dataset, DIMENSIONS)
+    assert result.kmo == kmo(corr)
+    assert result.bartlett == bartlett_sphericity(corr, corr.n)
+    assert principal_components(corr) == result
 
 
 def test_run_pca_row_order_invariant(dataset, sorted_dataset):

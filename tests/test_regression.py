@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -136,7 +137,7 @@ def test_collinearity_published(sorted_dataset):
 _DEGENERATE_COLLINEARITY = {
     "duplicate": ((0.0, 0.0, 0.0), (math.inf, math.inf, math.inf)),
     "linear_combination": ((0.0, 0.0, 0.0), (math.inf, math.inf, math.inf)),
-    "constant": ((0.0, 1.0, 0.0), (math.inf, 1.0, math.inf)),
+    "constant": ((0.0, 0.0, 0.0), (math.inf, math.inf, math.inf)),
 }
 
 
@@ -150,6 +151,64 @@ def test_degenerate_designs(degenerate_designs, kind):
     tolerance, vif = _DEGENERATE_COLLINEARITY[kind]
     assert report.tolerance == tolerance
     assert report.vif == vif
+
+
+def _column_dataset(columns: dict) -> Dataset:
+    names = tuple(columns)
+    rows = np.column_stack(list(columns.values()))
+    return Dataset(names, tuple(
+        CountryRecord(f"C{i:04d}", dict(zip(names, map(float, row))))
+        for i, row in enumerate(rows)
+    ))
+
+
+def _assert_same_fit(actual, expected):
+    """Field by field: equal, with floats equal to 1e-12 relative (the
+    selection loop's column-sliced design sums in another order)."""
+    def walk(a, e, path):
+        if isinstance(e, (dict, list, tuple)):
+            items = e.items() if isinstance(e, dict) else enumerate(e)
+            assert type(a) is type(e) and len(a) == len(e), path
+            for key, value in items:
+                walk(a[key], value, path + (key,))
+        elif isinstance(e, float):
+            assert a == pytest.approx(e, rel=1e-12, abs=1e-300), path
+        else:
+            assert a == e, path
+
+    walk(dataclasses.asdict(actual), dataclasses.asdict(expected), ())
+
+
+def _refit_tolerances(x: np.ndarray) -> list[float]:
+    """Reference: 1 - R^2 of each column regressed on the others by lstsq."""
+    n, k = x.shape
+    out = []
+    for j in range(k):
+        design = np.column_stack([np.ones(n), np.delete(x, j, axis=1)])
+        coef = np.linalg.lstsq(design, x[:, j], rcond=None)[0]
+        residual = x[:, j] - design @ coef
+        centred = x[:, j] - x[:, j].mean()
+        out.append(float(residual @ residual) / float(centred @ centred))
+    return out
+
+
+@pytest.mark.parametrize("n,k", [(29, 5), (12, 2), (12, 5), (40, 3), (300, 4),
+                                 (3000, 2), (3000, 5)])
+def test_collinearity_matches_refits(sorted_dataset, n, k):
+    if (n, k) == (29, 5):
+        ds, names = sorted_dataset, DIMENSIONS
+    else:
+        rng = np.random.default_rng([n, k])
+        factor = rng.normal(0.0, 1.0, size=(n, 1))
+        # a spread of loadings gives tolerances from near 0.1 up to near 1
+        x = 50.0 + 8.0 * (factor * np.linspace(0.0, 3.0, k) + rng.normal(0.0, 1.0, size=(n, k)))
+        names = tuple(f"p{j}" for j in range(k))
+        ds = _column_dataset(dict(zip(names, np.clip(x, 0.0, 100.0).T)))
+    report = collinearity(ds, names)
+    reference = _refit_tolerances(ds.array(names))
+    np.testing.assert_allclose(report.tolerance, reference, rtol=0.0, atol=1e-12)
+    for tol, vif in zip(report.tolerance, report.vif):
+        assert 0.0 < tol <= 1.0 and vif * tol == pytest.approx(1.0, abs=1e-12)
 
 
 def test_collinearity_needs_two_predictors(sorted_dataset):
@@ -203,6 +262,22 @@ def test_stepwise_published(sorted_dataset):
     dw = durbin_watson(fit, replicates=50, seed=42)
     assert abs(dw.d - 1.9881279485685412) < 1e-12
     assert abs(dw.autocorrelation - (-0.07137731301032754)) < 1e-12
+    # the final fit is the selection loop's own, the same as a direct fit
+    _assert_same_fit(fit, fit_ols(sorted_dataset, SII, fit.predictors))
+
+
+def test_stepwise_fit_after_removal_matches_direct_fit():
+    rng = np.random.default_rng(0)
+    x2, x3 = rng.normal(size=40), rng.normal(size=40)
+    x1 = x2 + x3 + rng.normal(0.0, 0.3, 40)
+    y = 2.0 * x2 + x3 + rng.normal(0.0, 0.3, 40)
+    ds = _column_dataset({"y": 50.0 + 5.0 * y, "x1": 50.0 + 5.0 * x1,
+                          "x2": 50.0 + 5.0 * x2, "x3": 50.0 + 5.0 * x3})
+    fit, trace = stepwise_fit(ds, "y", ["x1", "x2", "x3"])
+    assert [(step.action, step.predictor) for step in trace] == [
+        ("add", "x1"), ("add", "x2"), ("add", "x3"), ("remove", "x1")]
+    assert fit.predictors == ("x2", "x3")
+    _assert_same_fit(fit, fit_ols(ds, "y", ["x2", "x3"]))
 
 
 def test_stepwise_requires_candidates(sorted_dataset):

@@ -212,3 +212,30 @@ def test_seed_changes_only_bootstrap_p(sorted_dataset):
             for model in ("H0", "H1"):
                 payload["tables"][table_id]["rows"][model].pop("dw_p")
     assert first == second
+
+
+def test_each_statistic_computed_once_per_run(dataset, monkeypatch):
+    """One describe and one Shapiro-Wilk per schema column, one correlation
+    matrix, one eigendecomposition, and no per-call column rebuilds."""
+    from indexlab import dataset as dataset_module
+    from indexlab import pca as pca_module
+    from indexlab import report as report_module
+
+    calls = {}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("describe", "shapiro_wilk", "correlation_matrix"):
+        counted(report_module, name)
+    counted(pca_module, "eigen_symmetric")
+    counted(dataset_module.Dataset, "column")
+    reproduce_all(dataset, seed=42, replicates=1)
+    assert calls == {"describe": 11, "shapiro_wilk": 11, "correlation_matrix": 1,
+                     "eigen_symmetric": 1}
