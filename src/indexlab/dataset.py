@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -91,13 +92,21 @@ class Dataset:
     def __init__(self, columns: tuple[str, ...], records: tuple[CountryRecord, ...]):
         columns = tuple(columns)
         records = tuple(records)
+        rows = []
         for rec in records:
             if set(rec.values) != set(columns):
                 raise ValidationError(f"record {rec.name!r} does not match the column set")
+            row = [rec.values[c] for c in columns]
+            for col, value in zip(columns, row):
+                # bool is an int subclass; strings and None must not be coerced
+                if not isinstance(value, numbers.Real) or isinstance(value, (bool, np.bool_)):
+                    raise ValidationError(
+                        f"value {value!r} for {rec.name!r}, column {col!r} is not a real number"
+                    )
+            rows.append(row)
         self.columns = columns
         self.countries = tuple(rec.name for rec in records)
-        self._data = np.array([[rec.values[c] for c in columns] for rec in records],
-                              dtype=float).reshape(len(records), len(columns))
+        self._data = np.array(rows, dtype=float).reshape(len(records), len(columns))
         self._data.setflags(write=False)
         self._validate()
 

@@ -6,11 +6,26 @@ well conditioned. Summary statistics follow the usual package conventions:
 RMSE is the residual standard error with n-k-1 degrees of freedom,
 standardized residuals are internally studentized, and the Durbin-Watson
 p-value comes from a seeded permutation bootstrap of the residuals.
+
+The bootstrap's permutations depend only on (seed, n, replicates), and every
+model of one run shares that key, so they are built into a read-only
+(replicates, n) index matrix in the smallest unsigned dtype that holds n - 1
+(replicates * n bytes for n <= 256; 290 KB at the paper's 29 rows and 10,000
+replicates). Inside a ``_shared_permutations()`` block, as in one
+``reproduce_all`` run, calls with the same key share one build, which is
+released when the block ends; nothing is kept between runs. Each call scores
+the matrix in chunks of 256 rows, one vectorized pass per chunk, so its
+scratch memory does not grow with the replicate count. A replicate whose d is
+within 1e-12 (relative) of the observed d is a tie and counts on both sides
+of the two-tailed test.
 """
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -32,6 +47,11 @@ DEFAULT_SEED = 42
 
 STD_RESIDUAL_FLAG = 3.0
 COOKS_FLAG = 1.0
+
+# Durbin-Watson bootstrap: replicates scored per vectorized pass, and the
+# relative distance from the observed d within which a replicate is a tie
+_SCORE_CHUNK = 256
+_DW_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -127,7 +147,12 @@ def _centred_qr(xc: np.ndarray, predictor_names: Sequence[str]) -> tuple[np.ndar
 
 
 def _ols_arrays(x: np.ndarray, y: np.ndarray, predictor_names: Sequence[str]) -> dict:
-    """Least-squares core; x may have zero columns for the intercept-only model."""
+    """Least-squares core; x may have zero columns for the intercept-only model.
+
+    x is taken C-ordered, so a column slice of a design sums its means in the
+    same order as a fresh copy and the fit does not depend on memory layout.
+    """
+    x = np.ascontiguousarray(x)
     n, k = x.shape
     if n < k + 2:
         raise InsufficientDataError(
@@ -348,15 +373,56 @@ def _dw_statistic(residuals: np.ndarray) -> tuple[float, float]:
     return d, autocorrelation
 
 
+def _permutations(seed: int, n: int, replicates: int) -> np.ndarray:
+    """Read-only (replicates, n) matrix whose row i permutes range(n) with the
+    generator spawned from ``SeedSequence(entropy=seed, spawn_key=(i,))``,
+    in the smallest unsigned dtype that holds n - 1."""
+    perms = np.empty((replicates, n), dtype=np.min_scalar_type(n - 1))
+    for i in range(replicates):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        perms[i] = rng.permutation(n)
+    perms.setflags(write=False)
+    return perms
+
+
+# the memo of _permutations that durbin_watson calls share inside a
+# _shared_permutations() block; None outside one
+_SHARED_PERMUTATIONS: ContextVar = ContextVar("shared_permutations", default=None)
+
+
+@contextmanager
+def _shared_permutations():
+    """Within the block, durbin_watson calls with the same (seed, n,
+    replicates) share one permutation matrix; it is released when the block
+    ends, so no call outside it finds a matrix built earlier."""
+    token = _SHARED_PERMUTATIONS.set(lru_cache(maxsize=None)(_permutations))
+    try:
+        yield
+    finally:
+        _SHARED_PERMUTATIONS.reset(token)
+
+
 def durbin_watson(fit: LinearModelFit | Sequence[float],
                   replicates: int = DEFAULT_REPLICATES,
                   seed: int = DEFAULT_SEED) -> DurbinWatsonResult:
     """Durbin-Watson d with lag-1 autocorrelation and a permutation-bootstrap p.
 
-    Accepts a fitted model or a raw residual sequence in row order. Each
-    bootstrap replicate permutes the residuals with its own generator spawned
-    from the master seed, so the estimate does not depend on how replicates
-    are scheduled.
+    Accepts a fitted model or a raw residual sequence in row order. Replicate
+    i permutes the residuals with its own generator spawned from the master
+    seed, so the estimate does not depend on how replicates are scheduled.
+    The permutations depend only on (seed, n, replicates): they are built
+    into a read-only index matrix (``replicates * n`` bytes for n <= 256),
+    which calls with the same key inside one ``_shared_permutations()``
+    block (one ``reproduce_all`` run) build once, and scored in row chunks
+    of ``_SCORE_CHUNK`` replicates, each one vectorized pass over the
+    permuted residuals divided by their sum of squares, which no permutation
+    changes.
+
+    p = min(1, 2 min(b_ge, b_le) / R), where b_ge and b_le count replicates
+    with d_perm >= d and d_perm <= d. A replicate with |d_perm - d| <= 1e-12 d
+    is a tie and counts on both sides, so a permutation whose d equals the
+    observed d in exact arithmetic (the identity, the reversal) is counted the
+    same whatever order its sums were taken in.
     """
     residuals = np.array(
         fit.residuals if isinstance(fit, LinearModelFit) else [float(v) for v in fit]
@@ -366,19 +432,28 @@ def durbin_watson(fit: LinearModelFit | Sequence[float],
         raise InsufficientDataError(f"Durbin-Watson needs at least 3 residuals, got {n}")
     if replicates < 1:
         raise ValidationError(f"replicates must be at least 1, got {replicates}")
-    if float(residuals @ residuals) == 0.0:
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
+    ss = float(residuals @ residuals)
+    if ss == 0.0:
         raise ValidationError("Durbin-Watson is undefined for all-zero residuals")
     d, autocorrelation = _dw_statistic(residuals)
 
+    try:
+        perms = (_SHARED_PERMUTATIONS.get() or _permutations)(seed, n, replicates)
+    except MemoryError:
+        raise ValidationError(
+            f"replicates={replicates} is too many: the {replicates} x {n} "
+            "permutation matrix does not fit in memory"
+        ) from None
+    tie = _DW_TIE_RTOL * d
     at_or_above = 0
     at_or_below = 0
-    for i in range(replicates):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        d_perm, _ = _dw_statistic(residuals[rng.permutation(n)])
-        if d_perm >= d:
-            at_or_above += 1
-        if d_perm <= d:
-            at_or_below += 1
+    for start in range(0, replicates, _SCORE_CHUNK):
+        diffs = np.diff(residuals[perms[start:start + _SCORE_CHUNK]], axis=1)
+        d_perm = (diffs * diffs).sum(axis=1) / ss
+        at_or_above += int(np.count_nonzero(d_perm >= d - tie))
+        at_or_below += int(np.count_nonzero(d_perm <= d + tie))
     p = min(1.0, 2.0 * min(at_or_above, at_or_below) / replicates)
     return DurbinWatsonResult(d=d, autocorrelation=autocorrelation,
                               p=PValue(p, "two-tailed"))

@@ -36,6 +36,7 @@ from .regression import (
     DEFAULT_REPLICATES,
     DEFAULT_SEED,
     LinearModelFit,
+    _shared_permutations,
     casewise_diagnostics,
     collinearity,
     durbin_watson,
@@ -269,6 +270,7 @@ def _normality_gate(normality: dict[str, NormalityResult], alpha: float) -> dict
     }
 
 
+@_shared_permutations()
 def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
                   replicates: int = DEFAULT_REPLICATES,
                   gate_alpha: float = GATE_ALPHA) -> ReportBundle:
@@ -276,7 +278,8 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
 
     The same master seed is passed to each Durbin-Watson bootstrap; replicate
     streams are derived per call from (seed, replicate index), so results do
-    not depend on scheduling.
+    not depend on scheduling. The three bootstraps share one permutation
+    matrix, built for the run and released when it returns.
     """
     validate_schema(dataset)
     ds = dataset.sorted_by_name()

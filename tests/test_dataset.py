@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 
 from indexlab import (
@@ -116,6 +117,21 @@ def test_constructor_validation():
         Dataset(("x",), (CountryRecord("A", {"x": 101.0}),))
     with pytest.raises(ValidationError, match="out of range"):
         Dataset(("x",), (CountryRecord("A", {"x": -0.5}),))
+
+
+@pytest.mark.parametrize("value", ["50", "abc", True, None, [1, 2]])
+def test_constructor_rejects_non_real_values(value):
+    message = f"value {value!r} for 'B', column 'x' is not a real number"
+    records = (CountryRecord("A", {"w": 10.0, "x": 20.0}),
+               CountryRecord("B", {"w": 30.0, "x": value}))
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        Dataset(("w", "x"), records)
+
+
+def test_constructor_accepts_ints_and_numpy_scalars():
+    ds = Dataset(("a", "b", "c"),
+                 (CountryRecord("A", {"a": 50, "b": np.float32(2.5), "c": np.int64(7)}),))
+    assert ds.record("A").values == {"a": 50.0, "b": 2.5, "c": 7.0}
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])

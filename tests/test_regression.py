@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,9 +22,12 @@ from indexlab import (
     fit_ols,
     null_model,
     predict,
+    reproduce_all,
     stepwise_fit,
 )
 from indexlab.dataset import DIMENSIONS, IDESI, SII
+from indexlab import regression
+from indexlab.regression import _dw_statistic, _permutations
 
 IDT = "Integration of digital technology"
 
@@ -103,11 +107,123 @@ def test_durbin_watson_bootstrap_behavior(simple_fit):
     assert abs(other_seed.p.value - one.p.value) < 0.1
 
 
+def test_durbin_watson_input_errors():
+    # 3e18 bytes exceed the user address space of any 64-bit platform, so the
+    # allocation fails at once and nothing is touched
+    with pytest.raises(ValidationError, match="does not fit in memory"):
+        durbin_watson([1.0, -1.0, 0.5], replicates=10**18, seed=1)
+    with pytest.raises(ValidationError, match="seed must be non-negative"):
+        durbin_watson([1.0, -1.0, 0.5], replicates=10, seed=-1)
+
+
 def test_durbin_watson_on_raw_residuals():
     dw = durbin_watson([1.0, -1.0, 1.0, -1.0], replicates=20, seed=1)
     assert dw.d == 3.0
     assert dw.autocorrelation == -0.75
     assert 0.0 <= dw.p.value <= 1.0
+
+
+def _reference_dw_p(residuals, replicates: int, seed: int) -> float:
+    """The per-replicate loop the shared permutation matrix replaced, with the
+    tie rule: one generator per replicate, each permutation scored on its own."""
+    residuals = np.asarray(residuals, dtype=float)
+    n = residuals.shape[0]
+    d, _ = _dw_statistic(residuals)
+    at_or_above = at_or_below = 0
+    for i in range(replicates):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        d_perm, _ = _dw_statistic(residuals[rng.permutation(n)])
+        at_or_above += d_perm >= d - 1e-12 * d
+        at_or_below += d_perm <= d + 1e-12 * d
+    return min(1.0, 2.0 * min(at_or_above, at_or_below) / replicates)
+
+
+@pytest.mark.parametrize("n", [5, 29, 150])
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_durbin_watson_matches_per_replicate_loop(n, seed):
+    residuals = np.random.default_rng([n, seed]).normal(0.0, 3.0, n)
+    # R around the scoring chunk size checks the chunk edges
+    for replicates in (1, 7, 255, 256, 257, 2000):
+        dw = durbin_watson(residuals, replicates=replicates, seed=seed)
+        assert dw.p.value == _reference_dw_p(residuals, replicates, seed), replicates
+
+
+def test_durbin_watson_published_p_values(sorted_dataset, simple_fit):
+    """dw_p of T2 and T8 at the paper's seed and depth, exactly."""
+    stepwise, _ = stepwise_fit(sorted_dataset, SII, DIMENSIONS)
+    fits = {"H0": null_model(sorted_dataset, SII), "simple": simple_fit,
+            "stepwise": stepwise}
+    p = {name: durbin_watson(fit, replicates=10_000, seed=42).p.value
+         for name, fit in fits.items()}
+    assert p == {"H0": 0.5566, "simple": 0.3398, "stepwise": 0.9688}
+
+
+def test_permutations_built_once_per_run(dataset, monkeypatch):
+    builds = []
+
+    def counting(*key):
+        builds.append(key)
+        return _permutations(*key)
+
+    monkeypatch.setattr(regression, "_permutations", counting)
+    reproduce_all(dataset, seed=5, replicates=300)
+    assert builds == [(5, 29, 300)]
+    # nothing outlives the run: a repeat run and calls outside a run build again
+    reproduce_all(dataset, seed=5, replicates=300)
+    durbin_watson([1.0, -1.0, 0.5], replicates=4, seed=5)
+    durbin_watson([1.0, -1.0, 0.5], replicates=4, seed=5)
+    assert builds == [(5, 29, 300)] * 2 + [(5, 3, 4)] * 2
+    with regression._shared_permutations():
+        durbin_watson([1.0, -1.0, 0.5], replicates=4, seed=5)
+        durbin_watson([0.5, 1.0, -1.0], replicates=4, seed=5)
+    assert len(builds) == 5
+    assert regression._SHARED_PERMUTATIONS.get() is None
+
+    perms = _permutations(5, len(dataset), 300)
+    assert perms.shape == (300, 29) and perms.dtype == np.uint8
+    assert not perms.flags.writeable
+    with pytest.raises(ValueError):
+        perms[0, 0] = 1
+    for i in (0, 299):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(i,)))
+        assert perms[i].tolist() == rng.permutation(29).tolist()
+    wide = _permutations(3, 300, 2)
+    assert wide.dtype == np.uint16
+    assert wide[1].tolist() == np.random.default_rng(
+        np.random.SeedSequence(entropy=3, spawn_key=(1,))).permutation(300).tolist()
+
+
+def _exact_dw_p(residuals, replicates: int, seed: int) -> float:
+    """The permutation p in exact rational arithmetic, where a permuted d
+    equal to the observed d is a tie whatever the summation order."""
+    exact = [Fraction(v) for v in residuals]
+
+    def d_of(x):
+        return sum((b - a) ** 2 for a, b in zip(x, x[1:])) / sum(v * v for v in x)
+
+    d = d_of(exact)
+    at_or_above = at_or_below = 0
+    for i in range(replicates):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        d_perm = d_of([exact[j] for j in rng.permutation(len(exact))])
+        at_or_above += d_perm >= d
+        at_or_below += d_perm <= d
+    return min(1.0, 2.0 * min(at_or_above, at_or_below) / replicates)
+
+
+def test_durbin_watson_counts_reversal_as_tie():
+    residuals = [0.35, 0.82, 0.33]
+    d, _ = _dw_statistic(np.array(residuals))
+    d_reversed, _ = _dw_statistic(np.array(residuals[::-1]))
+    # equal in exact arithmetic, not in floating point
+    assert d == 0.510068599247621 and d_reversed == 0.5100685992476212
+    assert durbin_watson(residuals, replicates=1000, seed=1).p.value == 0.682
+    # short series draw the identity and the reversal often; both are ties
+    rng = np.random.default_rng(0)
+    for n in (3, 4) * 10:
+        series = np.round(rng.uniform(-1.0, 1.0, n), 2).tolist()
+        assert (durbin_watson(series, replicates=300, seed=1).p.value
+                == _exact_dw_p(series, 300, 1)), series
 
 
 def test_five_predictor_fit_published(five_fit):
@@ -278,6 +394,15 @@ def test_stepwise_fit_after_removal_matches_direct_fit():
         ("add", "x1"), ("add", "x2"), ("add", "x3"), ("remove", "x1")]
     assert fit.predictors == ("x2", "x3")
     _assert_same_fit(fit, fit_ols(ds, "y", ["x2", "x3"]))
+
+
+def test_ols_does_not_depend_on_memory_layout():
+    rng = np.random.default_rng(11)
+    x = rng.normal(50.0, 10.0, size=(2900, 4))
+    y = x @ np.array([0.5, -0.2, 0.1, 0.3]) + rng.normal(0.0, 2.0, 2900)
+    c_fit = OLS().fit(np.ascontiguousarray(x), y).stats_
+    f_fit = OLS().fit(np.asfortranarray(x), y).stats_
+    assert dataclasses.asdict(c_fit) == dataclasses.asdict(f_fit)
 
 
 def test_stepwise_requires_candidates(sorted_dataset):
