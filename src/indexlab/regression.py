@@ -11,7 +11,13 @@ The bootstrap's permutations depend only on (seed, n, replicates), and every
 model of one run shares that key, so they are built into a read-only
 (replicates, n) index matrix in the smallest unsigned dtype that holds n - 1
 (replicates * n bytes for n <= 256; 290 KB at the paper's 29 rows and 10,000
-replicates). Inside a ``_shared_permutations()`` block, as in one
+replicates). Row i is bit for bit the permutation of the generator
+``default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))``, but no such pair
+is built per row: the PCG64 state that seeding would give is computed for a
+block of 256 spawn keys at a time (numpy's ``SeedSequence`` hashing,
+vectorized over the block, then PCG64's seeding steps), and one PCG64 is
+reseeded with it per row and shuffles that row with numpy's own shuffle.
+Inside a ``_shared_permutations()`` block, as in one
 ``reproduce_all`` run, calls with the same key share one build, which is
 released when the block ends; nothing is kept between runs. Each call scores
 the matrix in chunks of 256 rows, one vectorized pass per chunk, so its
@@ -48,10 +54,27 @@ DEFAULT_SEED = 42
 STD_RESIDUAL_FLAG = 3.0
 COOKS_FLAG = 1.0
 
-# Durbin-Watson bootstrap: replicates scored per vectorized pass, and the
-# relative distance from the observed d within which a replicate is a tie
+# Durbin-Watson bootstrap: replicates seeded and scored per vectorized pass
+# (a power of two, so no seeding block straddles 2**32, where spawn keys gain
+# a 32-bit word), and the relative distance from the observed d within which
+# a replicate is a tie
 _SCORE_CHUNK = 256
 _DW_TIE_RTOL = 1e-12
+
+# numpy's SeedSequence hash constants (pool of 4 32-bit words) and PCG64's
+# 128-bit LCG multiplier, for seeding the bootstrap's generators in blocks
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint64(0xCA01F9DD)
+_MIX_MULT_R = np.uint64(0x4973F715)
+_XSHIFT = np.uint64(16)
+_MASK32 = 0xFFFFFFFF
+_MASK32_U64 = np.uint64(_MASK32)
+_MASK128 = (1 << 128) - 1
+_PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
 
 
 @dataclass(frozen=True)
@@ -373,14 +396,97 @@ def _dw_statistic(residuals: np.ndarray) -> tuple[float, float]:
     return d, autocorrelation
 
 
+def _uint32_words(value: int) -> list[int]:
+    """``value`` as little-endian 32-bit words, as ``SeedSequence`` splits it."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hashmix(hash_const: int, multiplier: int):
+    """``SeedSequence``'s 32-bit hash on uint64 lanes; its constant advances
+    by ``multiplier`` with every call, as in numpy."""
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint64(hash_const)
+        hash_const = (hash_const * multiplier) & _MASK32
+        value = (value * np.uint64(hash_const)) & _MASK32_U64
+        return value ^ (value >> _XSHIFT)
+    return hashmix
+
+
+def _spawned_pcg64_states(seed: int, keys: np.ndarray) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) that ``PCG64(SeedSequence(entropy=seed,
+    spawn_key=(k,)))`` holds for each spawn key k in ``keys`` (uint64, all of
+    one 32-bit word count).
+
+    Follows numpy's ``SeedSequence``: the seed's words, zero-padded to the
+    4-word pool, then the key's words are hash-mixed into the pool, which
+    ``generate_state(4, uint64)`` expands to the 128-bit initstate and initseq
+    that PCG64's srandom steps from. The 32-bit arithmetic runs on uint64
+    arrays, one lane per key, masked to 32 bits after each product.
+    """
+    key_words = [keys & _MASK32]
+    if int(keys[-1]) > _MASK32:
+        key_words.append(keys >> np.uint64(32))
+    seed_words = _uint32_words(seed)
+    seed_words += [0] * (_POOL_SIZE - len(seed_words))
+    entropy = [np.full(len(keys), w, dtype=np.uint64) for w in seed_words] + key_words
+
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32_U64
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state(4, uint64): eight 32-bit words, paired little-endian
+    generate = _hashmix(_INIT_B, _MULT_B)
+    words = [generate(pool[i % _POOL_SIZE]).tolist() for i in range(2 * _POOL_SIZE)]
+    state64 = [[lo | hi << 32 for lo, hi in zip(words[2 * j], words[2 * j + 1])]
+               for j in range(_POOL_SIZE)]
+
+    states = []
+    for high, low, seq_high, seq_low in zip(*state64):
+        initstate = (high << 64) | low
+        initseq = (seq_high << 64) | seq_low
+        # PCG64 srandom: state 0, inc = initseq << 1 | 1, step, add initstate, step
+        inc = ((initseq << 1) | 1) & _MASK128
+        states.append((((inc + initstate) * _PCG64_MULTIPLIER + inc) & _MASK128, inc))
+    return states
+
+
 def _permutations(seed: int, n: int, replicates: int) -> np.ndarray:
     """Read-only (replicates, n) matrix whose row i permutes range(n) with the
     generator spawned from ``SeedSequence(entropy=seed, spawn_key=(i,))``,
-    in the smallest unsigned dtype that holds n - 1."""
+    in the smallest unsigned dtype that holds n - 1.
+
+    Row i is ``default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))
+    .permutation(n)`` bit for bit: one PCG64 is reseeded per row with the
+    state that seeding would give (computed for ``_SCORE_CHUNK`` keys at a
+    time) and shuffles a copy of range(n) in place with numpy's own shuffle.
+    """
     perms = np.empty((replicates, n), dtype=np.min_scalar_type(n - 1))
-    for i in range(replicates):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        perms[i] = rng.permutation(n)
+    perms[:] = np.arange(n, dtype=perms.dtype)
+    bitgen = np.random.PCG64()
+    shuffle = np.random.Generator(bitgen).shuffle
+    for start in range(0, replicates, _SCORE_CHUNK):
+        keys = np.arange(start, min(start + _SCORE_CHUNK, replicates), dtype=np.uint64)
+        for i, (state, inc) in enumerate(_spawned_pcg64_states(seed, keys), start):
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            shuffle(perms[i])
     perms.setflags(write=False)
     return perms
 
@@ -410,11 +516,14 @@ def durbin_watson(fit: LinearModelFit | Sequence[float],
     Accepts a fitted model or a raw residual sequence in row order. Replicate
     i permutes the residuals with its own generator spawned from the master
     seed, so the estimate does not depend on how replicates are scheduled.
-    The permutations depend only on (seed, n, replicates): they are built
-    into a read-only index matrix (``replicates * n`` bytes for n <= 256),
-    which calls with the same key inside one ``_shared_permutations()``
-    block (one ``reproduce_all`` run) build once, and scored in row chunks
-    of ``_SCORE_CHUNK`` replicates, each one vectorized pass over the
+    The permutations depend only on (seed, n, replicates). They are built
+    into a read-only index matrix (``replicates * n`` bytes for n <= 256)
+    whose row i is bit-identical to ``default_rng(SeedSequence(entropy=seed,
+    spawn_key=(i,))).permutation(n)``: one PCG64 is reseeded per row from an
+    emulation of that seeding, run for blocks of ``_SCORE_CHUNK`` keys at a
+    time. Calls with the same key inside one ``_shared_permutations()``
+    block (one ``reproduce_all`` run) build it once. It is scored in row
+    chunks of ``_SCORE_CHUNK`` replicates, each one vectorized pass over the
     permuted residuals divided by their sum of squares, which no permutation
     changes.
 

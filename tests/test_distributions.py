@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from indexlab import (
@@ -101,3 +102,32 @@ def test_pvalue_contract():
         PValue(-0.1)
     with pytest.raises(DomainError):
         PValue(0.5, tails="three")
+
+
+def test_regularized_gamma_q_matches_scipy_near_the_mean():
+    """Q(a, x) on x = a + k sqrt(a), |k| <= 6, for shapes 0.5 to 1e4, within
+    1e-11 of scipy; the shapes from about 2,000 up used to raise DomainError."""
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(2024)
+    shapes = np.concatenate([[0.5, 2000.0, 3000.0, 1e4],
+                             10.0 ** rng.uniform(math.log10(0.5), 4.0, 80)])
+    for a in shapes.tolist():
+        for k in range(-6, 7):
+            x = a + k * math.sqrt(a)
+            if x >= 0.0:
+                assert abs(regularized_gamma_q(a, x) - special.gammaincc(a, x)) < 1e-11, (a, x)
+    # the continued fraction's failure in the upper tail at a = 1e5
+    assert abs(regularized_gamma_q(1e5, 1e5 + 79.0) - special.gammaincc(1e5, 1e5 + 79.0)) < 1e-11
+    # Bartlett's test with about 100 variables has df near 5,000
+    for x in (4700.0, 4970.0, 5000.0, 5300.0):
+        assert abs(chi2_tail_p(x, 5000).value - special.chdtrc(5000, x)) < 1e-11, x
+
+
+def test_regularized_gamma_q_below_shape_100_unchanged():
+    # T6's Bartlett test (df 10, a = 5) and other shapes below the Stirling
+    # prefactor's threshold, bit for bit as before the large-shape fix
+    assert chi2_tail_p(85.28851635900286, 10).value == 4.578674583651381e-14
+    pinned = {(5.0, 4.0): 0.6288369351798733, (5.0, 42.64): 4.59642167374095e-14,
+              (37.5, 30.0): 0.8965347948021312, (99.5, 120.0): 0.024895856450503396}
+    for (a, x), q in pinned.items():
+        assert regularized_gamma_q(a, x) == q, (a, x)

@@ -193,6 +193,39 @@ def test_permutations_built_once_per_run(dataset, monkeypatch):
         np.random.SeedSequence(entropy=3, spawn_key=(1,))).permutation(300).tolist()
 
 
+def _reference_permutations(seed: int, n: int, replicates: int) -> np.ndarray:
+    """One numpy generator per replicate, as the bootstrap was first written."""
+    return np.array([
+        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,))).permutation(n)
+        for i in range(replicates)
+    ])
+
+
+# multi-word entropy, and entropy longer than SeedSequence's 4-word pool
+@pytest.mark.parametrize("seed", [0, 42, 2**32 + 1, 2**130 + 3])
+def test_permutations_equal_per_replicate_generators(seed):
+    # n across the uint8/uint16 boundary; R around the 256-key seeding block
+    for n in (3, 29, 256, 257):
+        reference = _reference_permutations(seed, n, 2000)
+        for replicates in (1, 255, 256, 257, 2000):
+            perms = _permutations(seed, n, replicates)
+            assert np.array_equal(perms, reference[:replicates]), (n, replicates)
+    for replicates in (1, 5):
+        assert np.array_equal(_permutations(seed, 2900, replicates),
+                              _reference_permutations(seed, 2900, replicates))
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**32 + 1, 2**130 + 3])
+def test_spawned_pcg64_states_match_numpy_seeding(seed):
+    # keys of one 32-bit word, then of two
+    for keys in ([0, 2**32 - 1], [2**32, 2**32 + 1]):
+        states = regression._spawned_pcg64_states(seed, np.array(keys, dtype=np.uint64))
+        for key, state in zip(keys, states):
+            expected = np.random.PCG64(
+                np.random.SeedSequence(entropy=seed, spawn_key=(key,))).state["state"]
+            assert state == (expected["state"], expected["inc"]), key
+
+
 def _exact_dw_p(residuals, replicates: int, seed: int) -> float:
     """The permutation p in exact rational arithmetic, where a permuted d
     equal to the observed d is a tie whatever the summation order."""
