@@ -7,32 +7,23 @@ RMSE is the residual standard error with n-k-1 degrees of freedom,
 standardized residuals are internally studentized, and the Durbin-Watson
 p-value comes from a seeded permutation bootstrap of the residuals.
 
-The bootstrap's permutations depend only on (seed, n, replicates), and every
-model of one run shares that key, so they are built into a read-only
-(replicates, n) index matrix in the smallest unsigned dtype that holds n - 1
-(replicates * n bytes for n <= 256; 290 KB at the paper's 29 rows and 10,000
-replicates). Row i is bit for bit the permutation of the generator
-``default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))``, but no such pair
-is built per row: the PCG64 state that seeding would give is computed for a
-block of 256 spawn keys at a time (numpy's ``SeedSequence`` hashing,
-vectorized over the block, then PCG64's seeding steps), and one PCG64 is
-reseeded with it per row and shuffles that row with numpy's own shuffle.
-Inside a ``_shared_permutations()`` block, as in one
-``reproduce_all`` run, calls with the same key share one build, which is
-released when the block ends; nothing is kept between runs. Each call scores
-the matrix in chunks of 256 rows, one vectorized pass per chunk, so its
-scratch memory does not grow with the replicate count. A replicate whose d is
-within 1e-12 (relative) of the observed d is a tie and counts on both sides
-of the two-tailed test.
+Each bootstrap call seeds one PCG64 and sorts its raw 64-bit outputs as
+keys, n per replicate, with each key's low bits set to its column index so
+that the keys of a row are distinct and the permutation does not depend on
+the sort algorithm. numpy promises to keep the bit generators' raw streams
+across versions (NEP 19), so replicate i depends only on (seed, n, i). The
+replicates are drawn and scored in chunks of 256 rows, one vectorized pass
+per chunk, so no permutation matrix is stored and scratch memory does not
+grow with the replicate count. A replicate whose d is within 1e-12
+(relative) of the observed d is a tie and counts on both sides of the
+two-tailed test, and the p-value counts the observed order among the
+permutations, (b + 1) / (R + 1), so it is never 0.
 """
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -50,31 +41,20 @@ DEFAULT_P_ENTER = 0.05
 DEFAULT_P_REMOVE = 0.10
 DEFAULT_REPLICATES = 10_000
 DEFAULT_SEED = 42
+# the most Durbin-Watson replicates one call accepts, a bound on its run time
+# (about 100 s at n = 29 on a 2-CPU x86-64 host)
+MAX_REPLICATES = 10**8
+# the Durbin-Watson permutation scheme, as report provenance names it
+DW_PERMUTATION = "pcg64-raw-keys-argsort"
 
 STD_RESIDUAL_FLAG = 3.0
 COOKS_FLAG = 1.0
 
-# Durbin-Watson bootstrap: replicates seeded and scored per vectorized pass
-# (a power of two, so no seeding block straddles 2**32, where spawn keys gain
-# a 32-bit word), and the relative distance from the observed d within which
-# a replicate is a tie
+# Durbin-Watson bootstrap: replicates drawn and scored per vectorized pass,
+# and the relative distance from the observed d within which a replicate is
+# a tie
 _SCORE_CHUNK = 256
 _DW_TIE_RTOL = 1e-12
-
-# numpy's SeedSequence hash constants (pool of 4 32-bit words) and PCG64's
-# 128-bit LCG multiplier, for seeding the bootstrap's generators in blocks
-_POOL_SIZE = 4
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = np.uint64(0xCA01F9DD)
-_MIX_MULT_R = np.uint64(0x4973F715)
-_XSHIFT = np.uint64(16)
-_MASK32 = 0xFFFFFFFF
-_MASK32_U64 = np.uint64(_MASK32)
-_MASK128 = (1 << 128) - 1
-_PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
 
 
 @dataclass(frozen=True)
@@ -396,116 +376,36 @@ def _dw_statistic(residuals: np.ndarray) -> tuple[float, float]:
     return d, autocorrelation
 
 
-def _uint32_words(value: int) -> list[int]:
-    """``value`` as little-endian 32-bit words, as ``SeedSequence`` splits it."""
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
+def _check_bootstrap(replicates: int, seed: int) -> None:
+    """Reject a replicate count or seed the bootstrap cannot run with."""
+    if replicates < 1:
+        raise ValidationError(f"replicates must be at least 1, got {replicates}")
+    if replicates > MAX_REPLICATES:
+        raise ValidationError(f"replicates must be at most {MAX_REPLICATES}, got {replicates}")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
 
 
-def _hashmix(hash_const: int, multiplier: int):
-    """``SeedSequence``'s 32-bit hash on uint64 lanes; its constant advances
-    by ``multiplier`` with every call, as in numpy."""
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint64(hash_const)
-        hash_const = (hash_const * multiplier) & _MASK32
-        value = (value * np.uint64(hash_const)) & _MASK32_U64
-        return value ^ (value >> _XSHIFT)
-    return hashmix
+def _permutation_chunks(seed: int, n: int, replicates: int) -> Iterator[np.ndarray]:
+    """The bootstrap's permutations of range(n), as (m, n) index arrays of
+    up to ``_SCORE_CHUNK`` rows each, ``replicates`` rows in all.
 
-
-def _spawned_pcg64_states(seed: int, keys: np.ndarray) -> list[tuple[int, int]]:
-    """The PCG64 (state, inc) that ``PCG64(SeedSequence(entropy=seed,
-    spawn_key=(k,)))`` holds for each spawn key k in ``keys`` (uint64, all of
-    one 32-bit word count).
-
-    Follows numpy's ``SeedSequence``: the seed's words, zero-padded to the
-    4-word pool, then the key's words are hash-mixed into the pool, which
-    ``generate_state(4, uint64)`` expands to the 128-bit initstate and initseq
-    that PCG64's srandom steps from. The 32-bit arithmetic runs on uint64
-    arrays, one lane per key, masked to 32 bits after each product.
+    Row i argsorts the raw 64-bit outputs i*n to (i+1)*n - 1 of
+    ``PCG64(seed)`` as keys, each with its low bits overwritten by its column
+    index. The keys of a row are then distinct, so every sort algorithm,
+    numpy version and CPU gives the same order. A tie in the random high bits
+    (probability below n**2 / 2**(65 - b) per row for b low bits) goes to the
+    lower column. A run's rows are the first rows of any longer run.
     """
-    key_words = [keys & _MASK32]
-    if int(keys[-1]) > _MASK32:
-        key_words.append(keys >> np.uint64(32))
-    seed_words = _uint32_words(seed)
-    seed_words += [0] * (_POOL_SIZE - len(seed_words))
-    entropy = [np.full(len(keys), w, dtype=np.uint64) for w in seed_words] + key_words
-
-    hashmix = _hashmix(_INIT_A, _MULT_A)
-
-    def mix(x, y):
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32_U64
-        return result ^ (result >> _XSHIFT)
-
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    # generate_state(4, uint64): eight 32-bit words, paired little-endian
-    generate = _hashmix(_INIT_B, _MULT_B)
-    words = [generate(pool[i % _POOL_SIZE]).tolist() for i in range(2 * _POOL_SIZE)]
-    state64 = [[lo | hi << 32 for lo, hi in zip(words[2 * j], words[2 * j + 1])]
-               for j in range(_POOL_SIZE)]
-
-    states = []
-    for high, low, seq_high, seq_low in zip(*state64):
-        initstate = (high << 64) | low
-        initseq = (seq_high << 64) | seq_low
-        # PCG64 srandom: state 0, inc = initseq << 1 | 1, step, add initstate, step
-        inc = ((initseq << 1) | 1) & _MASK128
-        states.append((((inc + initstate) * _PCG64_MULTIPLIER + inc) & _MASK128, inc))
-    return states
-
-
-def _permutations(seed: int, n: int, replicates: int) -> np.ndarray:
-    """Read-only (replicates, n) matrix whose row i permutes range(n) with the
-    generator spawned from ``SeedSequence(entropy=seed, spawn_key=(i,))``,
-    in the smallest unsigned dtype that holds n - 1.
-
-    Row i is ``default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))
-    .permutation(n)`` bit for bit: one PCG64 is reseeded per row with the
-    state that seeding would give (computed for ``_SCORE_CHUNK`` keys at a
-    time) and shuffles a copy of range(n) in place with numpy's own shuffle.
-    """
-    perms = np.empty((replicates, n), dtype=np.min_scalar_type(n - 1))
-    perms[:] = np.arange(n, dtype=perms.dtype)
-    bitgen = np.random.PCG64()
-    shuffle = np.random.Generator(bitgen).shuffle
+    bitgen = np.random.PCG64(seed)
+    low_bits = np.uint64((1 << max(1, (n - 1).bit_length())) - 1)
+    columns = np.arange(n, dtype=np.uint64)
     for start in range(0, replicates, _SCORE_CHUNK):
-        keys = np.arange(start, min(start + _SCORE_CHUNK, replicates), dtype=np.uint64)
-        for i, (state, inc) in enumerate(_spawned_pcg64_states(seed, keys), start):
-            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
-            shuffle(perms[i])
-    perms.setflags(write=False)
-    return perms
-
-
-# the memo of _permutations that durbin_watson calls share inside a
-# _shared_permutations() block; None outside one
-_SHARED_PERMUTATIONS: ContextVar = ContextVar("shared_permutations", default=None)
-
-
-@contextmanager
-def _shared_permutations():
-    """Within the block, durbin_watson calls with the same (seed, n,
-    replicates) share one permutation matrix; it is released when the block
-    ends, so no call outside it finds a matrix built earlier."""
-    token = _SHARED_PERMUTATIONS.set(lru_cache(maxsize=None)(_permutations))
-    try:
-        yield
-    finally:
-        _SHARED_PERMUTATIONS.reset(token)
+        rows = min(_SCORE_CHUNK, replicates - start)
+        keys = bitgen.random_raw(rows * n).reshape(rows, n)
+        keys &= ~low_bits
+        keys |= columns
+        yield np.argsort(keys, axis=1)
 
 
 def durbin_watson(fit: LinearModelFit | Sequence[float],
@@ -513,25 +413,20 @@ def durbin_watson(fit: LinearModelFit | Sequence[float],
                   seed: int = DEFAULT_SEED) -> DurbinWatsonResult:
     """Durbin-Watson d with lag-1 autocorrelation and a permutation-bootstrap p.
 
-    Accepts a fitted model or a raw residual sequence in row order. Replicate
-    i permutes the residuals with its own generator spawned from the master
-    seed, so the estimate does not depend on how replicates are scheduled.
-    The permutations depend only on (seed, n, replicates). They are built
-    into a read-only index matrix (``replicates * n`` bytes for n <= 256)
-    whose row i is bit-identical to ``default_rng(SeedSequence(entropy=seed,
-    spawn_key=(i,))).permutation(n)``: one PCG64 is reseeded per row from an
-    emulation of that seeding, run for blocks of ``_SCORE_CHUNK`` keys at a
-    time. Calls with the same key inside one ``_shared_permutations()``
-    block (one ``reproduce_all`` run) build it once. It is scored in row
-    chunks of ``_SCORE_CHUNK`` replicates, each one vectorized pass over the
-    permuted residuals divided by their sum of squares, which no permutation
-    changes.
+    Accepts a fitted model or a raw residual sequence in row order. Each
+    call draws its permutations from one ``PCG64(seed)`` raw stream (see
+    ``_permutation_chunks``) and stores no permutation matrix: it scores
+    ``_SCORE_CHUNK`` replicates at a time, each chunk one vectorized pass
+    over the permuted residuals divided by their sum of squares, which no
+    permutation changes. Replicate i depends only on (seed, n, i).
 
-    p = min(1, 2 min(b_ge, b_le) / R), where b_ge and b_le count replicates
-    with d_perm >= d and d_perm <= d. A replicate with |d_perm - d| <= 1e-12 d
-    is a tie and counts on both sides, so a permutation whose d equals the
-    observed d in exact arithmetic (the identity, the reversal) is counted the
-    same whatever order its sums were taken in.
+    p = min(1, 2 (min(b_ge, b_le) + 1) / (R + 1)), where b_ge and b_le count
+    replicates with d_perm >= d and d_perm <= d; the +1 counts the observed
+    order, so p is never 0 (Phipson & Smyth 2010). A replicate with
+    |d_perm - d| <= 1e-12 d is a tie and counts on both sides, so a
+    permutation whose d equals the observed d in exact arithmetic (the
+    identity, the reversal) is counted the same whatever order its sums were
+    taken in. R must be between 1 and ``MAX_REPLICATES``.
     """
     residuals = np.array(
         fit.residuals if isinstance(fit, LinearModelFit) else [float(v) for v in fit]
@@ -539,31 +434,21 @@ def durbin_watson(fit: LinearModelFit | Sequence[float],
     n = residuals.shape[0]
     if n < 3:
         raise InsufficientDataError(f"Durbin-Watson needs at least 3 residuals, got {n}")
-    if replicates < 1:
-        raise ValidationError(f"replicates must be at least 1, got {replicates}")
-    if seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
+    _check_bootstrap(replicates, seed)
     ss = float(residuals @ residuals)
     if ss == 0.0:
         raise ValidationError("Durbin-Watson is undefined for all-zero residuals")
     d, autocorrelation = _dw_statistic(residuals)
 
-    try:
-        perms = (_SHARED_PERMUTATIONS.get() or _permutations)(seed, n, replicates)
-    except MemoryError:
-        raise ValidationError(
-            f"replicates={replicates} is too many: the {replicates} x {n} "
-            "permutation matrix does not fit in memory"
-        ) from None
     tie = _DW_TIE_RTOL * d
     at_or_above = 0
     at_or_below = 0
-    for start in range(0, replicates, _SCORE_CHUNK):
-        diffs = np.diff(residuals[perms[start:start + _SCORE_CHUNK]], axis=1)
+    for perms in _permutation_chunks(seed, n, replicates):
+        diffs = np.diff(residuals[perms], axis=1)
         d_perm = (diffs * diffs).sum(axis=1) / ss
         at_or_above += int(np.count_nonzero(d_perm >= d - tie))
         at_or_below += int(np.count_nonzero(d_perm <= d + tie))
-    p = min(1.0, 2.0 * min(at_or_above, at_or_below) / replicates)
+    p = min(1.0, 2.0 * (min(at_or_above, at_or_below) + 1) / (replicates + 1))
     return DurbinWatsonResult(d=d, autocorrelation=autocorrelation,
                               p=PValue(p, "two-tailed"))
 

@@ -35,8 +35,9 @@ from .pca import principal_components
 from .regression import (
     DEFAULT_REPLICATES,
     DEFAULT_SEED,
+    DW_PERMUTATION,
     LinearModelFit,
-    _shared_permutations,
+    _check_bootstrap,
     casewise_diagnostics,
     collinearity,
     durbin_watson,
@@ -270,17 +271,20 @@ def _normality_gate(normality: dict[str, NormalityResult], alpha: float) -> dict
     }
 
 
-@_shared_permutations()
 def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
                   replicates: int = DEFAULT_REPLICATES,
                   gate_alpha: float = GATE_ALPHA) -> ReportBundle:
     """Run the published analysis pipeline and collect every table and figure.
 
-    The same master seed is passed to each Durbin-Watson bootstrap; replicate
-    streams are derived per call from (seed, replicate index), so results do
-    not depend on scheduling. The three bootstraps share one permutation
-    matrix, built for the run and released when it returns.
+    The same master seed is passed to each of the three Durbin-Watson
+    bootstraps. Each draws its own permutations from that seed's raw PCG64
+    stream, and no permutation matrix is stored or shared. Each p-value
+    counts the observed order among the permutations, 2 (b + 1) / (R + 1),
+    so it is never 0. Provenance names the permutation scheme
+    (``dw_permutation``). A bad seed or replicate count is rejected before
+    any stage runs.
     """
+    _check_bootstrap(replicates, seed)
     validate_schema(dataset)
     ds = dataset.sorted_by_name()
     columns = dict(zip(_SCHEMA, ds.array(_SCHEMA).T))
@@ -401,6 +405,7 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
         "tool_version": _version.__version__,
         "seed": seed,
         "replicates": replicates,
+        "dw_permutation": DW_PERMUTATION,
     }
 
     return ReportBundle(

@@ -15,6 +15,7 @@ from indexlab import (
     parse_dataset,
 )
 from indexlab import cli as cli_module
+from indexlab import regression
 from indexlab.cli import main
 
 
@@ -246,6 +247,37 @@ def test_usage_errors_exit_1(capsys, data_file):
     assert main(["regress", "--input", data_file, "--response", "SII",
                  "--predictor", "Nope"]) == 1
     capsys.readouterr()
+
+
+_BAD_BOOTSTRAP_OPTIONS = [("--replicates", "0"), ("--replicates", "-1"),
+                          ("--replicates", str(10**15)), ("--seed", "-1")]
+
+
+@pytest.mark.parametrize("option", _BAD_BOOTSTRAP_OPTIONS, ids="=".join)
+@pytest.mark.parametrize("command", ["reproduce", "regress"])
+def test_bad_bootstrap_options_exit_1(capsys, monkeypatch, data_file, command, option):
+    # rejected on the validation path: no replicate is ever drawn
+    def no_draws(*args):
+        raise AssertionError("a rejected call drew permutations")
+
+    monkeypatch.setattr(regression, "_permutation_chunks", no_draws)
+    args = [command, *option]
+    if command == "regress":
+        args += ["--input", data_file, "--response", "SII", "--predictor", "I-DESI"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_huge_seed_runs(capsys, data_file):
+    seed = str(2**200)
+    assert main(["reproduce", "--format", "json", "--seed", seed, "--replicates", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["provenance"]["seed"] == 2**200
+    assert main(["regress", "--input", data_file, "--response", "SII",
+                 "--predictor", "I-DESI", "--seed", seed, "--replicates", "5"]) == 0
+    assert f"(5 replicates, seed {seed})" in capsys.readouterr().out
 
 
 def test_help_and_version(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,17 +18,17 @@ from indexlab import (
     ValidationError,
     anova,
     casewise_diagnostics,
+    chi2_tail_p,
     collinearity,
     durbin_watson,
     fit_ols,
     null_model,
     predict,
-    reproduce_all,
     stepwise_fit,
 )
 from indexlab.dataset import DIMENSIONS, IDESI, SII
 from indexlab import regression
-from indexlab.regression import _dw_statistic, _permutations
+from indexlab.regression import MAX_REPLICATES, _dw_statistic, _permutation_chunks
 
 IDT = "Integration of digital technology"
 
@@ -107,11 +108,18 @@ def test_durbin_watson_bootstrap_behavior(simple_fit):
     assert abs(other_seed.p.value - one.p.value) < 0.1
 
 
-def test_durbin_watson_input_errors():
-    # 3e18 bytes exceed the user address space of any 64-bit platform, so the
-    # allocation fails at once and nothing is touched
-    with pytest.raises(ValidationError, match="does not fit in memory"):
-        durbin_watson([1.0, -1.0, 0.5], replicates=10**18, seed=1)
+def test_durbin_watson_input_errors(monkeypatch):
+    # rejected before any replicate is drawn, so R = 10**15 costs nothing
+    def no_draws(*args):
+        raise AssertionError("a rejected call drew permutations")
+
+    monkeypatch.setattr(regression, "_permutation_chunks", no_draws)
+    for replicates in (0, -1):
+        with pytest.raises(ValidationError, match="replicates must be at least 1"):
+            durbin_watson([1.0, -1.0, 0.5], replicates=replicates, seed=1)
+    for replicates in (MAX_REPLICATES + 1, 10**15):
+        with pytest.raises(ValidationError, match="replicates must be at most 100000000"):
+            durbin_watson([1.0, -1.0, 0.5], replicates=replicates, seed=1)
     with pytest.raises(ValidationError, match="seed must be non-negative"):
         durbin_watson([1.0, -1.0, 0.5], replicates=10, seed=-1)
 
@@ -123,19 +131,33 @@ def test_durbin_watson_on_raw_residuals():
     assert 0.0 <= dw.p.value <= 1.0
 
 
+def _reference_permutation(seed: int, n: int, i: int) -> list[int]:
+    """Replicate i on its own: a PCG64(seed) advanced past the i * n raw
+    draws of the replicates before it, whose next n draws, each with its
+    column index in the low bits, are ordered by Python's sort."""
+    bitgen = np.random.PCG64(seed)
+    bitgen.advance(i * n)
+    low_bits = (1 << max(1, (n - 1).bit_length())) - 1
+    keys = [(int(key) & ~low_bits) | j for j, key in enumerate(bitgen.random_raw(n))]
+    return sorted(range(n), key=keys.__getitem__)
+
+
+def _permutation_rows(seed: int, n: int, replicates: int) -> np.ndarray:
+    return np.concatenate(list(_permutation_chunks(seed, n, replicates)))
+
+
 def _reference_dw_p(residuals, replicates: int, seed: int) -> float:
-    """The per-replicate loop the shared permutation matrix replaced, with the
-    tie rule: one generator per replicate, each permutation scored on its own."""
+    """The bootstrap as a per-replicate loop: one generator per replicate,
+    each permutation scored on its own with the tie rule and the +1 rule."""
     residuals = np.asarray(residuals, dtype=float)
     n = residuals.shape[0]
     d, _ = _dw_statistic(residuals)
     at_or_above = at_or_below = 0
     for i in range(replicates):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        d_perm, _ = _dw_statistic(residuals[rng.permutation(n)])
+        d_perm, _ = _dw_statistic(residuals[_reference_permutation(seed, n, i)])
         at_or_above += d_perm >= d - 1e-12 * d
         at_or_below += d_perm <= d + 1e-12 * d
-    return min(1.0, 2.0 * min(at_or_above, at_or_below) / replicates)
+    return min(1.0, 2.0 * (min(at_or_above, at_or_below) + 1) / (replicates + 1))
 
 
 @pytest.mark.parametrize("n", [5, 29, 150])
@@ -148,87 +170,121 @@ def test_durbin_watson_matches_per_replicate_loop(n, seed):
         assert dw.p.value == _reference_dw_p(residuals, replicates, seed), replicates
 
 
+# multi-word seeds, and seeds longer than SeedSequence's 4-word pool
+@pytest.mark.parametrize("seed", [0, 42, 2**32 + 1, 2**130 + 3])
+def test_permutations_equal_per_replicate_generators(seed):
+    # n across the low-bit widths 2, 5, 8 and 9; rows on both sides of chunk edges
+    for n in (3, 29, 256, 257):
+        rows = _permutation_rows(seed, n, 600)
+        assert rows.shape == (600, n)
+        for i in (0, 1, 255, 256, 511, 512, 599):
+            assert rows[i].tolist() == _reference_permutation(seed, n, i), (n, i)
+    assert _permutation_rows(seed, 2900, 1)[0].tolist() == _reference_permutation(seed, 2900, 0)
+
+
+class _TiedStream:
+    """A bit generator whose raw outputs all equal 0xAAAA...AA, so every
+    key of a row ties in its random high bits and has set low bits."""
+
+    def __init__(self, seed):
+        pass
+
+    def random_raw(self, size):
+        return np.full(size, 0xAAAA_AAAA_AAAA_AAAA, dtype=np.uint64)
+
+
+def test_permutations_break_ties_by_column(monkeypatch):
+    monkeypatch.setattr(np.random, "PCG64", _TiedStream)
+    for n in (3, 29, 257):
+        assert (_permutation_rows(0, n, 3) == np.arange(n)).all(), n
+
+
+def test_permutations_pinned():
+    """The raw PCG64 stream and the sort, as numpy must keep them (NEP 19)."""
+    assert next(_permutation_chunks(0, 8, 3)).tolist() == [
+        [3, 2, 1, 6, 0, 7, 4, 5], [3, 5, 7, 0, 6, 2, 4, 1], [4, 5, 2, 3, 1, 7, 6, 0]]
+    assert next(_permutation_chunks(2**130 + 3, 8, 3)).tolist() == [
+        [7, 1, 6, 3, 0, 5, 4, 2], [7, 5, 6, 1, 0, 3, 2, 4], [1, 4, 7, 6, 0, 2, 3, 5]]
+
+
+def test_permutations_are_prefixes_of_longer_runs():
+    for n in (3, 29, 257):
+        longer = _permutation_rows(5, n, 1000)
+        for replicates in (255, 256, 257):
+            chunks = list(_permutation_chunks(5, n, replicates))
+            assert [len(chunk) for chunk in chunks[:-1]] == [256] * (len(chunks) - 1)
+            assert np.array_equal(np.concatenate(chunks), longer[:replicates]), (n, replicates)
+
+
+def test_permutations_uniform():
+    """At n = 4 each of the 24 orders is drawn 10,000 times in expectation."""
+    codes = np.concatenate([chunk @ 4 ** np.arange(4)
+                            for chunk in _permutation_chunks(11, 4, 240_000)])
+    _, counts = np.unique(codes, return_counts=True)
+    assert len(counts) == 24
+    chi2 = float(((counts - 10_000.0) ** 2).sum() / 10_000.0)
+    assert chi2_tail_p(chi2, 23).value > 0.001, counts
+
+
+def _exact_permutation_p(residuals: np.ndarray) -> tuple[float, float]:
+    """The smaller tail share q over all n! orders, with the tie rule, and
+    the expected bootstrap p at R = 20,000 for that q."""
+    n = residuals.shape[0]
+    orders = np.array(list(itertools.permutations(range(n))))
+    d, _ = _dw_statistic(residuals)
+    diffs = np.diff(residuals[orders], axis=1)
+    d_all = (diffs * diffs).sum(axis=1) / float(residuals @ residuals)
+    q = min(np.mean(d_all >= d - 1e-12 * d), np.mean(d_all <= d + 1e-12 * d))
+    return q, min(1.0, 2.0 * (20_000 * q + 1) / 20_001)
+
+
+def test_durbin_watson_near_exact_permutation_p():
+    """At R = 20,000 the bootstrap p lies within 4 Monte Carlo standard
+    errors of the exact permutation p, for 20 seeds and n = 3 to 7."""
+    for seed in range(20):
+        rng = np.random.default_rng([seed, 99])
+        n = 3 + seed % 5
+        # AR(1) residuals, so the exact p spreads over (0, 1]
+        phi = rng.uniform(-0.9, 0.9)
+        residuals = rng.normal(size=n)
+        for t in range(1, n):
+            residuals[t] += phi * residuals[t - 1]
+        q, expected = _exact_permutation_p(residuals)
+        standard_error = 2.0 * math.sqrt(q * (1.0 - q) / 20_000)
+        p = durbin_watson(residuals, replicates=20_000, seed=seed).p.value
+        assert abs(p - expected) <= 4.0 * standard_error, (seed, n, p, expected)
+
+
+def test_durbin_watson_p_never_zero():
+    # sorted residuals: no order has a smaller d, so only the identity and
+    # the reversal count on the lower side, and short runs draw neither
+    trend = np.arange(29.0) - 14.0
+    rng = np.random.default_rng(3)
+    for replicates in (1, 2, 5):
+        for seed in range(100):
+            assert durbin_watson(trend, replicates=replicates, seed=seed).p.value \
+                == 2 / (replicates + 1)
+            noise = rng.normal(size=29)
+            assert durbin_watson(noise, replicates=replicates, seed=seed).p.value > 0.0
+
+
 def test_durbin_watson_published_p_values(sorted_dataset, simple_fit):
-    """dw_p of T2 and T8 at the paper's seed and depth, exactly."""
+    """dw_p of T2 and T8 at the paper's seed and depth, exactly:
+    2 (b + 1) / (R + 1) with b = 2,919, 1,706 and 4,851."""
     stepwise, _ = stepwise_fit(sorted_dataset, SII, DIMENSIONS)
     fits = {"H0": null_model(sorted_dataset, SII), "simple": simple_fit,
             "stepwise": stepwise}
     p = {name: durbin_watson(fit, replicates=10_000, seed=42).p.value
          for name, fit in fits.items()}
-    assert p == {"H0": 0.5566, "simple": 0.3398, "stepwise": 0.9688}
-
-
-def test_permutations_built_once_per_run(dataset, monkeypatch):
-    builds = []
-
-    def counting(*key):
-        builds.append(key)
-        return _permutations(*key)
-
-    monkeypatch.setattr(regression, "_permutations", counting)
-    reproduce_all(dataset, seed=5, replicates=300)
-    assert builds == [(5, 29, 300)]
-    # nothing outlives the run: a repeat run and calls outside a run build again
-    reproduce_all(dataset, seed=5, replicates=300)
-    durbin_watson([1.0, -1.0, 0.5], replicates=4, seed=5)
-    durbin_watson([1.0, -1.0, 0.5], replicates=4, seed=5)
-    assert builds == [(5, 29, 300)] * 2 + [(5, 3, 4)] * 2
-    with regression._shared_permutations():
-        durbin_watson([1.0, -1.0, 0.5], replicates=4, seed=5)
-        durbin_watson([0.5, 1.0, -1.0], replicates=4, seed=5)
-    assert len(builds) == 5
-    assert regression._SHARED_PERMUTATIONS.get() is None
-
-    perms = _permutations(5, len(dataset), 300)
-    assert perms.shape == (300, 29) and perms.dtype == np.uint8
-    assert not perms.flags.writeable
-    with pytest.raises(ValueError):
-        perms[0, 0] = 1
-    for i in (0, 299):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(i,)))
-        assert perms[i].tolist() == rng.permutation(29).tolist()
-    wide = _permutations(3, 300, 2)
-    assert wide.dtype == np.uint16
-    assert wide[1].tolist() == np.random.default_rng(
-        np.random.SeedSequence(entropy=3, spawn_key=(1,))).permutation(300).tolist()
-
-
-def _reference_permutations(seed: int, n: int, replicates: int) -> np.ndarray:
-    """One numpy generator per replicate, as the bootstrap was first written."""
-    return np.array([
-        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,))).permutation(n)
-        for i in range(replicates)
-    ])
-
-
-# multi-word entropy, and entropy longer than SeedSequence's 4-word pool
-@pytest.mark.parametrize("seed", [0, 42, 2**32 + 1, 2**130 + 3])
-def test_permutations_equal_per_replicate_generators(seed):
-    # n across the uint8/uint16 boundary; R around the 256-key seeding block
-    for n in (3, 29, 256, 257):
-        reference = _reference_permutations(seed, n, 2000)
-        for replicates in (1, 255, 256, 257, 2000):
-            perms = _permutations(seed, n, replicates)
-            assert np.array_equal(perms, reference[:replicates]), (n, replicates)
-    for replicates in (1, 5):
-        assert np.array_equal(_permutations(seed, 2900, replicates),
-                              _reference_permutations(seed, 2900, replicates))
-
-
-@pytest.mark.parametrize("seed", [0, 42, 2**32 + 1, 2**130 + 3])
-def test_spawned_pcg64_states_match_numpy_seeding(seed):
-    # keys of one 32-bit word, then of two
-    for keys in ([0, 2**32 - 1], [2**32, 2**32 + 1]):
-        states = regression._spawned_pcg64_states(seed, np.array(keys, dtype=np.uint64))
-        for key, state in zip(keys, states):
-            expected = np.random.PCG64(
-                np.random.SeedSequence(entropy=seed, spawn_key=(key,))).state["state"]
-            assert state == (expected["state"], expected["inc"]), key
+    assert p == {"H0": 2 * 2920 / 10_001, "simple": 2 * 1707 / 10_001,
+                 "stepwise": 2 * 4852 / 10_001}
+    assert [round(v, 5) for v in p.values()] == [0.58394, 0.34137, 0.97030]
 
 
 def _exact_dw_p(residuals, replicates: int, seed: int) -> float:
-    """The permutation p in exact rational arithmetic, where a permuted d
-    equal to the observed d is a tie whatever the summation order."""
+    """The bootstrap p in exact rational arithmetic over the same
+    permutations, where a permuted d equal to the observed d is a tie
+    whatever the summation order."""
     exact = [Fraction(v) for v in residuals]
 
     def d_of(x):
@@ -236,12 +292,11 @@ def _exact_dw_p(residuals, replicates: int, seed: int) -> float:
 
     d = d_of(exact)
     at_or_above = at_or_below = 0
-    for i in range(replicates):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        d_perm = d_of([exact[j] for j in rng.permutation(len(exact))])
+    for order in _permutation_rows(seed, len(exact), replicates).tolist():
+        d_perm = d_of([exact[j] for j in order])
         at_or_above += d_perm >= d
         at_or_below += d_perm <= d
-    return min(1.0, 2.0 * min(at_or_above, at_or_below) / replicates)
+    return min(1.0, 2.0 * (min(at_or_above, at_or_below) + 1) / (replicates + 1))
 
 
 def test_durbin_watson_counts_reversal_as_tie():
@@ -250,7 +305,9 @@ def test_durbin_watson_counts_reversal_as_tie():
     d_reversed, _ = _dw_statistic(np.array(residuals[::-1]))
     # equal in exact arithmetic, not in floating point
     assert d == 0.510068599247621 and d_reversed == 0.5100685992476212
-    assert durbin_watson(residuals, replicates=1000, seed=1).p.value == 0.682
+    assert durbin_watson(residuals, replicates=1000, seed=1).p.value == 2 * 329 / 1001
+    assert durbin_watson(residuals, replicates=1000, seed=1).p.value \
+        == _exact_dw_p(residuals, 1000, 1)
     # short series draw the identity and the reversal often; both are ties
     rng = np.random.default_rng(0)
     for n in (3, 4) * 10:

@@ -16,6 +16,7 @@ from indexlab import (
     validate_schema,
     write_figures,
 )
+from indexlab import report
 
 TABLE_IDS = ["T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "T9", "T10", "T11"]
 
@@ -28,6 +29,7 @@ def test_bundle_structure(bundle):
     assert bundle.provenance["dataset_columns"] == 11
     assert bundle.provenance["seed"] == 42
     assert bundle.provenance["row_order"] == "country name, ascending"
+    assert bundle.provenance["dw_permutation"] == "pcg64-raw-keys-argsort"
 
 
 def test_validate_schema_rejects_renamed_column(dataset):
@@ -39,6 +41,17 @@ def test_validate_schema_rejects_renamed_column(dataset):
     assert "Cash" in str(exc.value)
     with pytest.raises(ValidationError, match="schema mismatch"):
         reproduce_all(broken, replicates=10)
+
+
+@pytest.mark.parametrize("kwargs", [{"replicates": 0}, {"replicates": 10**15}, {"seed": -1}],
+                         ids=["replicates=0", "replicates=10**15", "seed=-1"])
+def test_bad_bootstrap_arguments_rejected_before_any_stage(dataset, monkeypatch, kwargs):
+    def no_stage(*args):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(report, "validate_schema", no_stage)
+    with pytest.raises(ValidationError, match="replicates must be|seed must be"):
+        reproduce_all(dataset, **kwargs)
 
 
 def test_gate_excludes_connectivity_only(bundle):
@@ -163,6 +176,7 @@ def test_emit_markdown(bundle):
     for table_id in TABLE_IDS:
         assert table_id in text
     assert "Hungary" in text
+    assert "pcg64" not in text
 
 
 def test_emit_csv(bundle):
@@ -171,6 +185,7 @@ def test_emit_csv(bundle):
     sections = [ln for ln in lines if ln.startswith("[")]
     assert sections == ["[provenance]"] + [f"[{t}]" for t in TABLE_IDS] + ["[prediction]"]
     assert "valid,29,29,29,29,29,29,29,29,29,29,29" in lines
+    assert "dw_permutation,pcg64-raw-keys-argsort" in lines
 
 
 def test_emit_unknown_format(bundle):
