@@ -29,10 +29,6 @@ class CorrelationResult:
     p: PValue
     n: int
 
-    @property
-    def stars(self) -> str:
-        return significance_stars(self.p)
-
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
@@ -52,11 +48,6 @@ class CorrelationMatrix:
             stars=tuple(row[span] for row in self.stars[span]),
             n=self.n,
         )
-
-    def pair(self, a: str, b: str) -> CorrelationResult:
-        i = self.variables.index(a)
-        j = self.variables.index(b)
-        return CorrelationResult(r=self.r[i][j], p=PValue(self.p[i][j], "two-tailed"), n=self.n)
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:

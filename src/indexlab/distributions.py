@@ -3,7 +3,10 @@
 The regularized incomplete beta and gamma functions are evaluated by
 continued fractions with the modified Lentz iteration (tolerance 1e-14),
 which is well conditioned across the degree-of-freedom range this package
-meets. The beta fraction stops at 300 terms. Near x = a the incomplete
+meets. The beta fraction stops at 300 terms; from a shape of 20 its
+prefactor takes that shape's terms from Stirling's series, so I_x(a, b) is
+within 1e-12 of scipy's ``betainc`` near the mean (x within 3 standard
+deviations) for a and b up to 1e4. Near x = a the incomplete
 gamma's series and fraction need a number of terms that grows like sqrt(a),
 so they stop at 300 + 20 sqrt(a); from a = 100 their common prefactor comes
 from Stirling's series. On x = a + k sqrt(a), |k| <= 6, Q(a, x) is then
@@ -20,8 +23,10 @@ from .errors import DomainError
 _TOL = 1e-14
 _MAX_ITER = 300
 _TINY = 1e-300
-# incomplete gamma: shape from which its prefactor comes from Stirling's series
+# shapes from which the incomplete gamma's and beta's prefactors come from
+# Stirling's series
 _STIRLING_MIN_SHAPE = 100.0
+_BETA_STIRLING_MIN_SHAPE = 20.0
 
 ONE_TAILED = "one-tailed"
 TWO_TAILED = "two-tailed"
@@ -123,6 +128,40 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     raise DomainError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
 
 
+def _stirling_tail(z: float) -> float:
+    """lgamma(z) - (z - 1/2) log z + z - log(2 pi)/2 by Stirling's series,
+    1/(12z) - 1/(360z^3) + 1/(1260z^5) - 1/(1680z^7): under 2e-15 from z = 20."""
+    z2 = z * z
+    return (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - 1.0 / (1680.0 * z2)) / z2) / z2) / z
+
+
+def _beta_front(x: float, a: float, b: float) -> float:
+    """x^a (1 - x)^b / B(a, b), the factor both incomplete-beta branches end with.
+
+    With s = a + b, t_a = s x and t_b = s (1 - x), its log is lgamma(s) -
+    s log s plus c log t_c - lgamma(c) per shape c. From c = 20 that term is
+    c log1p((t_c - c)/c) + c + log(c / 2 pi)/2 minus Stirling's series, and
+    the c cancels against s exactly: lgamma(a + b) - lgamma(a) - lgamma(b) +
+    a log x + b log(1 - x) subtracts terms near 1e4 and was 2.4e-11 off.
+    """
+    if a < _BETA_STIRLING_MIN_SHAPE and b < _BETA_STIRLING_MIN_SHAPE:
+        return math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                        + a * math.log(x) + b * math.log1p(-x))
+    s = a + b
+    # t_a - a = b - t_b, from whichever of x and 1 - x is exact
+    d = s * x - a if x < 0.5 else b - s * (1.0 - x)
+    ln_front = _stirling_tail(s) - 0.5 * math.log(s / (2.0 * math.pi))
+    for c, excess, t in ((a, d, s * x), (b, -d, s * (1.0 - x))):
+        if c < _BETA_STIRLING_MIN_SHAPE:
+            ln_front += c * math.log(t) - c - math.lgamma(c)
+        elif excess <= -c:
+            return 0.0  # t_c / c < 2^-53 makes the factor below 1e-300
+        else:
+            ln_front += (c * math.log1p(excess / c) + 0.5 * math.log(c / (2.0 * math.pi))
+                         - _stirling_tail(c))
+    return math.exp(ln_front)
+
+
 def regularized_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_x(a, b)."""
     if a <= 0.0 or b <= 0.0:
@@ -131,9 +170,7 @@ def regularized_beta(x: float, a: float, b: float) -> float:
         return 0.0
     if x >= 1.0:
         return 1.0
-    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                + a * math.log(x) + b * math.log1p(-x))
-    front = math.exp(ln_front)
+    front = _beta_front(x, a, b)
     # split point keeps the continued fraction in its fast-converging region
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cf(a, b, x) / a
@@ -149,11 +186,8 @@ def _gamma_front(a: float, x: float) -> float:
     """
     if a < _STIRLING_MIN_SHAPE:
         return math.exp(-x + a * math.log(x) - math.lgamma(a))
-    a2 = a * a
-    # 1/(12a) - 1/(360a^3) + 1/(1260a^5): lgamma(a) - Stirling's leading terms
-    stirling = (1.0 - (1.0 - 2.0 / (7.0 * a2)) / (30.0 * a2)) / (12.0 * a)
     return math.exp(a * math.log1p((x - a) / a) - (x - a)
-                    + 0.5 * math.log(a / (2.0 * math.pi)) - stirling)
+                    + 0.5 * math.log(a / (2.0 * math.pi)) - _stirling_tail(a))
 
 
 def _gamma_max_iter(a: float) -> int:

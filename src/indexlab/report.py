@@ -9,14 +9,21 @@ KMO and Bartlett, the normality gate, the stepwise model, and figure data.
 Rows are sorted by country name before any model is fitted; the published
 Durbin-Watson statistics are reproducible only under that ordering, so the
 pipeline makes it an explicit first stage and records it in provenance.
+
+The bundle's table dicts are the one stored model. For markdown and CSV, one
+layout function per table kind turns a table into a grid of labelled rows
+and columns (each column with its CSV key, markdown label and markdown
+format) plus the lines that follow it, and one renderer per format draws it.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import _version
 from .correlation import CorrelationMatrix, correlation_matrix
@@ -437,20 +444,39 @@ def predict_country(fit_source: str, score: float) -> dict:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _fmt(value, decimals: int = 3) -> str:
+def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, int):  # bool included
         return str(value)
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.{decimals}f}"
+    return f"{value:.3f}"
 
 
 def _fmt_p(p: float) -> str:
     if p < 0.001:
         return "<0.001"
     return f"{p:.3f}"
+
+
+class _Column(NamedTuple):
+    """A grid column: its CSV key, its markdown label and the format of its
+    markdown cells (str for cells that arrive as text)."""
+    key: str
+    label: str
+    fmt: Callable[[object], str] = _fmt
+
+
+class _Grid(NamedTuple):
+    """One laid-out table. A row holds its label cells, then one value per
+    remaining column; markdown shows a first-column label only where it
+    changes. row_formats maps a row's first cell to the formats of its
+    markdown cells in place of the columns'. notes are the markdown lines and
+    csv_rows the CSV rows that follow the table."""
+    columns: Sequence[_Column]
+    rows: Sequence[Sequence]
+    notes: Sequence[str] = ()
+    csv_rows: Sequence[Sequence] = ()
+    row_formats: Mapping[str, Sequence] = MappingProxyType({})
 
 
 _DESCRIPTIVE_LABELS = {
@@ -465,117 +491,131 @@ _DESCRIPTIVE_LABELS = {
 }
 
 
-def _md_row(cells: Sequence[str]) -> str:
-    return "| " + " | ".join(cells) + " |"
+def _descriptives_layout(table: dict) -> _Grid:
+    columns = [_Column("statistic", "Statistic", _DESCRIPTIVE_LABELS.__getitem__),
+               *[_Column(name, name) for name in table["columns"]]]
+    p_formats = [columns[0].fmt, *[_fmt_p] * len(table["columns"])]
+    return _Grid(columns, [[key, *values] for key, values in table["rows"].items()],
+                 row_formats={"shapiro_wilk_p": p_formats})
 
 
-def _md_header(cells: Sequence[str]) -> list[str]:
-    return [_md_row(cells), _md_row(["---"] * len(cells))]
+_SUMMARY_COLUMNS = (
+    _Column("model", "Model", str), _Column("R", "R"), _Column("R2", "R2"),
+    _Column("adjusted_R2", "Adjusted R2"), _Column("RMSE", "RMSE"),
+    _Column("autocorrelation", "Auto-correlation"),
+    _Column("durbin_watson", "Statistic"), _Column("dw_p", "p"),
+)
 
 
-def _markdown_descriptives(table: dict) -> list[str]:
-    lines = _md_header(["Statistic", *table["columns"]])
-    for key, values in table["rows"].items():
-        cells = [_DESCRIPTIVE_LABELS[key]]
-        for v in values:
-            if key in ("valid", "missing"):
-                cells.append(_fmt(int(v)))
-            elif key == "shapiro_wilk_p":
-                cells.append(_fmt_p(v))
-            else:
-                cells.append(_fmt(v))
-        lines.append(_md_row(cells))
-    return lines
-
-
-def _markdown_model_summary(table: dict) -> list[str]:
-    lines = _md_header(["Model", "R", "R2", "Adjusted R2", "RMSE",
-                        "Auto-correlation", "Statistic", "p"])
-    for model in ("H0", "H1"):
-        row = table["rows"][model]
-        lines.append(_md_row([
-            model, _fmt(row["R"]), _fmt(row["R2"]), _fmt(row["adjusted_R2"]),
-            _fmt(row["RMSE"]), _fmt(row["autocorrelation"]),
-            _fmt(row["durbin_watson"]), _fmt(row["dw_p"]),
-        ]))
+def _model_summary_layout(table: dict) -> _Grid:
+    rows = [[model, *[table["rows"][model][c.key] for c in _SUMMARY_COLUMNS[1:]]]
+            for model in ("H0", "H1")]
     anova = table["anova"]
-    if anova is not None:
-        lines.append("")
-        lines.append(
-            f"ANOVA: regression sum of squares={_fmt(anova['ss_regression'])}, "
-            f"df={anova['df']}, mean square={_fmt(anova['mean_square'])}, "
-            f"F={_fmt(anova['F'])}, p{'<0.001' if anova['p'] < 0.001 else '=' + _fmt(anova['p'])}"
-        )
-    return lines
+    if anova is None:  # the H1 fit kept no predictor
+        return _Grid(_SUMMARY_COLUMNS, rows)
+    return _Grid(_SUMMARY_COLUMNS, rows, [
+        f"ANOVA: regression sum of squares={_fmt(anova['ss_regression'])}, "
+        f"df={anova['df']}, mean square={_fmt(anova['mean_square'])}, "
+        f"F={_fmt(anova['F'])}, p{'<0.001' if anova['p'] < 0.001 else '=' + _fmt(anova['p'])}"
+    ], [["anova_ss", "anova_df", "anova_mean_square", "anova_F", "anova_p"],
+        [anova[k] for k in ("ss_regression", "df", "mean_square", "F", "p")]])
 
 
-def _markdown_coefficients(table: dict) -> list[str]:
-    headers = ["Model", "", "Unstandardized", "Standard error", "Standardized",
-               "t", "p"]
+_COEFFICIENT_COLUMNS = (
+    _Column("model", "Model", str), _Column("term", "", str),
+    _Column("unstandardized", "Unstandardized"), _Column("standard_error", "Standard error"),
+    _Column("standardized", "Standardized"), _Column("t", "t"), _Column("p", "p", _fmt_p),
+)
+_COLLINEARITY_COLUMNS = (_Column("tolerance", "Tolerance"), _Column("vif", "VIF"))
+
+
+def _coefficients_layout(table: dict) -> _Grid:
+    columns = _COEFFICIENT_COLUMNS
     if table["with_collinearity"]:
-        headers += ["Tolerance", "VIF"]
-    lines = _md_header(headers)
-    for model in ("H0", "H1"):
-        for i, name in enumerate(table["row_order"][model]):
-            row = table["rows"][model][name]
-            cells = [
-                model if i == 0 else "",
-                name,
-                _fmt(row["unstandardized"]),
-                _fmt(row["standard_error"]),
-                _fmt(row["standardized"]),
-                _fmt(row["t"]),
-                _fmt_p(row["p"]),
-            ]
-            if table["with_collinearity"]:
-                cells.append(_fmt(row.get("tolerance")))
-                cells.append(_fmt(row.get("vif")))
-            lines.append(_md_row(cells))
-    return lines
+        columns += _COLLINEARITY_COLUMNS
+    keys = [c.key for c in columns[2:]]
+    return _Grid(columns, [[model, name, *map(table["rows"][model][name].get, keys)]
+                           for model in ("H0", "H1") for name in table["row_order"][model]])
 
 
-def _markdown_correlations(table: dict) -> list[str]:
-    variables = table["variables"]
-    lines = _md_header(["Variable", "", *variables])
+_PAIR_COLUMNS = tuple(_Column(key, key) for key in ("variable_a", "variable_b", "r", "p", "stars"))
+
+
+def _correlations_layout(table: dict, format: str) -> _Grid:
+    """CSV: one row per pair below the diagonal. Markdown: the lower
+    triangle, each r starred or over its p-value, as ready text."""
+    variables, r, p, stars = table["variables"], table["r"], table["p"], table["stars"]
+    if format == "csv":
+        return _Grid(_PAIR_COLUMNS, [[a, b, r[i][j], p[i][j], stars[i][j]]
+                                     for i, a in enumerate(variables)
+                                     for j, b in enumerate(variables[:i])])
+    starred = table["style"] == "r_with_stars"
+    rows = []
     for i, name in enumerate(variables):
-        r_cells = []
-        p_cells = []
-        for j in range(len(variables)):
-            if j > i:
-                r_cells.append("")
-                p_cells.append("")
-            elif j == i:
-                r_cells.append("-")
-                p_cells.append("-")
-            else:
-                r = _fmt(table["r"][i][j])
-                if table["style"] == "r_with_stars":
-                    r += table["stars"][i][j]
-                r_cells.append(r)
-                p_cells.append(_fmt_p(table["p"][i][j]))
-        lines.append(_md_row([f"{i + 1}. {name}", "Pearson's r", *r_cells]))
-        if table["style"] == "r_and_p":
-            lines.append(_md_row(["", "p-value", *p_cells]))
-    if table["style"] == "r_with_stars":
-        lines.append("")
-        lines.append("\\* p < .05, ** p < .01, *** p < .001")
-    return lines
+        diagonal = ["-"] + [""] * (len(variables) - i - 1)
+        r_cells = [_fmt(v) + (stars[i][j] if starred else "") for j, v in enumerate(r[i][:i])]
+        rows.append([f"{i + 1}. {name}", "Pearson's r", *r_cells, *diagonal])
+        if not starred:
+            rows.append(["", "p-value", *[_fmt_p(v) for v in p[i][:i]], *diagonal])
+    columns = [_Column("variable", "Variable", str), _Column("", "", str),
+               *[_Column(name, name, str) for name in variables]]
+    return _Grid(columns, rows, ["\\* p < .05, ** p < .01, *** p < .001"] if starred else [])
 
 
-def _markdown_pca(table: dict) -> list[str]:
-    lines = _md_header(["Variable", *[f"Component {j + 1}" for j in range(table["retained"])]])
-    for name, loadings in zip(table["variables"], table["loadings"]):
-        lines.append(_md_row([name, *[_fmt(v) for v in loadings]]))
-    lines.append("")
-    lines.append(f"Note: {table['note']} Extraction method: PCA.")
+def _pca_layout(table: dict) -> _Grid:
+    columns = [_Column("variable", "Variable", str),
+               *[_Column(f"component_{j + 1}", f"Component {j + 1}")
+                 for j in range(table["retained"])]]
+    rows = [[name, *loadings] for name, loadings in zip(table["variables"], table["loadings"])]
     bartlett = table["bartlett"]
-    lines.append(
+    notes = [
+        f"Note: {table['note']} Extraction method: PCA.",
         f"KMO={_fmt(table['kmo'])}; Bartlett's test of sphericity: "
         f"chi-square={_fmt(bartlett['chi2'])}, df={bartlett['df']}, "
         f"p{'<0.001' if bartlett['p'] < 0.001 else '=' + _fmt(bartlett['p'])}; "
-        f"variance explained by component 1: {_fmt(table['variance_explained_pct'][0])}%"
-    )
-    return lines
+        f"variance explained by component 1: {_fmt(table['variance_explained_pct'][0])}%",
+    ]
+    csv_rows = [
+        ["eigenvalues", *table["eigenvalues"]],
+        ["variance_explained_pct", *table["variance_explained_pct"]],
+        ["kmo", table["kmo"]],
+        ["bartlett_chi2", bartlett["chi2"], "df", bartlett["df"], "p", bartlett["p"]],
+    ]
+    return _Grid(columns, rows, notes, csv_rows)
+
+
+_LAYOUTS = {"descriptives": _descriptives_layout, "model_summary": _model_summary_layout,
+            "coefficients": _coefficients_layout, "pca": _pca_layout}
+
+
+def _layout(table: dict, format: str) -> _Grid:
+    kind = table.get("kind")
+    if kind == "correlations":
+        return _correlations_layout(table, format)
+    if kind not in _LAYOUTS:
+        raise ValidationError(f"unknown table kind {kind!r}")
+    return _LAYOUTS[kind](table)
+
+
+def _markdown_grid(grid: _Grid) -> list[str]:
+    formats = [c.fmt for c in grid.columns]
+    rows = [[c.label for c in grid.columns], ["---"] * len(formats)]
+    group = None
+    for row in grid.rows:
+        cells = [f(v) for f, v in zip(grid.row_formats.get(row[0], formats), row)]
+        if row[0] == group:
+            cells[0] = ""
+        group = row[0]
+        rows.append(cells)
+    lines = ["| " + " | ".join(cells) + " |" for cells in rows]
+    return [*lines, "", *grid.notes] if grid.notes else lines
+
+
+def _csv_grid(writer, grid: _Grid) -> None:
+    # the writer writes None as an empty cell and a float as its repr
+    writer.writerow([c.key for c in grid.columns])
+    writer.writerows(grid.rows)
+    writer.writerows(grid.csv_rows)
 
 
 _TABLE_TITLES = {
@@ -590,14 +630,6 @@ _TABLE_TITLES = {
     "T9": "Coefficients (stepwise)",
     "T10": "Pearson's correlations with significance",
     "T11": "Correlations of dimensions and pillars",
-}
-
-_MARKDOWN_RENDERERS = {
-    "descriptives": _markdown_descriptives,
-    "model_summary": _markdown_model_summary,
-    "coefficients": _markdown_coefficients,
-    "correlations": _markdown_correlations,
-    "pca": _markdown_pca,
 }
 
 
@@ -617,11 +649,8 @@ def _emit_markdown(bundle: ReportBundle) -> str:
         )
         lines.append("")
     for table_id in _table_ids(bundle.tables):
-        table = bundle.tables[table_id]
-        lines.append(f"## {table_id}. {_TABLE_TITLES.get(table_id, table_id)}")
-        lines.append("")
-        lines.extend(_MARKDOWN_RENDERERS[table["kind"]](table))
-        lines.append("")
+        lines += [f"## {table_id}. {_TABLE_TITLES.get(table_id, table_id)}", "",
+                  *_markdown_grid(_layout(bundle.tables[table_id], "markdown")), ""]
     if bundle.gate:
         lines.append("## Normality gate")
         lines.append("")
@@ -659,71 +688,9 @@ def _emit_markdown(bundle: ReportBundle) -> str:
     return "\n".join(lines).rstrip() + "\n"
 
 
-def _csv_writerows(writer, table: dict) -> None:
-    kind = table["kind"]
-    if kind == "descriptives":
-        writer.writerow(["statistic", *table["columns"]])
-        for key, values in table["rows"].items():
-            writer.writerow([key, *[repr(v) if isinstance(v, float) else v for v in values]])
-    elif kind == "model_summary":
-        header = ["model", "R", "R2", "adjusted_R2", "RMSE",
-                  "autocorrelation", "durbin_watson", "dw_p"]
-        writer.writerow(header)
-        for model in ("H0", "H1"):
-            row = table["rows"][model]
-            writer.writerow([model, *[repr(row[k]) for k in header[1:]]])
-        anova = table["anova"]
-        if anova is not None:
-            writer.writerow(["anova_ss", "anova_df", "anova_mean_square",
-                             "anova_F", "anova_p"])
-            writer.writerow([repr(anova["ss_regression"]), anova["df"],
-                             repr(anova["mean_square"]), repr(anova["F"]), repr(anova["p"])])
-    elif kind == "coefficients":
-        header = ["model", "term", "unstandardized", "standard_error",
-                  "standardized", "t", "p"]
-        if table["with_collinearity"]:
-            header += ["tolerance", "vif"]
-        writer.writerow(header)
-        for model in ("H0", "H1"):
-            for name in table["row_order"][model]:
-                row = table["rows"][model][name]
-                cells = [model, name,
-                         repr(row["unstandardized"]), repr(row["standard_error"]),
-                         "" if row["standardized"] is None else repr(row["standardized"]),
-                         repr(row["t"]), repr(row["p"])]
-                if table["with_collinearity"]:
-                    cells.append("" if "tolerance" not in row else repr(row["tolerance"]))
-                    cells.append("" if "vif" not in row else repr(row["vif"]))
-                writer.writerow(cells)
-    elif kind == "correlations":
-        writer.writerow(["variable_a", "variable_b", "r", "p", "stars"])
-        variables = table["variables"]
-        for i in range(len(variables)):
-            for j in range(i):
-                writer.writerow([
-                    variables[i], variables[j],
-                    repr(table["r"][i][j]), repr(table["p"][i][j]),
-                    table["stars"][i][j],
-                ])
-    elif kind == "pca":
-        writer.writerow(["variable", *[f"component_{j + 1}" for j in range(table["retained"])]])
-        for name, loadings in zip(table["variables"], table["loadings"]):
-            writer.writerow([name, *[repr(v) for v in loadings]])
-        writer.writerow(["eigenvalues", *[repr(v) for v in table["eigenvalues"]]])
-        writer.writerow(["variance_explained_pct", *[repr(v) for v in table["variance_explained_pct"]]])
-        writer.writerow(["kmo", repr(table["kmo"])])
-        bartlett = table["bartlett"]
-        writer.writerow(["bartlett_chi2", repr(bartlett["chi2"]),
-                         "df", bartlett["df"], "p", repr(bartlett["p"])])
-    else:
-        raise ValidationError(f"unknown table kind {kind!r}")
-
-
 def _emit_csv(bundle: ReportBundle) -> str:
-    import csv as _csv
-
     out = io.StringIO()
-    writer = _csv.writer(out, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")
     if bundle.provenance:
         out.write("[provenance]\n")
         for key, value in bundle.provenance.items():
@@ -731,19 +698,15 @@ def _emit_csv(bundle: ReportBundle) -> str:
         out.write("\n")
     for table_id in _table_ids(bundle.tables):
         out.write(f"[{table_id}]\n")
-        _csv_writerows(writer, bundle.tables[table_id])
+        _csv_grid(writer, _layout(bundle.tables[table_id], "csv"))
         out.write("\n")
     for record in bundle.predictions:
         out.write("[prediction]\n")
         writer.writerow(["model", "country", "input", "predicted", "published",
                          "nearest_country"])
         predictor, score = next(iter(record["input"].items()))
-        writer.writerow([
-            record["model"], record["country"] or "", f"{predictor}={score!r}",
-            repr(record["predicted"]),
-            "" if record["published"] is None else repr(record["published"]),
-            record["nearest_country"],
-        ])
+        writer.writerow([record["model"], record["country"] or "", f"{predictor}={score!r}",
+                         record["predicted"], record["published"], record["nearest_country"]])
         out.write("\n")
     return out.getvalue()
 

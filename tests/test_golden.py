@@ -21,6 +21,14 @@ def test_cell_count_and_unique_addresses():
     assert len(set(addresses)) == N_CELLS
 
 
+def test_normality_screen_cells_address_idesi(bundle):
+    """I-DESI's normality is published in prose only; its two cells address
+    its column of the normality screen."""
+    addresses = [c.address for c in golden_cells() if c.address[0] == "normality_screen"]
+    assert addresses == [("normality_screen", "w", 5), ("normality_screen", "p", 5)]
+    assert bundle.normality_screen["columns"][5] == "I-DESI"
+
+
 def test_bundled_data_passes_every_cell(golden_diff):
     failures = golden_diff.failures()
     detail = "\n".join(

@@ -1,5 +1,9 @@
 """End-to-end pipeline bundle: structure, frozen values, serialization."""
+import csv
+import dataclasses
+import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,7 @@ from indexlab import (
 )
 from indexlab import report
 
+SNAPSHOTS = Path(__file__).parent / "snapshots"
 TABLE_IDS = ["T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "T9", "T10", "T11"]
 
 
@@ -188,9 +193,41 @@ def test_emit_csv(bundle):
     assert "dw_permutation,pcg64-raw-keys-argsort" in lines
 
 
+def _snapshot_text(bundle, fmt):
+    """The seed-42, R = 10,000 report with the version string pinned, as
+    tests/snapshots/report_seed42.{md,csv} were written."""
+    pinned = dataclasses.replace(
+        bundle, provenance={**bundle.provenance, "tool_version": "snapshot"})
+    return emit(pinned, fmt)
+
+
+def test_emit_markdown_matches_snapshot(bundle):
+    expected = (SNAPSHOTS / "report_seed42.md").read_text()
+    assert _snapshot_text(bundle, "markdown") == expected
+
+
+def test_emit_csv_matches_snapshot(bundle):
+    """Text cells equal, numbers within 1e-9 relative: their 17-digit reprs
+    can move in the last digits across numpy and BLAS builds."""
+    actual = list(csv.reader(io.StringIO(_snapshot_text(bundle, "csv"))))
+    expected = list(csv.reader(io.StringIO((SNAPSHOTS / "report_seed42.csv").read_text())))
+    assert [len(row) for row in actual] == [len(row) for row in expected]
+    for line, (got_row, want_row) in enumerate(zip(actual, expected), start=1):
+        for got, want in zip(got_row, want_row):
+            if got != want:
+                assert abs(float(got) - float(want)) <= 1e-9 * abs(float(want)), (line, got, want)
+
+
 def test_emit_unknown_format(bundle):
     with pytest.raises(ValidationError, match="format"):
         emit(bundle, "xml")
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "csv"])
+def test_emit_unknown_table_kind(fmt):
+    bundle = ReportBundle(tables={"T1": {"kind": "histogram"}})
+    with pytest.raises(ValidationError, match="unknown table kind 'histogram'"):
+        emit(bundle, fmt)
 
 
 def test_emit_empty_bundle():
