@@ -1,7 +1,2 @@
-"""Single source for the package version string at runtime."""
-from importlib import metadata
-
-try:
-    __version__ = metadata.version("indexlab")
-except metadata.PackageNotFoundError:
-    __version__ = "0+unknown"
+"""Single source for the package version: pyproject.toml reads this literal."""
+__version__ = "0.1.0"

@@ -14,8 +14,9 @@ import numpy as np
 from .errors import NotFittedError, ValidationError
 
 
-def check_array(x: Any, *, name: str = "X", ndim: int = 2, min_rows: int = 1) -> np.ndarray:
-    """Coerce to a float array, promoting 1-d input to a single column."""
+def check_array(x: Any, *, name: str = "X", ndim: int = 2) -> np.ndarray:
+    """Coerce to a finite float array, promoting 1-d input to a single column
+    when ``ndim`` is 2."""
     try:
         arr = np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -24,16 +25,14 @@ def check_array(x: Any, *, name: str = "X", ndim: int = 2, min_rows: int = 1) ->
         arr = arr.reshape(-1, 1)
     if arr.ndim != ndim:
         raise ValidationError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if arr.shape[0] < min_rows:
-        raise ValidationError(f"{name} needs at least {min_rows} rows, got {arr.shape[0]}")
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite values")
     return arr
 
 
-def check_X_y(X: Any, y: Any, *, min_rows: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    X = check_array(X, name="X", ndim=2, min_rows=min_rows)
-    y = check_array(y, name="y", ndim=1, min_rows=min_rows)
+def check_X_y(X: Any, y: Any) -> tuple[np.ndarray, np.ndarray]:
+    X = check_array(X, name="X", ndim=2)
+    y = check_array(y, name="y", ndim=1)
     if X.shape[0] != y.shape[0]:
         raise ValidationError(f"X and y row counts differ: {X.shape[0]} vs {y.shape[0]}")
     return X, y

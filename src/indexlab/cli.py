@@ -90,7 +90,7 @@ def dataset_validate(path: str) -> None:
     """Check that a CSV file matches the expected column schema."""
     ds = _load(path)
     validate_schema(ds)
-    click.echo(f"OK: {len(ds.records)} rows, {len(ds.columns)} columns match the schema")
+    click.echo(f"OK: {len(ds)} rows, {len(ds.columns)} columns match the schema")
 
 
 @cli.group()
@@ -112,13 +112,11 @@ def index_compute(preset_name: str, path: str) -> None:
         target_column = ds.resolve_column(target)
     except ColumnLookupError:
         target_column = None
+    columns = {c.name: ds.resolve_column(c.name) for c in definition.components}
     click.echo("country,computed,published,difference")
     for record in ds.records:
-        scores = {}
-        for component in definition.components:
-            column = ds.resolve_column(component.name)
-            scores[component.name] = record.values[column]
-        result = compute_composite(definition, scores, country=record.name)
+        scores = {name: record.values[column] for name, column in columns.items()}
+        result = compute_composite(definition, scores)
         if target_column is None:
             click.echo(f"{record.name},{result.value:.4f},,")
         else:

@@ -7,6 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .base import check_array
 from .dataset import Dataset
 from .distributions import PValue, t_two_tailed_p
 from .errors import DegenerateDataError, InsufficientDataError, ValidationError
@@ -52,8 +53,8 @@ class CorrelationMatrix:
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     """Sample Pearson correlation with a two-tailed t-test on n-2 df."""
-    xs = [float(v) for v in x]
-    ys = [float(v) for v in y]
+    xs = check_array(x, name="x", ndim=1).tolist()
+    ys = check_array(y, name="y", ndim=1).tolist()
     if len(xs) != len(ys):
         raise ValidationError(f"length mismatch: {len(xs)} vs {len(ys)}")
     n = len(xs)

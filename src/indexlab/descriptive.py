@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+from .base import check_array
 from .distributions import PValue, normal_cdf, normal_quantile
 from .errors import DegenerateDataError, DomainError, InsufficientDataError
 
@@ -31,13 +32,9 @@ class NormalityResult:
     p: PValue
 
 
-def _values(series: Sequence[float]) -> list[float]:
-    return [float(v) for v in series]
-
-
 def describe(series: Sequence[float]) -> DescriptiveStats:
     """Mean, sample standard deviation (n-1 denominator), min, and max."""
-    x = _values(series)
+    x = check_array(series, name="series", ndim=1).tolist()
     n = len(x)
     if n < 2:
         raise InsufficientDataError(f"describe needs at least 2 values, got {n}")
@@ -105,7 +102,7 @@ def _sw_coefficients(n: int) -> tuple[float, ...]:
 
 def shapiro_wilk(series: Sequence[float]) -> NormalityResult:
     """Shapiro-Wilk W and its p-value per the AS R94 approximation."""
-    x = sorted(_values(series))
+    x = sorted(check_array(series, name="series", ndim=1).tolist())
     n = len(x)
     if n < 3 or n > 5000:
         raise DomainError(f"shapiro_wilk needs 3 <= n <= 5000, got {n}")
@@ -145,7 +142,7 @@ def _median(sorted_x: Sequence[float]) -> float:
 
 def tukey_hinges(series: Sequence[float]) -> tuple[float, float]:
     """Lower and upper hinges: medians of the two halves, median included when n is odd."""
-    x = sorted(_values(series))
+    x = sorted(check_array(series, name="series", ndim=1).tolist())
     n = len(x)
     if n < 4:
         raise InsufficientDataError(f"hinges need at least 4 values, got {n}")
@@ -155,7 +152,7 @@ def tukey_hinges(series: Sequence[float]) -> tuple[float, float]:
 
 def boxplot_outliers(series: Sequence[float]) -> list[int]:
     """Indices of values outside [Q1 - 1.5 IQR, Q3 + 1.5 IQR] with Tukey-hinge quartiles."""
-    x = _values(series)
+    x = check_array(series, name="series", ndim=1).tolist()
     q1, q3 = tukey_hinges(x)
     iqr = q3 - q1
     lo = q1 - 1.5 * iqr

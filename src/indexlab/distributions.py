@@ -248,8 +248,10 @@ def regularized_gamma_q(a: float, x: float) -> float:
 
 def t_two_tailed_p(t: float, df: float) -> PValue:
     """Two-tailed Student t tail probability 2*P(T >= |t|)."""
-    if df < 1:
+    if not df >= 1:
         raise DomainError(f"t test needs df >= 1, got {df!r}")
+    if math.isnan(t):
+        raise DomainError("t statistic is NaN")
     if not math.isfinite(t):
         return PValue(0.0, TWO_TAILED)
     if t == 0.0:
@@ -260,9 +262,9 @@ def t_two_tailed_p(t: float, df: float) -> PValue:
 
 def f_tail_p(f: float, df1: float, df2: float) -> PValue:
     """Upper tail P(F' >= f) of the F distribution."""
-    if df1 < 1 or df2 < 1:
+    if not (df1 >= 1 and df2 >= 1):
         raise DomainError("F test needs df1, df2 >= 1")
-    if f < 0.0:
+    if not f >= 0.0:
         raise DomainError(f"F statistic must be non-negative, got {f!r}")
     if f == 0.0:
         return PValue(1.0, ONE_TAILED)
@@ -274,8 +276,8 @@ def f_tail_p(f: float, df1: float, df2: float) -> PValue:
 
 def chi2_tail_p(x: float, df: float) -> PValue:
     """Upper tail P(chi2 >= x)."""
-    if df < 1:
+    if not df >= 1:
         raise DomainError("chi-square test needs df >= 1")
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError(f"chi-square statistic must be non-negative, got {x!r}")
     return PValue(regularized_gamma_q(0.5 * df, 0.5 * x), ONE_TAILED)

@@ -12,11 +12,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .dataset import Dataset
+from .base import check_array
+from .dataset import SCORE_MAX, SCORE_MIN, Dataset
 from .errors import DefinitionError, DegenerateDataError, ValidationError
-
-SCORE_MIN = 0.0
-SCORE_MAX = 100.0
 
 
 @dataclass(frozen=True)
@@ -63,7 +61,6 @@ class IndexDefinition:
 class IndexScore:
     value: float
     contributions: dict[str, float] = field(default_factory=dict)
-    country: str | None = None
 
 
 def _component_score(component: IndexComponent, scores: Mapping[str, float],
@@ -82,16 +79,14 @@ def _component_score(component: IndexComponent, scores: Mapping[str, float],
     )
 
 
-def compute_composite(definition: IndexDefinition, scores: Mapping[str, float],
-                      country: str | None = None) -> IndexScore:
+def compute_composite(definition: IndexDefinition, scores: Mapping[str, float]) -> IndexScore:
     """Renormalized weighted sum of component scores, with per-component contributions."""
     weights = definition.normalized_weights
     contributions: dict[str, float] = {}
     for component in definition.components:
         value = _component_score(component, scores, definition.name)
         contributions[component.name] = weights[component.name] * value
-    return IndexScore(value=math.fsum(contributions.values()),
-                      contributions=contributions, country=country)
+    return IndexScore(value=math.fsum(contributions.values()), contributions=contributions)
 
 
 def compute_sii_from_pillars(pillars: Sequence[float]) -> float:
@@ -117,7 +112,8 @@ def min_max_normalize(values: Sequence[float], lo: float, hi: float) -> list[flo
     if not hi > lo:
         raise DegenerateDataError(f"normalization needs hi > lo, got [{lo}, {hi}]")
     span = hi - lo
-    return [min(100.0, max(0.0, 100.0 * (float(v) - lo) / span)) for v in values]
+    return [min(100.0, max(0.0, 100.0 * (v - lo) / span))
+            for v in check_array(values, name="values", ndim=1).tolist()]
 
 
 def rank(dataset: Dataset, column: str) -> list[tuple[int, str, float]]:

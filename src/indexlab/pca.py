@@ -27,7 +27,6 @@ class HypothesisTestResult:
     statistic: float
     df: int
     p: PValue
-    test: str
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,6 @@ def _bartlett(eigenvalues: np.ndarray, n: int) -> HypothesisTestResult:
         statistic=statistic,
         df=df,
         p=chi2_tail_p(max(0.0, statistic), df),
-        test="Bartlett's test of sphericity",
     )
 
 

@@ -5,7 +5,10 @@ equations, so collinear predictors (VIF up to ~4 in the bundled data) stay
 well conditioned. Summary statistics follow the usual package conventions:
 RMSE is the residual standard error with n-k-1 degrees of freedom,
 standardized residuals are internally studentized, and the Durbin-Watson
-p-value comes from a seeded permutation bootstrap of the residuals.
+p-value comes from a seeded permutation bootstrap of the residuals. The
+dataset functions (``fit_ols``, ``null_model``, ``stepwise_fit``) and the
+array estimators (``OLS``, ``StepwiseOLS``) share one least-squares fit,
+``_ols_arrays``, and one stepwise search, ``_stepwise``.
 
 Each bootstrap call seeds one PCG64 and sorts its raw 64-bit outputs as
 keys, n per replicate, with each key's low bits set to its column index so
@@ -22,7 +25,7 @@ permutations, (b + 1) / (R + 1), so it is never 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -127,9 +130,7 @@ class StepwiseStep:
 
 def _t_statistic(coef: float, se: float) -> float:
     if se == 0.0:
-        if coef == 0.0:
-            return 0.0
-        return math.copysign(math.inf, coef)
+        return math.copysign(math.inf, coef) if coef else 0.0
     return coef / se
 
 
@@ -149,8 +150,10 @@ def _centred_qr(xc: np.ndarray, predictor_names: Sequence[str]) -> tuple[np.ndar
     return q_thin, np.linalg.inv(r_mat)
 
 
-def _ols_arrays(x: np.ndarray, y: np.ndarray, predictor_names: Sequence[str]) -> dict:
-    """Least-squares core; x may have zero columns for the intercept-only model.
+def _ols_arrays(x: np.ndarray, y: np.ndarray, response: str,
+                predictor_names: Sequence[str]) -> LinearModelFit:
+    """Least-squares fit of y on the columns of x, which may have zero
+    columns for the intercept-only model.
 
     x is taken C-ordered, so a column slice of a design sums its means in the
     same order as a fresh copy and the fit does not depend on memory layout.
@@ -166,17 +169,14 @@ def _ols_arrays(x: np.ndarray, y: np.ndarray, predictor_names: Sequence[str]) ->
     sst = float(yc @ yc)
     df_residual = n - k - 1
 
-    if k == 0:
-        slopes = np.zeros(0)
-        leverage = np.full(n, 1.0 / n)
-        s_inv = np.zeros((0, 0))
-        x_means = np.zeros(0)
-    else:
-        x_means = x.mean(axis=0)
+    x_means = x.mean(axis=0)
+    if k:
         q_thin, r_inv = _centred_qr(x - x_means, predictor_names)
-        slopes = r_inv @ (q_thin.T @ yc)
-        s_inv = r_inv @ r_inv.T
-        leverage = 1.0 / n + (q_thin * q_thin).sum(axis=1)
+    else:
+        q_thin, r_inv = np.zeros((n, 0)), np.zeros((0, 0))
+    slopes = r_inv @ (q_thin.T @ yc)
+    s_inv = r_inv @ r_inv.T
+    leverage = 1.0 / n + (q_thin * q_thin).sum(axis=1)
 
     intercept = y_mean - float(x_means @ slopes)
     fitted = intercept + x @ slopes
@@ -184,21 +184,15 @@ def _ols_arrays(x: np.ndarray, y: np.ndarray, predictor_names: Sequence[str]) ->
     ss_res = float(residuals @ residuals)
     rmse = math.sqrt(ss_res / df_residual) if df_residual > 0 else 0.0
 
-    if sst > 0.0:
-        r_squared = max(0.0, 1.0 - ss_res / sst)
-    else:
-        r_squared = 0.0
-    if k == 0:
-        r_squared = 0.0
+    r_squared = max(0.0, 1.0 - ss_res / sst) if k and sst > 0.0 else 0.0
     adjusted = 1.0 - (1.0 - r_squared) * (n - 1) / df_residual
 
     se_intercept = rmse * math.sqrt(1.0 / n + float(x_means @ s_inv @ x_means))
-    se_slopes = rmse * np.sqrt(np.diag(s_inv)) if k else np.zeros(0)
+    se_slopes = rmse * np.sqrt(np.diag(s_inv))
 
-    coefficients = [intercept, *slopes.tolist()]
-    standard_errors = [se_intercept, *se_slopes.tolist()]
-    t_values = [_t_statistic(c, s) for c, s in zip(coefficients, standard_errors)]
-    p_values = [t_two_tailed_p(t, df_residual) for t in t_values]
+    coefficients = (intercept, *slopes.tolist())
+    standard_errors = (se_intercept, *se_slopes.tolist())
+    t_values = tuple(_t_statistic(c, s) for c, s in zip(coefficients, standard_errors))
 
     s_y = math.sqrt(sst / (n - 1)) if n > 1 else 0.0
     betas: list[float | None] = [None]
@@ -206,37 +200,76 @@ def _ols_arrays(x: np.ndarray, y: np.ndarray, predictor_names: Sequence[str]) ->
         s_xj = float(np.std(x[:, j], ddof=1))
         betas.append(float(slopes[j]) * s_xj / s_y if s_y > 0.0 else 0.0)
 
-    if k > 0:
+    anova = None
+    if k:
         ss_reg = sst - ss_res
         ms_reg = ss_reg / k
         ms_res = ss_res / df_residual
-        if ms_res == 0.0:
-            f_stat = math.inf
-            f_p = PValue(0.0)
-        else:
-            f_stat = ms_reg / ms_res
-            f_p = f_tail_p(max(0.0, f_stat), k, df_residual)
-        anova = AnovaBlock(ss_regression=ss_reg, df=k, mean_square=ms_reg,
-                           f=f_stat, p=f_p)
-    else:
-        anova = None
+        f_stat = ms_reg / ms_res if ms_res else math.inf
+        anova = AnovaBlock(ss_regression=ss_reg, df=k, mean_square=ms_reg, f=f_stat,
+                           p=f_tail_p(max(0.0, f_stat), k, df_residual))
 
-    return {
-        "coefficients": tuple(coefficients),
-        "standard_errors": tuple(standard_errors),
-        "t_values": tuple(t_values),
-        "p_values": tuple(p_values),
-        "standardized_betas": tuple(betas),
-        "r": math.sqrt(r_squared),
-        "r_squared": r_squared,
-        "adjusted_r_squared": adjusted,
-        "rmse": rmse,
-        "anova": anova,
-        "residuals": tuple(residuals.tolist()),
-        "fitted": tuple(fitted.tolist()),
-        "leverage": tuple(leverage.tolist()),
-        "df_residual": df_residual,
-    }
+    return LinearModelFit(
+        response=response,
+        predictors=tuple(predictor_names),
+        coefficients=coefficients,
+        standard_errors=standard_errors,
+        t_values=t_values,
+        p_values=tuple(t_two_tailed_p(t, df_residual) for t in t_values),
+        standardized_betas=tuple(betas),
+        r=math.sqrt(r_squared),
+        r_squared=r_squared,
+        adjusted_r_squared=adjusted,
+        rmse=rmse,
+        anova=anova,
+        residuals=tuple(residuals.tolist()),
+        fitted=tuple(fitted.tolist()),
+        leverage=tuple(leverage.tolist()),
+        df_residual=df_residual,
+    )
+
+
+def _stepwise(x: np.ndarray, y: np.ndarray, response: str, names: Sequence[str],
+              p_enter: float, p_remove: float
+              ) -> tuple[tuple[int, ...], tuple[StepwiseStep, ...], LinearModelFit]:
+    """Forward-entry, backward-removal search over the columns of x.
+
+    Returns the selected column indices, the trace (predictors as column
+    indices) and the fit of the final selection, the intercept-only fit when
+    nothing is selected.
+    """
+    if not p_enter < p_remove:
+        raise ValidationError(f"p_enter ({p_enter}) must be below p_remove ({p_remove})")
+    selected: list[int] = []
+    trace: list[StepwiseStep] = []
+    while True:
+        steps = len(trace)
+        best_j, best_p = -1, math.inf
+        for j in [j for j in range(x.shape[1]) if j not in selected]:
+            cols = selected + [j]
+            try:
+                p = _ols_arrays(x[:, cols], y, response,
+                                [names[c] for c in cols]).p_values[-1].value
+            except SingularDesignError:
+                continue
+            if p < best_p:
+                best_j, best_p = j, p
+        if best_p < p_enter:
+            selected.append(best_j)
+            trace.append(StepwiseStep("add", best_j, best_p))
+        while selected:
+            fit = _ols_arrays(x[:, selected], y, response, [names[j] for j in selected])
+            slope_ps = [pv.value for pv in fit.p_values[1:]]
+            worst = max(range(len(selected)), key=slope_ps.__getitem__)
+            if not slope_ps[worst] > p_remove:
+                break
+            trace.append(StepwiseStep("remove", selected.pop(worst), slope_ps[worst]))
+        if len(trace) == steps:
+            break
+    # a non-empty selection was last fitted by the removal loop's final pass
+    if not selected:
+        fit = _ols_arrays(x[:, :0], y, response, ())
+    return tuple(selected), tuple(trace), fit
 
 
 class OLS(BaseEstimator):
@@ -248,15 +281,14 @@ class OLS(BaseEstimator):
 
     def fit(self, X, y) -> "OLS":
         X, y = check_X_y(X, y)
-        return self._adopt(_ols_arrays(X, y, [f"x{j}" for j in range(X.shape[1])]))
+        return self._adopt(_ols_arrays(X, y, "y", [f"x{j}" for j in range(X.shape[1])]))
 
-    def _adopt(self, stats: dict) -> "OLS":
-        """Store the results of one `_ols_arrays` call as the fitted state."""
-        names = tuple(f"x{j}" for j in range(len(stats["coefficients"]) - 1))
-        self.n_features_in_ = len(names)
-        self.intercept_ = stats["coefficients"][0]
-        self.coef_ = np.array(stats["coefficients"][1:])
-        self.stats_ = LinearModelFit(response="y", predictors=names, **stats)
+    def _adopt(self, fit: LinearModelFit) -> "OLS":
+        """Store one least-squares fit as the fitted state."""
+        self.n_features_in_ = len(fit.predictors)
+        self.intercept_ = fit.intercept
+        self.coef_ = np.array(fit.coefficients[1:])
+        self.stats_ = fit
         return self
 
     def predict(self, X) -> np.ndarray:
@@ -274,7 +306,8 @@ class StepwiseOLS(BaseEstimator):
 
     At each round the candidate whose coefficient would have the smallest
     p-value enters if that p < p_enter; included predictors with p > p_remove
-    are then dropped, worst first, until the model is stable.
+    are then dropped, worst first, until the model is stable. The final
+    model's predictors are named by their column in X (``x1``, ``x3``).
     """
 
     def __init__(self, p_enter: float = DEFAULT_P_ENTER,
@@ -282,52 +315,11 @@ class StepwiseOLS(BaseEstimator):
         self.p_enter = p_enter
         self.p_remove = p_remove
 
-    def _candidate_p(self, X, y, selected: list[int], candidate: int) -> float:
-        cols = selected + [candidate]
-        stats = _ols_arrays(X[:, cols], y, [f"x{j}" for j in cols])
-        return stats["p_values"][-1].value
-
     def fit(self, X, y) -> "StepwiseOLS":
-        if not self.p_enter < self.p_remove:
-            raise ValidationError(
-                f"p_enter ({self.p_enter}) must be below p_remove ({self.p_remove})"
-            )
         X, y = check_X_y(X, y)
-        k = X.shape[1]
-        selected: list[int] = []
-        trace: list[StepwiseStep] = []
-        while True:
-            changed = False
-            remaining = [j for j in range(k) if j not in selected]
-            best_j = -1
-            best_p = math.inf
-            for j in remaining:
-                try:
-                    p = self._candidate_p(X, y, selected, j)
-                except SingularDesignError:
-                    continue
-                if p < best_p:
-                    best_p, best_j = p, j
-            if best_j >= 0 and best_p < self.p_enter:
-                selected.append(best_j)
-                trace.append(StepwiseStep("add", best_j, best_p))
-                changed = True
-            while selected:
-                stats = _ols_arrays(X[:, selected], y, [f"x{j}" for j in selected])
-                slope_ps = [pv.value for pv in stats["p_values"][1:]]
-                worst = max(range(len(selected)), key=lambda i: slope_ps[i])
-                if slope_ps[worst] > self.p_remove:
-                    trace.append(StepwiseStep("remove", selected[worst], slope_ps[worst]))
-                    del selected[worst]
-                    changed = True
-                else:
-                    break
-            if not changed:
-                break
-        self.selected_ = tuple(selected)
-        self.trace_ = tuple(trace)
-        # the last removal-loop fit is the fit of the final selection
-        self.model_ = OLS()._adopt(stats) if selected else None
+        self.selected_, self.trace_, fit = _stepwise(
+            X, y, "y", [f"x{j}" for j in range(X.shape[1])], self.p_enter, self.p_remove)
+        self.model_ = OLS()._adopt(fit) if self.selected_ else None
         return self
 
     def predict(self, X) -> np.ndarray:
@@ -350,15 +342,12 @@ def _dataset_arrays(dataset: Dataset, response: str,
 def fit_ols(dataset: Dataset, response: str, predictors: Sequence[str]) -> LinearModelFit:
     """Least-squares fit of a dataset response on named predictor columns."""
     x, y, response_name, names = _dataset_arrays(dataset, response, predictors)
-    stats = _ols_arrays(x, y, names)
-    return LinearModelFit(response=response_name, predictors=names, **stats)
+    return _ols_arrays(x, y, response_name, names)
 
 
 def null_model(dataset: Dataset, response: str) -> LinearModelFit:
     """Intercept-only fit: intercept = mean, RMSE = sample standard deviation."""
-    x, y, response_name, _ = _dataset_arrays(dataset, response, ())
-    stats = _ols_arrays(x, y, ())
-    return LinearModelFit(response=response_name, predictors=(), **stats)
+    return fit_ols(dataset, response, ())
 
 
 def anova(fit: LinearModelFit) -> AnovaBlock:
@@ -428,9 +417,9 @@ def durbin_watson(fit: LinearModelFit | Sequence[float],
     identity, the reversal) is counted the same whatever order its sums were
     taken in. R must be between 1 and ``MAX_REPLICATES``.
     """
-    residuals = np.array(
-        fit.residuals if isinstance(fit, LinearModelFit) else [float(v) for v in fit]
-    )
+    # contiguous: the dot products of a strided view sum in another order
+    residuals = np.ascontiguousarray(check_array(
+        fit.residuals if isinstance(fit, LinearModelFit) else fit, name="fit", ndim=1))
     n = residuals.shape[0]
     if n < 3:
         raise InsufficientDataError(f"Durbin-Watson needs at least 3 residuals, got {n}")
@@ -502,24 +491,14 @@ def casewise_diagnostics(fit: LinearModelFit) -> CasewiseDiagnostics:
                                flagged=flagged)
 
 
-def stepwise_fit(dataset: Dataset, response: str, candidates: Sequence[str],
-                 p_enter: float = DEFAULT_P_ENTER,
-                 p_remove: float = DEFAULT_P_REMOVE) -> tuple[LinearModelFit, tuple[StepwiseStep, ...]]:
+def stepwise_fit(dataset: Dataset, response: str,
+                 candidates: Sequence[str]) -> tuple[LinearModelFit, tuple[StepwiseStep, ...]]:
     """Stepwise selection over candidate columns; returns the final fit and trace."""
     if not candidates:
         raise ValidationError("stepwise selection needs at least one candidate")
     x, y, response_name, names = _dataset_arrays(dataset, response, candidates)
-    est = StepwiseOLS(p_enter=p_enter, p_remove=p_remove).fit(x, y)
-    trace = tuple(
-        StepwiseStep(step.action, names[step.predictor], step.p) for step in est.trace_
-    )
-    selected_names = tuple(names[j] for j in est.selected_)
-    if est.model_ is None:
-        fit = LinearModelFit(response=response_name, predictors=(),
-                             **_ols_arrays(x[:, :0], y, ()))
-    else:
-        fit = replace(est.model_.stats_, response=response_name, predictors=selected_names)
-    return fit, trace
+    _, trace, fit = _stepwise(x, y, response_name, names, DEFAULT_P_ENTER, DEFAULT_P_REMOVE)
+    return fit, tuple(StepwiseStep(step.action, names[step.predictor], step.p) for step in trace)
 
 
 def predict(fit: LinearModelFit, x: Mapping[str, float]) -> float:

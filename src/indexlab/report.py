@@ -279,8 +279,7 @@ def _normality_gate(normality: dict[str, NormalityResult], alpha: float) -> dict
 
 
 def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
-                  replicates: int = DEFAULT_REPLICATES,
-                  gate_alpha: float = GATE_ALPHA) -> ReportBundle:
+                  replicates: int = DEFAULT_REPLICATES) -> ReportBundle:
     """Run the published analysis pipeline and collect every table and figure.
 
     The same master seed is passed to each of the three Durbin-Watson
@@ -363,7 +362,7 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
 
     tables["T7"] = _descriptives_table(_T7_COLUMNS, stats, normality)
 
-    gate = _normality_gate(normality, gate_alpha)
+    gate = _normality_gate(normality, GATE_ALPHA)
     remaining = gate["remaining"]
 
     # the gate can exhaust the candidate set on other datasets; fall back to

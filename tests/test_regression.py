@@ -564,3 +564,16 @@ def test_stepwise_estimator_api():
     assert est.predict(x).shape == (40,)
     with pytest.raises(ValidationError):
         StepwiseOLS(p_enter=0.2, p_remove=0.1).fit(x, y)
+
+
+def test_stepwise_estimator_matches_stepwise_fit(sorted_dataset):
+    fit, trace = stepwise_fit(sorted_dataset, SII, DIMENSIONS)
+    est = StepwiseOLS().fit(sorted_dataset.array(DIMENSIONS),
+                            sorted_dataset.array([SII])[:, 0])
+    assert tuple(DIMENSIONS[j] for j in est.selected_) == fit.predictors
+    assert [(s.action, DIMENSIONS[s.predictor], s.p) for s in est.trace_] == [
+        (s.action, s.predictor, s.p) for s in trace]
+    assert est.model_.stats_.coefficients == fit.coefficients
+    # the estimator names the selected columns by their index in X
+    assert est.selected_ == (DIMENSIONS.index(IDT),)
+    assert est.model_.stats_.predictors == (f"x{DIMENSIONS.index(IDT)}",)
