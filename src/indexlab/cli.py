@@ -106,23 +106,20 @@ def index() -> None:
 def index_compute(preset_name: str, path: str) -> None:
     """Recompute a composite index from its component columns."""
     definition = preset(preset_name)
-    target = _PRESET_TARGETS[preset_name]
     ds = _load(path)
+    components = [c.name for c in definition.components]
+    scores = ds.array(components).tolist()
     try:
-        target_column = ds.resolve_column(target)
+        targets = ds.column(_PRESET_TARGETS[preset_name]).tolist()
     except ColumnLookupError:
-        target_column = None
-    columns = {c.name: ds.resolve_column(c.name) for c in definition.components}
+        targets = [None] * len(ds)
     click.echo("country,computed,published,difference")
-    for record in ds.records:
-        scores = {name: record.values[column] for name, column in columns.items()}
-        result = compute_composite(definition, scores)
-        if target_column is None:
-            click.echo(f"{record.name},{result.value:.4f},,")
+    for country, row, published in zip(ds.countries, scores, targets):
+        value = compute_composite(definition, dict(zip(components, row))).value
+        if published is None:
+            click.echo(f"{country},{value:.4f},,")
         else:
-            published = record.values[target_column]
-            click.echo(f"{record.name},{result.value:.4f},{published:.4f},"
-                       f"{result.value - published:+.4f}")
+            click.echo(f"{country},{value:.4f},{published:.4f},{value - published:+.4f}")
 
 
 @cli.command()

@@ -1,12 +1,13 @@
-"""Country/indicator dataset: parsing, validation, slicing, bundled fixture.
+"""Country/indicator dataset: parsing, validation, column access, bundled fixture.
 
 The canonical fixture is the published 29-country table with the SII, its four
 pillars, the I-DESI, and its five dimensions. Scores live on a 0-100 scale.
 A dataset is columnar: its column names, its country names, and one
-read-only (countries x columns) float array that parsing fills directly and
-the analysis reads through ``Dataset.array``. Row order is preserved and
-semantically meaningful (serial-correlation statistics depend on it), so
-nothing here ever reorders rows implicitly.
+read-only (countries x columns) float array that parsing fills directly.
+Everything reads the scores from that array, through ``Dataset.array`` (a
+copy of several columns) or ``Dataset.column`` (a view of one). Row order is
+preserved and semantically meaningful (serial-correlation statistics depend
+on it), so nothing here ever reorders rows implicitly.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -58,35 +59,18 @@ _ALIASES = {
 
 @dataclass(frozen=True)
 class CountryRecord:
-    """One row: a country name plus its named scores."""
+    """One row given to the ``Dataset`` constructor: a country name plus its named scores."""
 
     name: str
     values: Mapping[str, float]
-
-
-@dataclass(frozen=True)
-class Series:
-    """A named column vector aligned to dataset row order."""
-
-    name: str
-    values: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.values)
-
-    def __getitem__(self, i: int) -> float:
-        return self.values[i]
 
 
 class Dataset:
     """Immutable country-by-column score table.
 
     The scores live in one read-only (n, p) float array whose rows follow
-    ``countries`` and whose columns follow ``columns``; ``records``,
-    ``record()`` and ``column()`` are views built from it on each call.
+    ``countries`` and whose columns follow ``columns``. The constructor takes
+    ``CountryRecord`` rows; reads go through ``array()`` and ``column()``.
     """
 
     def __init__(self, columns: tuple[str, ...], records: tuple[CountryRecord, ...]):
@@ -139,11 +123,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.countries)
 
-    @property
-    def records(self) -> tuple[CountryRecord, ...]:
-        return tuple(CountryRecord(name, dict(zip(self.columns, row)))
-                     for name, row in zip(self.countries, self._data.tolist()))
-
     def resolve_column(self, name: str) -> str:
         if name in self.columns:
             return name
@@ -163,26 +142,15 @@ class Dataset:
         indices = [self.columns.index(self.resolve_column(n)) for n in names]
         return self._data.take(indices, axis=1)
 
-    def column(self, name: str) -> Series:
-        col = self.resolve_column(name)
-        return Series(col, tuple(self._data[:, self.columns.index(col)].tolist()))
-
-    def record(self, country: str) -> CountryRecord:
-        if country not in self.countries:
-            raise ColumnLookupError(f"unknown country {country!r}")
-        row = self._data[self.countries.index(country)]
-        return CountryRecord(country, dict(zip(self.columns, row.tolist())))
+    def column(self, name: str) -> np.ndarray:
+        """Read-only (n,) view of the named column, in row order."""
+        return self._data[:, self.columns.index(self.resolve_column(name))]
 
     def sorted_by_name(self) -> "Dataset":
         """Rows reordered alphabetically by country name."""
         order = sorted(range(len(self)), key=self.countries.__getitem__)
         return Dataset._from_array(self.columns, tuple(self.countries[i] for i in order),
                                    self._data[order])
-
-
-def select(dataset: Dataset, names: list[str] | tuple[str, ...]) -> list[Series]:
-    """Extract columns as Series aligned to dataset row order."""
-    return [dataset.column(name) for name in names]
 
 
 def parse_dataset(csv_text: str) -> Dataset:
@@ -234,8 +202,8 @@ def emit_dataset(dataset: Dataset) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(("country",) + dataset.columns)
-    for rec in dataset.records:
-        writer.writerow([rec.name] + [repr(rec.values[c]) for c in dataset.columns])
+    for name, row in zip(dataset.countries, dataset._data.tolist()):
+        writer.writerow([name, *map(repr, row)])
     return out.getvalue()
 
 

@@ -248,8 +248,8 @@ def regularized_gamma_q(a: float, x: float) -> float:
 
 def t_two_tailed_p(t: float, df: float) -> PValue:
     """Two-tailed Student t tail probability 2*P(T >= |t|)."""
-    if not df >= 1:
-        raise DomainError(f"t test needs df >= 1, got {df!r}")
+    if not 1 <= df < math.inf:
+        raise DomainError(f"t test needs finite df >= 1, got {df!r}")
     if math.isnan(t):
         raise DomainError("t statistic is NaN")
     if not math.isfinite(t):
@@ -262,8 +262,8 @@ def t_two_tailed_p(t: float, df: float) -> PValue:
 
 def f_tail_p(f: float, df1: float, df2: float) -> PValue:
     """Upper tail P(F' >= f) of the F distribution."""
-    if not (df1 >= 1 and df2 >= 1):
-        raise DomainError("F test needs df1, df2 >= 1")
+    if not (1 <= df1 < math.inf and 1 <= df2 < math.inf):
+        raise DomainError(f"F test needs finite df1, df2 >= 1, got {df1!r}, {df2!r}")
     if not f >= 0.0:
         raise DomainError(f"F statistic must be non-negative, got {f!r}")
     if f == 0.0:
@@ -276,8 +276,10 @@ def f_tail_p(f: float, df1: float, df2: float) -> PValue:
 
 def chi2_tail_p(x: float, df: float) -> PValue:
     """Upper tail P(chi2 >= x)."""
-    if not df >= 1:
-        raise DomainError("chi-square test needs df >= 1")
+    if not 1 <= df < math.inf:
+        raise DomainError(f"chi-square test needs finite df >= 1, got {df!r}")
     if not x >= 0.0:
         raise DomainError(f"chi-square statistic must be non-negative, got {x!r}")
+    if not math.isfinite(x):
+        return PValue(0.0, ONE_TAILED)
     return PValue(regularized_gamma_q(0.5 * df, 0.5 * x), ONE_TAILED)

@@ -89,37 +89,20 @@ def compute_composite(definition: IndexDefinition, scores: Mapping[str, float]) 
     return IndexScore(value=math.fsum(contributions.values()), contributions=contributions)
 
 
-def compute_sii_from_pillars(pillars: Sequence[float]) -> float:
-    """Composite from the four pillar scores, in published pillar order."""
-    definition = preset("sii-2016")
-    if len(pillars) != len(definition.components):
-        raise ValidationError(f"expected 4 pillar scores, got {len(pillars)}")
-    scores = {c.name: float(v) for c, v in zip(definition.components, pillars)}
-    return compute_composite(definition, scores).value
-
-
-def compute_idesi(dimensions: Sequence[float]) -> float:
-    """Composite from the five dimension scores, in published dimension order."""
-    definition = preset("idesi-2020")
-    if len(dimensions) != len(definition.components):
-        raise ValidationError(f"expected 5 dimension scores, got {len(dimensions)}")
-    scores = {c.name: float(v) for c, v in zip(definition.components, dimensions)}
-    return compute_composite(definition, scores).value
-
-
 def min_max_normalize(values: Sequence[float], lo: float, hi: float) -> list[float]:
     """Rescale values to [0, 100] between fixed bounds, clamping out-of-range inputs."""
-    if not hi > lo:
-        raise DegenerateDataError(f"normalization needs hi > lo, got [{lo}, {hi}]")
     span = hi - lo
+    # negated so that a NaN bound fails too; an infinite bound or an
+    # overflowing difference makes the span infinite
+    if not 0.0 < span < math.inf:
+        raise DegenerateDataError(f"normalization needs finite hi > lo, got [{lo}, {hi}]")
     return [min(100.0, max(0.0, 100.0 * (v - lo) / span))
             for v in check_array(values, name="values", ndim=1).tolist()]
 
 
 def rank(dataset: Dataset, column: str) -> list[tuple[int, str, float]]:
     """(rank, country, score) rows, descending; ties share the smaller rank."""
-    name = dataset.resolve_column(column)
-    scored = [(rec.name, rec.values[name]) for rec in dataset.records]
+    scored = zip(dataset.countries, dataset.column(column).tolist())
     ordered = sorted(scored, key=lambda pair: -pair[1])
     out: list[tuple[int, str, float]] = []
     for position, (country, score) in enumerate(ordered):

@@ -12,9 +12,9 @@ from indexlab import (
     SII,
     IDESI,
     casewise_diagnostics,
-    compute_idesi,
-    compute_sii_from_pillars,
+    compute_composite,
     fit_ols,
+    preset,
 )
 
 STAT_ROWS = ("mean", "std_deviation", "minimum", "maximum")
@@ -42,15 +42,18 @@ def _check_cells(diff, predicate, expected_count):
 
 def test_criterion_01_index_reconstruction(dataset):
     failures = []
-    for rec in dataset.records:
-        sii = compute_sii_from_pillars([rec.values[name] for name in PILLARS])
-        if abs(sii - rec.values[SII]) > 0.1:
-            failures.append(f"{rec.name}: SII {sii:.4f} vs {rec.values[SII]}")
-        idesi = compute_idesi([rec.values[name] for name in DIMENSIONS])
-        if abs(idesi - rec.values[IDESI]) > 1.0:
-            failures.append(f"{rec.name}: I-DESI {idesi:.4f} vs {rec.values[IDESI]}")
-    if len(dataset.records) != 29:
-        failures.append(f"expected 29 countries, found {len(dataset.records)}")
+    sii_definition, idesi_definition = preset("sii-2016"), preset("idesi-2020")
+    for name, (published_sii, *pillars), (published_idesi, *dimensions) in zip(
+            dataset.countries, dataset.array([SII, *PILLARS]).tolist(),
+            dataset.array([IDESI, *DIMENSIONS]).tolist()):
+        sii = compute_composite(sii_definition, dict(zip(PILLARS, pillars))).value
+        if abs(sii - published_sii) > 0.1:
+            failures.append(f"{name}: SII {sii:.4f} vs {published_sii}")
+        idesi = compute_composite(idesi_definition, dict(zip(DIMENSIONS, dimensions))).value
+        if abs(idesi - published_idesi) > 1.0:
+            failures.append(f"{name}: I-DESI {idesi:.4f} vs {published_idesi}")
+    if len(dataset) != 29:
+        failures.append(f"expected 29 countries, found {len(dataset)}")
     record(1, "SII and I-DESI recomputed from component scores for all 29 "
               "countries (within 0.1 / 1.0)", failures)
 

@@ -3,6 +3,7 @@ import json
 import os
 import random
 from collections import Counter
+from importlib import resources
 
 import pytest
 
@@ -28,9 +29,12 @@ def data_file(tmp_path_factory):
 
 def test_dataset_export(capsys):
     assert main(["dataset", "export"]) == 0
-    ds = parse_dataset(capsys.readouterr().out)
-    assert len(ds.records) == 29
+    out = capsys.readouterr().out
+    ds = parse_dataset(out)
+    assert len(ds) == 29
     assert len(ds.columns) == 11
+    packaged = resources.files("indexlab.data").joinpath("table_a1.csv").read_bytes()
+    assert out.encode() == packaged
 
 
 def test_dataset_validate_ok(capsys, data_file):
@@ -235,9 +239,16 @@ def test_predict_stepwise(capsys):
     assert "country:" not in out
 
 
-def test_predict_score_out_of_range(capsys):
-    assert main(["predict", "--model", "simple", "--score", "142"]) == 1
-    assert "outside [0, 100]" in capsys.readouterr().err
+@pytest.mark.parametrize("score", ["142", "nan", "inf", "-inf", "1e308", "-1e-300",
+                                   "100.0000001", "1e999"])
+def test_predict_score_out_of_range(capsys, score):
+    assert main(["predict", "--model", "simple", "--score", score]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert "outside [0, 100]" in lines[0]
 
 
 def test_usage_errors_exit_1(capsys, data_file):

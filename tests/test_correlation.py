@@ -95,7 +95,7 @@ def _assert_matches_pearson(dataset, variables):
         for j, b in enumerate(matrix.variables):
             if i == j:
                 continue
-            ref = pearson(dataset.column(a).values, dataset.column(b).values)
+            ref = pearson(dataset.column(a), dataset.column(b))
             assert abs(matrix.r[i][j] - ref.r) <= 1e-12, (a, b)
             assert abs(matrix.p[i][j] - ref.p.value) <= 1e-12, (a, b)
             assert matrix.stars[i][j] == significance_stars(ref.p), (a, b)

@@ -11,7 +11,6 @@ from indexlab import (
     ValidationError,
     emit_dataset,
     parse_dataset,
-    select,
 )
 from indexlab.dataset import DIMENSIONS, IDESI, PILLARS, SII
 
@@ -23,10 +22,9 @@ def test_bundled_shape(dataset):
 
 
 def test_bundled_values(dataset):
-    usa = dataset.record("USA")
-    assert usa.values[SII] == 79.4
-    assert usa.values[IDESI] == 59.0
-    assert dataset.record("Turkey").values[IDESI] == 26.0
+    scores = dataset.array([SII, IDESI])
+    assert scores[dataset.countries.index("USA")].tolist() == [79.4, 59.0]
+    assert scores[dataset.countries.index("Turkey"), 1] == 26.0
     # the predicted country is deliberately absent from the sample
     assert "Hungary" not in dataset.countries
     # bundled rows keep the published order: highest composite first
@@ -41,19 +39,20 @@ def test_emit_parse_round_trip(dataset):
 
 
 def test_column_and_series(dataset):
-    series = dataset.column(SII)
-    assert series.name == SII
-    assert len(series) == 29
-    assert series[0] == 79.4
-    assert list(series)[:2] == [79.4, 77.3]
+    column = dataset.column("sii")
+    assert column.shape == (29,) and column.dtype == np.float64
+    assert column[:2].tolist() == [79.4, 77.3]
+    # a column is a view of the dataset's own array, which is read-only
+    assert not column.flags["WRITEABLE"] and not column.flags["OWNDATA"]
+    with pytest.raises(ValueError, match="read-only"):
+        column[0] = -1.0
     block = dataset.array(["idesi", SII])
     assert block.shape == (29, 2) and block.flags["C_CONTIGUOUS"]
-    assert block[:, 1].tolist() == list(series.values)
-    assert block[:, 0].tolist() == list(dataset.column(IDESI).values)
-    # the accessor hands out a copy; the dataset's own array is read-only
+    assert np.array_equal(block[:, 1], column)
+    assert np.array_equal(block[:, 0], dataset.column(IDESI))
+    # the array accessor hands out a copy
     block[0, 1] = -1.0
     assert dataset.column(SII)[0] == 79.4
-    assert [rec.values[SII] for rec in dataset.records] == list(series.values)
 
 
 def test_resolve_column_case_insensitive(dataset):
@@ -63,22 +62,12 @@ def test_resolve_column_case_insensitive(dataset):
         dataset.resolve_column("Nope")
 
 
-def test_select_returns_requested_order(dataset):
-    picked = select(dataset, [IDESI, SII])
-    assert [s.name for s in picked] == [IDESI, SII]
-
-
 def test_sorted_by_name(dataset):
     by_name = dataset.sorted_by_name()
     assert list(by_name.countries) == sorted(dataset.countries)
     assert set(by_name.countries) == set(dataset.countries)
-    for country in dataset.countries:
-        assert by_name.record(country) == dataset.record(country)
-
-
-def test_record_lookup_error(dataset):
-    with pytest.raises(ColumnLookupError, match="unknown country"):
-        dataset.record("Atlantis")
+    rows = [dict(zip(ds.countries, ds.array(ds.columns).tolist())) for ds in (dataset, by_name)]
+    assert rows[0] == rows[1]
 
 
 def test_parse_rejects_bad_header():
@@ -131,7 +120,8 @@ def test_constructor_rejects_non_real_values(value):
 def test_constructor_accepts_ints_and_numpy_scalars():
     ds = Dataset(("a", "b", "c"),
                  (CountryRecord("A", {"a": 50, "b": np.float32(2.5), "c": np.int64(7)}),))
-    assert ds.record("A").values == {"a": 50.0, "b": 2.5, "c": 7.0}
+    row = ds.array(ds.columns)[ds.countries.index("A")]
+    assert row.dtype == np.float64 and row.tolist() == [50.0, 2.5, 7.0]
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])

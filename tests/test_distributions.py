@@ -50,6 +50,8 @@ def test_t_two_tailed_reference():
     assert abs(p.value - 4.550161577616684e-06) < 1e-16
     assert t_two_tailed_p(0.0, 10).value == 1.0
     assert t_two_tailed_p(math.inf, 10).value == 0.0
+    assert chi2_tail_p(math.inf, 4).value == 0.0
+    assert f_tail_p(math.inf, 2, 10).value == 0.0
     assert t_two_tailed_p(-3.0, 12).value == t_two_tailed_p(3.0, 12).value
 
 

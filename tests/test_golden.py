@@ -3,10 +3,11 @@ failure reporting as data rather than exceptions."""
 import copy
 
 from indexlab import (
-    Dataset,
     bundled_table_a1,
     diff_golden,
+    emit_dataset,
     golden_cells,
+    parse_dataset,
     render_diff,
     reproduce_all,
 )
@@ -65,7 +66,9 @@ def test_missing_table_fails_its_cells_without_raising(bundle):
 
 def test_row_deleted_dataset_fails_many_cells():
     ds = bundled_table_a1()
-    truncated = Dataset(columns=ds.columns, records=ds.records[:-1])
+    lines = emit_dataset(ds).splitlines(keepends=True)
+    truncated = parse_dataset("".join(lines[:-1]))
+    assert len(truncated) == len(ds) - 1
     diff = diff_golden(reproduce_all(truncated, replicates=20))
     assert not diff.passed
     assert diff.n_fail > 20

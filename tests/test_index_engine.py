@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from indexlab import (
@@ -7,8 +9,6 @@ from indexlab import (
     IndexDefinition,
     ValidationError,
     compute_composite,
-    compute_idesi,
-    compute_sii_from_pillars,
     min_max_normalize,
     parse_definition,
     preset,
@@ -24,27 +24,28 @@ def test_presets_available():
         preset("nope")
 
 
+def _composite(dataset, country, preset_name, components):
+    row = dataset.array(components)[dataset.countries.index(country)]
+    return compute_composite(preset(preset_name), dict(zip(components, row))).value
+
+
 def test_sii_from_pillars_reference(dataset):
-    usa = dataset.record("USA")
-    value = compute_sii_from_pillars([usa.values[c] for c in PILLARS])
+    value = _composite(dataset, "USA", "sii-2016", PILLARS)
     assert abs(value - 79.43678367836783) < 1e-12
-    denmark = dataset.record("Denmark")
-    value = compute_sii_from_pillars([denmark.values[c] for c in PILLARS])
+    value = _composite(dataset, "Denmark", "sii-2016", PILLARS)
     assert abs(value - 71.21299129912991) < 1e-12
 
 
 def test_idesi_reference(dataset):
-    china = dataset.record("China")
-    value = compute_idesi([china.values[c] for c in DIMENSIONS])
+    value = _composite(dataset, "China", "idesi-2020", DIMENSIONS)
     assert abs(value - 34.25) < 1e-12
 
 
 def test_reconstruction_matches_published(dataset):
-    for rec in dataset.records:
-        sii = compute_sii_from_pillars([rec.values[c] for c in PILLARS])
-        assert abs(sii - rec.values[SII]) <= 0.1, rec.name
-        idesi = compute_idesi([rec.values[c] for c in DIMENSIONS])
-        assert abs(idesi - rec.values[IDESI]) <= 1.0, rec.name
+    published = dataset.array([SII, IDESI]).tolist()
+    for country, (sii, idesi) in zip(dataset.countries, published):
+        assert abs(_composite(dataset, country, "sii-2016", PILLARS) - sii) <= 0.1, country
+        assert abs(_composite(dataset, country, "idesi-2020", DIMENSIONS) - idesi) <= 1.0, country
 
 
 def test_sii_weights_normalized():
@@ -127,6 +128,9 @@ def test_min_max_normalize():
     assert min_max_normalize([2.0, 20.0], 5.0, 15.0) == [0.0, 100.0]
     with pytest.raises(DegenerateDataError):
         min_max_normalize([1.0, 2.0], 5.0, 5.0)
+    for lo, hi in ((-math.inf, 10.0), (0.0, math.inf), (math.nan, 10.0), (0.0, math.nan)):
+        with pytest.raises(DegenerateDataError):
+            min_max_normalize([5.0], lo, hi)
 
 
 def test_rank_published(dataset):

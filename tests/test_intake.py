@@ -32,7 +32,7 @@ _SAMPLE_CALLS = {
     "durbin_watson": (lambda s: durbin_watson(s, replicates=100), "fit"),
     "min_max_normalize": (lambda s: min_max_normalize(s, 0.0, 10.0), "values"),
 }
-# tail function -> (call on a NaN, the guard its error comes from)
+# tail function -> (call on a NaN, or on an infinite df, the guard its error comes from)
 _TAIL_CALLS = {
     "t-statistic": (lambda v: t_two_tailed_p(v, 10), "t statistic is NaN"),
     "t-df": (lambda v: t_two_tailed_p(2.0, v), "df >= 1"),
@@ -50,6 +50,9 @@ _CASES = [
 ] + [
     pytest.param(call, math.nan, DomainError, guard, id=name)
     for name, (call, guard) in _TAIL_CALLS.items()
+] + [
+    pytest.param(call, math.inf, DomainError, guard, id=f"{name}-inf")
+    for name, (call, guard) in _TAIL_CALLS.items() if "-df" in name
 ]
 
 

@@ -495,6 +495,28 @@ def test_ols_does_not_depend_on_memory_layout():
     assert dataclasses.asdict(c_fit) == dataclasses.asdict(f_fit)
 
 
+def test_ols_matches_lstsq_oracle():
+    # every third design has a near-collinear pair: column 1 is column 0 plus
+    # noise at 1e-3 of its spread (correlation about 1 - 5e-7)
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 7))
+        n = int(rng.integers(k + 2, 600))
+        x = rng.normal(size=(n, k)) * rng.uniform(0.1, 10.0, size=k) + rng.uniform(-5, 5, size=k)
+        if seed % 3 == 0 and k >= 2:
+            x[:, 1] = x[:, 0] + 1e-3 * x[:, 0].std() * rng.normal(size=n)
+        y = x @ rng.normal(size=k) + rng.uniform(0.01, 3.0) * rng.normal(size=n)
+        fit = OLS().fit(x, y).stats_
+        design = np.column_stack([np.ones(n), x])
+        ref = np.linalg.lstsq(design, y, rcond=None)[0]
+        ref_residuals = y - design @ ref
+        ref_r_squared = 1.0 - ref_residuals @ ref_residuals / np.sum((y - y.mean()) ** 2)
+        for actual, expected in ((fit.coefficients, ref), (fit.residuals, ref_residuals)):
+            err = np.abs(np.array(actual) - expected) / np.maximum(1.0, np.abs(expected))
+            assert err.max() <= 1e-9, (seed, n, k, err.max())
+        assert abs(fit.r_squared - ref_r_squared) <= 1e-12, (seed, n, k)
+
+
 def test_stepwise_requires_candidates(sorted_dataset):
     with pytest.raises(ValidationError):
         stepwise_fit(sorted_dataset, SII, [])
