@@ -500,10 +500,11 @@ def test_ols_matches_lstsq_oracle():
     # noise at 1e-3 of its spread (correlation about 1 - 5e-7)
     for seed in range(300):
         rng = np.random.default_rng(seed)
-        k = int(rng.integers(1, 7))
+        collinear = seed % 3 == 0
+        k = int(rng.integers(2 if collinear else 1, 7))
         n = int(rng.integers(k + 2, 600))
         x = rng.normal(size=(n, k)) * rng.uniform(0.1, 10.0, size=k) + rng.uniform(-5, 5, size=k)
-        if seed % 3 == 0 and k >= 2:
+        if collinear:
             x[:, 1] = x[:, 0] + 1e-3 * x[:, 0].std() * rng.normal(size=n)
         y = x @ rng.normal(size=k) + rng.uniform(0.01, 3.0) * rng.normal(size=n)
         fit = OLS().fit(x, y).stats_
