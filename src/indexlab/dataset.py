@@ -170,9 +170,29 @@ def parse_dataset(csv_text: str) -> Dataset:
     if not columns:
         raise DatasetParseError("no score columns in header")
 
-    names = []
-    values = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    names, values = _names_and_values(header, rows[1:])
+    data = np.array(values, dtype=float).reshape(len(names), len(columns))
+    dataset = Dataset._from_array(columns, tuple(names), data)
+    dataset._validate()
+    return dataset
+
+
+def _names_and_values(header: list[str], body: list[list[str]]) -> tuple[list[str], list[float]]:
+    """Country names and the row-major cell values of the data rows.
+
+    A well-formed body converts in one pass (``float`` strips whitespace
+    itself). Anything else goes through the row-by-row loop, which raises on
+    the first bad row or cell with its line number and column.
+    """
+    names = [row[0].strip() for row in body]
+    if all(names) and all(len(row) == len(header) for row in body):
+        try:
+            return names, [float(cell) for row in body for cell in row[1:]]
+        except ValueError:
+            pass
+    columns = header[1:]
+    names, values = [], []
+    for lineno, row in enumerate(body, start=2):
         if len(row) != len(header):
             raise ValidationError(
                 f"row {lineno}: expected {len(header)} cells, got {len(row)}"
@@ -191,10 +211,7 @@ def parse_dataset(csv_text: str) -> Dataset:
                 raise DatasetParseError(
                     f"row {lineno}, column {col!r}: not a number: {cell!r}"
                 ) from None
-    data = np.array(values, dtype=float).reshape(len(names), len(columns))
-    dataset = Dataset._from_array(columns, tuple(names), data)
-    dataset._validate()
-    return dataset
+    return names, values
 
 
 def emit_dataset(dataset: Dataset) -> str:
@@ -202,8 +219,8 @@ def emit_dataset(dataset: Dataset) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(("country",) + dataset.columns)
-    for name, row in zip(dataset.countries, dataset._data.tolist()):
-        writer.writerow([name, *map(repr, row)])
+    # the writer writes a float as its repr, which parses back to the same value
+    writer.writerows(zip(dataset.countries, *dataset._data.T.tolist()))
     return out.getvalue()
 
 

@@ -3,6 +3,12 @@
 The Shapiro-Wilk test follows Royston's AS R94 approximation: weights from
 normal order-statistic quantiles with polynomial corrections at the tails,
 and a log-normal transform of 1 - W for the p-value.
+
+Each statistic works on one float array, sorted (stably, as ``sorted``
+does) where order matters. Sums stay exactly rounded: ``math.fsum`` over the
+``tolist()`` of a numpy element-wise expression (the values, the squared
+deviations ``d * d``, the products of weights and order statistics), so no
+summation order can move a printed digit.
 """
 from __future__ import annotations
 
@@ -10,6 +16,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
+
+import numpy as np
 
 from .base import check_array
 from .distributions import PValue, normal_cdf, normal_quantile
@@ -34,20 +42,26 @@ class NormalityResult:
 
 def describe(series: Sequence[float]) -> DescriptiveStats:
     """Mean, sample standard deviation (n-1 denominator), min, and max."""
-    x = check_array(series, name="series", ndim=1).tolist()
+    x = check_array(series, name="series", ndim=1)
     n = len(x)
     if n < 2:
         raise InsufficientDataError(f"describe needs at least 2 values, got {n}")
-    mean = math.fsum(x) / n
-    ss = math.fsum((v - mean) ** 2 for v in x)
+    mean = math.fsum(x.tolist()) / n
     return DescriptiveStats(
         valid=n,
         missing=0,
         mean=mean,
-        std_deviation=math.sqrt(ss / (n - 1)),
-        minimum=min(x),
-        maximum=max(x),
+        std_deviation=math.sqrt(_sum_sq_dev(x, mean) / (n - 1)),
+        # the first extreme in row order, as min() and max() pick among equal zeros
+        minimum=float(x[x.argmin()]),
+        maximum=float(x[x.argmax()]),
     )
+
+
+def _sum_sq_dev(x: np.ndarray, mean: float) -> float:
+    """Exactly rounded sum of squared deviations from ``mean``."""
+    d = x - mean
+    return math.fsum((d * d).tolist())
 
 
 def _poly(coeffs: Sequence[float], x: float) -> float:
@@ -70,9 +84,9 @@ _C6 = (-0.4803, -0.082676, 0.0030302)
 
 
 @lru_cache(maxsize=32)
-def _sw_coefficients(n: int) -> tuple[float, ...]:
-    """AS R94 weights a_1..a_n for the ordered sample; memoised, as every
-    column of one dataset shares its n."""
+def _sw_coefficients(n: int) -> np.ndarray:
+    """AS R94 weights a_1..a_n for the ordered sample, read-only; memoised,
+    as every column of one dataset shares its n."""
     m = [normal_quantile((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)]
     ssumm2 = math.fsum(v * v for v in m)
     rsn = 1.0 / math.sqrt(n)
@@ -97,22 +111,22 @@ def _sw_coefficients(n: int) -> tuple[float, ...]:
         a = [v / math.sqrt(phi) for v in m]
         a[0] = -a_n
         a[-1] = a_n
-    return tuple(a)
+    weights = np.array(a)
+    weights.setflags(write=False)
+    return weights
 
 
 def shapiro_wilk(series: Sequence[float]) -> NormalityResult:
     """Shapiro-Wilk W and its p-value per the AS R94 approximation."""
-    x = sorted(check_array(series, name="series", ndim=1).tolist())
+    x = np.sort(check_array(series, name="series", ndim=1), kind="stable")
     n = len(x)
     if n < 3 or n > 5000:
         raise DomainError(f"shapiro_wilk needs 3 <= n <= 5000, got {n}")
     if x[0] == x[-1]:
         raise DegenerateDataError("shapiro_wilk needs non-constant data")
 
-    a = _sw_coefficients(n)
-    mean = math.fsum(x) / n
-    ssq = math.fsum((v - mean) ** 2 for v in x)
-    wnum = math.fsum(ai * v for ai, v in zip(a, x)) ** 2
+    ssq = _sum_sq_dev(x, math.fsum(x.tolist()) / n)
+    wnum = math.fsum((_sw_coefficients(n) * x).tolist()) ** 2
     w = min(1.0, wnum / ssq)
 
     if n == 3:
@@ -142,7 +156,7 @@ def _median(sorted_x: Sequence[float]) -> float:
 
 def tukey_hinges(series: Sequence[float]) -> tuple[float, float]:
     """Lower and upper hinges: medians of the two halves, median included when n is odd."""
-    x = sorted(check_array(series, name="series", ndim=1).tolist())
+    x = np.sort(check_array(series, name="series", ndim=1), kind="stable").tolist()
     n = len(x)
     if n < 4:
         raise InsufficientDataError(f"hinges need at least 4 values, got {n}")
@@ -152,9 +166,9 @@ def tukey_hinges(series: Sequence[float]) -> tuple[float, float]:
 
 def boxplot_outliers(series: Sequence[float]) -> list[int]:
     """Indices of values outside [Q1 - 1.5 IQR, Q3 + 1.5 IQR] with Tukey-hinge quartiles."""
-    x = check_array(series, name="series", ndim=1).tolist()
+    x = check_array(series, name="series", ndim=1)
     q1, q3 = tukey_hinges(x)
     iqr = q3 - q1
     lo = q1 - 1.5 * iqr
     hi = q3 + 1.5 * iqr
-    return [i for i, v in enumerate(x) if v < lo or v > hi]
+    return np.flatnonzero((x < lo) | (x > hi)).tolist()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .base import check_array
@@ -51,8 +52,10 @@ class IndexDefinition:
         if total <= 0.0:
             raise DefinitionError(f"index {self.name!r} has zero total weight")
 
-    @property
+    @cached_property
     def normalized_weights(self) -> dict[str, float]:
+        """Component weights scaled to sum to 1, computed once per definition;
+        every caller shares the one dict, so none may modify it."""
         total = sum(c.weight for c in self.components)
         return {c.name: c.weight / total for c in self.components}
 

@@ -475,20 +475,16 @@ def collinearity(dataset: Dataset, predictors: Sequence[str]) -> CollinearityRep
 def casewise_diagnostics(fit: LinearModelFit) -> CasewiseDiagnostics:
     """Internally studentized residuals, Cook's distances, and flagged rows."""
     k = len(fit.predictors)
-    std_resid: list[float] = []
-    cooks: list[float] = []
-    for e, h in zip(fit.residuals, fit.leverage):
-        denom = fit.rmse * math.sqrt(max(0.0, 1.0 - h))
-        r = e / denom if denom > 0.0 else 0.0
-        std_resid.append(r)
-        cooks.append(r * r * h / ((k + 1) * (1.0 - h)) if h < 1.0 else math.inf)
-    flagged = tuple(
-        i for i in range(fit.n)
-        if abs(std_resid[i]) > STD_RESIDUAL_FLAG or cooks[i] > COOKS_FLAG
-    )
-    return CasewiseDiagnostics(cooks_distance=tuple(cooks),
-                               standardized_residuals=tuple(std_resid),
-                               flagged=flagged)
+    e, h = np.array(fit.residuals), np.array(fit.leverage)
+    denom = fit.rmse * np.sqrt(np.maximum(0.0, 1.0 - h))
+    # both branches are evaluated; the rejected one may divide by zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        std_resid = np.where(denom > 0.0, e / denom, 0.0)
+        cooks = np.where(h < 1.0, std_resid * std_resid * h / ((k + 1) * (1.0 - h)), math.inf)
+    flagged = np.flatnonzero((np.abs(std_resid) > STD_RESIDUAL_FLAG) | (cooks > COOKS_FLAG))
+    return CasewiseDiagnostics(cooks_distance=tuple(cooks.tolist()),
+                               standardized_residuals=tuple(std_resid.tolist()),
+                               flagged=tuple(flagged.tolist()))
 
 
 def stepwise_fit(dataset: Dataset, response: str,

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 from . import _version
 from .correlation import CorrelationMatrix, correlation_matrix
 from .dataset import (
@@ -207,12 +209,10 @@ def _histogram(values: Sequence[float]) -> dict:
     lo, hi = HISTOGRAM_RANGE
     width = (hi - lo) / HISTOGRAM_BINS
     edges = [lo + i * width for i in range(HISTOGRAM_BINS + 1)]
-    counts = [0] * HISTOGRAM_BINS
-    for v in values:
-        # out-of-range values are clipped into the boundary bins
-        i = int((v - lo) // width)
-        counts[min(max(i, 0), HISTOGRAM_BINS - 1)] += 1
-    return {"bin_edges": edges, "counts": counts}
+    # out-of-range values are clipped into the boundary bins
+    bins = np.clip((np.asarray(values, dtype=float) - lo) // width, 0, HISTOGRAM_BINS - 1)
+    counts = np.bincount(bins.astype(np.intp), minlength=HISTOGRAM_BINS)
+    return {"bin_edges": edges, "counts": counts.tolist()}
 
 
 def _residual_figure(fit: LinearModelFit) -> dict:
@@ -220,16 +220,16 @@ def _residual_figure(fit: LinearModelFit) -> dict:
         "residuals_vs_predicted": {
             "x_label": "predicted",
             "y_label": "residual",
-            "points": [[f, e] for f, e in zip(fit.fitted, fit.residuals)],
+            "points": np.column_stack((fit.fitted, fit.residuals)).tolist(),
         },
         "standardized_residual_histogram": _histogram(_standardized_residuals(fit)),
     }
 
 
 def _nearest_country(dataset: Dataset, value: float) -> tuple[str, float]:
-    sii = dataset.array([SII])[:, 0].tolist()
-    best = min(range(len(sii)), key=lambda i: abs(sii[i] - value))
-    return dataset.countries[best], sii[best]
+    sii = dataset.array([SII])[:, 0]
+    best = int(np.argmin(np.abs(sii - value)))  # the first of equally near rows
+    return dataset.countries[best], float(sii[best])
 
 
 def prediction_record(model: str, fit: LinearModelFit, score: float,
@@ -713,7 +713,8 @@ def _emit_csv(bundle: ReportBundle) -> str:
 def emit(bundle: ReportBundle, format: str) -> str:
     """Serialize a bundle deterministically as csv, markdown, or json."""
     if format == "json":
-        return json.dumps(bundle.as_dict(), indent=2) + "\n"
+        # compact, so the C encoder runs; indent falls back to pure Python
+        return json.dumps(bundle.as_dict()) + "\n"
     if format == "markdown":
         return _emit_markdown(bundle)
     if format == "csv":

@@ -38,6 +38,22 @@ def test_emit_parse_round_trip(dataset):
     assert again.countries == dataset.countries
 
 
+def test_emit_round_trips_quoted_country_names():
+    text = 'country,a,b\n"Korea, Rep. ""South""",50.5,0.1\nX,3.0,99.99\n'
+    ds = parse_dataset(text)
+    assert ds.countries == ('Korea, Rep. "South"', "X")
+    assert emit_dataset(ds) == text
+
+
+def test_parse_strips_padded_cells():
+    padded = parse_dataset("country , a ,b\n A , 12.5 ,\t7\t\n\tB\t,\t1e1 ,  3.25\n")
+    plain = parse_dataset("country,a,b\nA,12.5,7\nB,1e1,3.25\n")
+    assert padded.columns == plain.columns == ("a", "b")
+    assert padded.countries == plain.countries == ("A", "B")
+    assert padded.array(["a", "b"]).tolist() == plain.array(["a", "b"]).tolist() \
+        == [[12.5, 7.0], [10.0, 3.25]]
+
+
 def test_column_and_series(dataset):
     column = dataset.column("sii")
     assert column.shape == (29,) and column.dtype == np.float64
@@ -92,6 +108,30 @@ def test_parse_rejects_bad_cells():
     # Python 3.11) are parse errors too
     with pytest.raises(DatasetParseError, match="line 2: field larger than field limit"):
         parse_dataset('country,SII\n"' + "x" * 200_000 + '",50\n')
+
+
+GOOD_ROWS = "".join(f"C{i},{i}.5, {i % 7}\n" for i in range(40))  # rows 2 to 41
+
+
+@pytest.mark.parametrize("last_row,error,message", [
+    ("Z,50,x7", DatasetParseError, "row 42, column 'b': not a number: 'x7'"),
+    ("Z,50, 1 2 ", DatasetParseError, "row 42, column 'b': not a number: '1 2'"),
+    ("Z,,50", ValidationError, "row 42: missing value in column 'a'"),
+    ("Z,50, \t ", ValidationError, "row 42: missing value in column 'b'"),
+    ("Z,50", ValidationError, "row 42: expected 3 cells, got 2"),
+    ("Z,50,1,2", ValidationError, "row 42: expected 3 cells, got 4"),
+    (" ,50,1", ValidationError, "row 42: empty country name"),
+], ids=["non_number", "inner_space", "empty", "whitespace_only", "short", "long", "no_name"])
+def test_parse_names_bad_last_row(last_row, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        parse_dataset("country,a,b\n" + GOOD_ROWS + last_row + "\n")
+
+
+def test_parse_names_first_bad_row():
+    # a bad cell in an earlier row is reported before a short row after it
+    text = "country,a,b\n" + GOOD_ROWS + "Y,50,?\nZ,1\n"
+    with pytest.raises(DatasetParseError, match=re.escape("row 42, column 'b': not a number")):
+        parse_dataset(text)
 
 
 def test_constructor_validation():

@@ -167,7 +167,9 @@ def test_figures(bundle):
 
 
 def test_emit_json_shape(bundle):
-    payload = json.loads(emit(bundle, "json"))
+    text = emit(bundle, "json")
+    assert text.count("\n") == 1 and text.endswith("}\n")  # compact, one line
+    payload = json.loads(text)
     assert list(payload) == [
         "provenance", "tables", "normality_screen", "outlier_screen",
         "gate", "casewise", "predictions", "figures",
@@ -195,7 +197,7 @@ def test_emit_csv(bundle):
 
 def _snapshot_text(bundle, fmt):
     """The seed-42, R = 10,000 report with the version string pinned, as
-    tests/snapshots/report_seed42.{md,csv} were written."""
+    tests/snapshots/report_seed42.{md,csv,json} were written."""
     pinned = dataclasses.replace(
         bundle, provenance={**bundle.provenance, "tool_version": "snapshot"})
     return emit(pinned, fmt)
@@ -216,6 +218,29 @@ def test_emit_csv_matches_snapshot(bundle):
         for got, want in zip(got_row, want_row):
             if got != want:
                 assert abs(float(got) - float(want)) <= 1e-9 * abs(float(want)), (line, got, want)
+
+
+def _assert_json_close(got, want, path="$"):
+    """Same keys, lengths and text; numbers within 1e-12 relative."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), path
+        for key in want:
+            _assert_json_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_json_close(g, w, f"{path}[{i}]")
+    elif isinstance(want, float) and not isinstance(got, bool):
+        assert isinstance(got, (int, float)), path
+        assert got == want or abs(got - want) <= 1e-12 * abs(want), (path, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (path, got, want)
+
+
+def test_emit_json_matches_snapshot(bundle):
+    """The JSON layout may change; its keys, text and numbers may not."""
+    expected = json.loads((SNAPSHOTS / "report_seed42.json").read_text())
+    _assert_json_close(json.loads(_snapshot_text(bundle, "json")), expected)
 
 
 def test_emit_unknown_format(bundle):
