@@ -8,7 +8,9 @@ Each statistic works on one float array, sorted (stably, as ``sorted``
 does) where order matters. Sums stay exactly rounded: ``math.fsum`` over the
 ``tolist()`` of a numpy element-wise expression (the values, the squared
 deviations ``d * d``, the products of weights and order statistics), so no
-summation order can move a printed digit.
+summation order can move a printed digit. The report pipeline sorts each
+column once and hands the order statistics to both Shapiro-Wilk and the
+boxplot hinges.
 """
 from __future__ import annotations
 
@@ -118,7 +120,12 @@ def _sw_coefficients(n: int) -> np.ndarray:
 
 def shapiro_wilk(series: Sequence[float]) -> NormalityResult:
     """Shapiro-Wilk W and its p-value per the AS R94 approximation."""
-    x = np.sort(check_array(series, name="series", ndim=1), kind="stable")
+    return _shapiro_wilk_ordered(np.sort(check_array(series, name="series", ndim=1),
+                                         kind="stable"))
+
+
+def _shapiro_wilk_ordered(x: np.ndarray) -> NormalityResult:
+    """``shapiro_wilk`` of a finite sample already sorted ascending."""
     n = len(x)
     if n < 3 or n > 5000:
         raise DomainError(f"shapiro_wilk needs 3 <= n <= 5000, got {n}")
@@ -156,7 +163,11 @@ def _median(sorted_x: Sequence[float]) -> float:
 
 def tukey_hinges(series: Sequence[float]) -> tuple[float, float]:
     """Lower and upper hinges: medians of the two halves, median included when n is odd."""
-    x = np.sort(check_array(series, name="series", ndim=1), kind="stable").tolist()
+    return _hinges(np.sort(check_array(series, name="series", ndim=1), kind="stable").tolist())
+
+
+def _hinges(x: list[float]) -> tuple[float, float]:
+    """``tukey_hinges`` of a sample already sorted ascending."""
     n = len(x)
     if n < 4:
         raise InsufficientDataError(f"hinges need at least 4 values, got {n}")
@@ -167,7 +178,13 @@ def tukey_hinges(series: Sequence[float]) -> tuple[float, float]:
 def boxplot_outliers(series: Sequence[float]) -> list[int]:
     """Indices of values outside [Q1 - 1.5 IQR, Q3 + 1.5 IQR] with Tukey-hinge quartiles."""
     x = check_array(series, name="series", ndim=1)
-    q1, q3 = tukey_hinges(x)
+    return _outliers(x, np.sort(x, kind="stable"))
+
+
+def _outliers(x: np.ndarray, ordered: np.ndarray) -> list[int]:
+    """``boxplot_outliers`` of a finite sample x, given x sorted (stably) as
+    ``ordered``."""
+    q1, q3 = _hinges(ordered.tolist())
     iqr = q3 - q1
     lo = q1 - 1.5 * iqr
     hi = q3 + 1.5 * iqr

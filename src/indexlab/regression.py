@@ -10,17 +10,22 @@ dataset functions (``fit_ols``, ``null_model``, ``stepwise_fit``) and the
 array estimators (``OLS``, ``StepwiseOLS``) share one least-squares fit,
 ``_ols_arrays``, and one stepwise search, ``_stepwise``.
 
-Each bootstrap call seeds one PCG64 and sorts its raw 64-bit outputs as
-keys, n per replicate, with each key's low bits set to its column index so
-that the keys of a row are distinct and the permutation does not depend on
-the sort algorithm. numpy promises to keep the bit generators' raw streams
-across versions (NEP 19), so replicate i depends only on (seed, n, i). The
-replicates are drawn and scored in chunks of 256 rows, one vectorized pass
-per chunk, so no permutation matrix is stored and scratch memory does not
-grow with the replicate count. A replicate whose d is within 1e-12
-(relative) of the observed d is a tie and counts on both sides of the
-two-tailed test, and the p-value counts the observed order among the
-permutations, (b + 1) / (R + 1), so it is never 0.
+A run draws the bootstrap's permutations once and scores every residual
+vector on them: ``reproduce_all`` passes its three fits to one scorer,
+``_durbin_watson_many``, and ``durbin_watson`` is that scorer for one
+vector. The draw seeds one PCG64 and takes its raw 64-bit outputs as keys,
+n per replicate, with each key's low bits set to its column index, so that
+the keys of a row are distinct. Each row is then sorted, and the low bits of
+the sorted keys are read back as the permutation: the order that an argsort
+of the keys gives, and the same for every sort algorithm. numpy promises to
+keep the bit generators' raw streams across versions (NEP 19), so replicate
+i depends only on (seed, n, i). The replicates are drawn in chunks of 256
+rows and each vector is scored on a chunk in one vectorized pass, so no
+permutation matrix is stored and scratch memory does not grow with the
+replicate count. A replicate whose d is within 1e-12 (relative) of the
+observed d is a tie and counts on both sides of the two-tailed test, and the
+p-value counts the observed order among the permutations, (b + 1) / (R + 1),
+so it is never 0.
 """
 from __future__ import annotations
 
@@ -47,7 +52,8 @@ DEFAULT_SEED = 42
 # the most Durbin-Watson replicates one call accepts, a bound on its run time
 # (about 100 s at n = 29 on a 2-CPU x86-64 host)
 MAX_REPLICATES = 10**8
-# the Durbin-Watson permutation scheme, as report provenance names it
+# the Durbin-Watson permutation scheme, as report provenance names it: the
+# argsort of the masked raw keys, which the low bits of the sorted keys give
 DW_PERMUTATION = "pcg64-raw-keys-argsort"
 
 STD_RESIDUAL_FLAG = 3.0
@@ -135,8 +141,9 @@ def _t_statistic(coef: float, se: float) -> float:
 
 
 def _centred_qr(xc: np.ndarray, predictor_names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Thin Q and inverse R of the centred predictors, after the rank test:
-    a column whose |R_jj| is at rounding level depends on the columns before it."""
+    """Thin Q and upper-triangular R of the centred predictors, after the rank
+    test: a column whose |R_jj| is at rounding level depends on the columns
+    before it."""
     n = xc.shape[0]
     col_norms = np.sqrt((xc * xc).sum(axis=0))
     q_thin, r_mat = np.linalg.qr(xc)
@@ -147,7 +154,7 @@ def _centred_qr(xc: np.ndarray, predictor_names: Sequence[str]) -> tuple[np.ndar
                 f"design is rank deficient: column {name!r} is "
                 "linearly dependent on the preceding columns (or constant)"
             )
-    return q_thin, np.linalg.inv(r_mat)
+    return q_thin, r_mat
 
 
 def _ols_arrays(x: np.ndarray, y: np.ndarray, response: str,
@@ -171,10 +178,14 @@ def _ols_arrays(x: np.ndarray, y: np.ndarray, response: str,
 
     x_means = x.mean(axis=0)
     if k:
-        q_thin, r_inv = _centred_qr(x - x_means, predictor_names)
+        q_thin, r_mat = _centred_qr(x - x_means, predictor_names)
+        # R is upper triangular with a nonzero diagonal, so partial pivoting
+        # swaps no rows and this is back-substitution; inv(R) is formed only
+        # for the standard errors
+        slopes = np.linalg.solve(r_mat, q_thin.T @ yc)
+        r_inv = np.linalg.inv(r_mat)
     else:
-        q_thin, r_inv = np.zeros((n, 0)), np.zeros((0, 0))
-    slopes = r_inv @ (q_thin.T @ yc)
+        q_thin, slopes, r_inv = np.zeros((n, 0)), np.zeros(0), np.zeros((0, 0))
     s_inv = r_inv @ r_inv.T
     leverage = 1.0 / n + (q_thin * q_thin).sum(axis=1)
 
@@ -379,12 +390,14 @@ def _permutation_chunks(seed: int, n: int, replicates: int) -> Iterator[np.ndarr
     """The bootstrap's permutations of range(n), as (m, n) index arrays of
     up to ``_SCORE_CHUNK`` rows each, ``replicates`` rows in all.
 
-    Row i argsorts the raw 64-bit outputs i*n to (i+1)*n - 1 of
+    Row i orders the raw 64-bit outputs i*n to (i+1)*n - 1 of
     ``PCG64(seed)`` as keys, each with its low bits overwritten by its column
-    index. The keys of a row are then distinct, so every sort algorithm,
-    numpy version and CPU gives the same order. A tie in the random high bits
-    (probability below n**2 / 2**(65 - b) per row for b low bits) goes to the
-    lower column. A run's rows are the first rows of any longer run.
+    index. The keys of a row are then distinct, so sorting them gives one
+    order whatever the algorithm, numpy version or CPU, and the low bits of
+    the sorted keys are the column indices in that order: the argsort of the
+    keys. A tie in the random high bits (probability below n**2 / 2**(65 - b)
+    per row for b low bits) goes to the lower column. A run's rows are the
+    first rows of any longer run.
     """
     bitgen = np.random.PCG64(seed)
     low_bits = np.uint64((1 << max(1, (n - 1).bit_length())) - 1)
@@ -394,7 +407,49 @@ def _permutation_chunks(seed: int, n: int, replicates: int) -> Iterator[np.ndarr
         keys = bitgen.random_raw(rows * n).reshape(rows, n)
         keys &= ~low_bits
         keys |= columns
-        yield np.argsort(keys, axis=1)
+        keys.sort(axis=1)
+        keys &= low_bits
+        # every index is below 2**63: a signed view indexes without a cast
+        yield keys.view(np.int64)
+
+
+def _durbin_watson_many(fits: Sequence[LinearModelFit | Sequence[float]],
+                        replicates: int, seed: int) -> list[DurbinWatsonResult]:
+    """``durbin_watson`` of each of one or more residual vectors of one
+    length, all scored on one draw of the permutations: each vector's result
+    equals that of its own call."""
+    # contiguous: the dot products of a strided view sum in another order
+    stack = [np.ascontiguousarray(check_array(
+        fit.residuals if isinstance(fit, LinearModelFit) else fit, name="fit", ndim=1))
+        for fit in fits]
+    for residuals in stack:
+        if residuals.shape[0] < 3:
+            raise InsufficientDataError(
+                f"Durbin-Watson needs at least 3 residuals, got {residuals.shape[0]}")
+    _check_bootstrap(replicates, seed)
+    n = stack[0].shape[0]
+    if any(residuals.shape[0] != n for residuals in stack):
+        raise ValidationError("Durbin-Watson residual vectors differ in length: "
+                              + ", ".join(str(residuals.shape[0]) for residuals in stack))
+    sums = [float(residuals @ residuals) for residuals in stack]
+    if 0.0 in sums:
+        raise ValidationError("Durbin-Watson is undefined for all-zero residuals")
+    observed = [_dw_statistic(residuals) for residuals in stack]
+
+    at_or_above = [0] * len(stack)
+    at_or_below = [0] * len(stack)
+    for perms in _permutation_chunks(seed, n, replicates):
+        # one vector at a time: a (k, m, n) gather would cost more than it saves
+        for i, (residuals, ss, (d, _)) in enumerate(zip(stack, sums, observed)):
+            diffs = np.diff(residuals[perms], axis=1)
+            d_perm = (diffs * diffs).sum(axis=1) / ss
+            tie = _DW_TIE_RTOL * d
+            at_or_above[i] += int(np.count_nonzero(d_perm >= d - tie))
+            at_or_below[i] += int(np.count_nonzero(d_perm <= d + tie))
+    return [DurbinWatsonResult(
+        d=d, autocorrelation=autocorrelation,
+        p=PValue(min(1.0, 2.0 * (min(above, below) + 1) / (replicates + 1)), "two-tailed"))
+        for (d, autocorrelation), above, below in zip(observed, at_or_above, at_or_below)]
 
 
 def durbin_watson(fit: LinearModelFit | Sequence[float],
@@ -417,29 +472,7 @@ def durbin_watson(fit: LinearModelFit | Sequence[float],
     identity, the reversal) is counted the same whatever order its sums were
     taken in. R must be between 1 and ``MAX_REPLICATES``.
     """
-    # contiguous: the dot products of a strided view sum in another order
-    residuals = np.ascontiguousarray(check_array(
-        fit.residuals if isinstance(fit, LinearModelFit) else fit, name="fit", ndim=1))
-    n = residuals.shape[0]
-    if n < 3:
-        raise InsufficientDataError(f"Durbin-Watson needs at least 3 residuals, got {n}")
-    _check_bootstrap(replicates, seed)
-    ss = float(residuals @ residuals)
-    if ss == 0.0:
-        raise ValidationError("Durbin-Watson is undefined for all-zero residuals")
-    d, autocorrelation = _dw_statistic(residuals)
-
-    tie = _DW_TIE_RTOL * d
-    at_or_above = 0
-    at_or_below = 0
-    for perms in _permutation_chunks(seed, n, replicates):
-        diffs = np.diff(residuals[perms], axis=1)
-        d_perm = (diffs * diffs).sum(axis=1) / ss
-        at_or_above += int(np.count_nonzero(d_perm >= d - tie))
-        at_or_below += int(np.count_nonzero(d_perm <= d + tie))
-    p = min(1.0, 2.0 * (min(at_or_above, at_or_below) + 1) / (replicates + 1))
-    return DurbinWatsonResult(d=d, autocorrelation=autocorrelation,
-                              p=PValue(p, "two-tailed"))
+    return _durbin_watson_many([fit], replicates, seed)[0]
 
 
 def collinearity(dataset: Dataset, predictors: Sequence[str]) -> CollinearityReport:
@@ -461,10 +494,11 @@ def collinearity(dataset: Dataset, predictors: Sequence[str]) -> CollinearityRep
         )
     xc = x - x.mean(axis=0)
     try:
-        _, r_inv = _centred_qr(xc, names)
+        _, r_mat = _centred_qr(xc, names)
     except SingularDesignError:
         return CollinearityReport(predictors=names, tolerance=(0.0,) * k,
                                   vif=(math.inf,) * k)
+    r_inv = np.linalg.inv(r_mat)
     # (Xc'Xc)^-1 = R^-1 R^-T, so its diagonal is the row sums of squares of R^-1
     vif = (xc * xc).sum(axis=0) * (r_inv * r_inv).sum(axis=1)
     tolerance = np.minimum(1.0, 1.0 / vif)

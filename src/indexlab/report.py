@@ -38,7 +38,14 @@ from .dataset import (
     bundled_table_a1,
     emit_dataset,
 )
-from .descriptive import DescriptiveStats, NormalityResult, boxplot_outliers, describe, shapiro_wilk
+from .descriptive import (
+    DescriptiveStats,
+    NormalityResult,
+    _outliers,
+    _shapiro_wilk_ordered,
+    describe,
+    shapiro_wilk,
+)
 from .errors import ValidationError
 from .pca import principal_components
 from .regression import (
@@ -47,9 +54,9 @@ from .regression import (
     DW_PERMUTATION,
     LinearModelFit,
     _check_bootstrap,
+    _durbin_watson_many,
     casewise_diagnostics,
     collinearity,
-    durbin_watson,
     fit_ols,
     null_model,
     predict,
@@ -282,24 +289,25 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
                   replicates: int = DEFAULT_REPLICATES) -> ReportBundle:
     """Run the published analysis pipeline and collect every table and figure.
 
-    The same master seed is passed to each of the three Durbin-Watson
-    bootstraps. Each draws its own permutations from that seed's raw PCG64
-    stream, and no permutation matrix is stored or shared. Each p-value
-    counts the observed order among the permutations, 2 (b + 1) / (R + 1),
-    so it is never 0. Provenance names the permutation scheme
-    (``dw_permutation``). A bad seed or replicate count is rejected before
-    any stage runs.
+    The three Durbin-Watson bootstraps (H0, the simple model and the
+    stepwise model) share one draw of R permutations from the seed's raw
+    PCG64 stream: the three fits are made first, then one scorer walks the
+    permutations once and scores each residual vector on every chunk of
+    them. Each p-value equals that of its own ``durbin_watson`` call at the
+    same seed and R, counts the observed order among the permutations,
+    2 (b + 1) / (R + 1), and so is never 0. No permutation matrix is stored.
+    Provenance names the permutation scheme (``dw_permutation``). Each
+    column is sorted once, for both Shapiro-Wilk and the boxplot hinges. A
+    bad seed or replicate count is rejected before any stage runs.
     """
     _check_bootstrap(replicates, seed)
     validate_schema(dataset)
     ds = dataset.sorted_by_name()
     columns = dict(zip(_SCHEMA, ds.array(_SCHEMA).T))
 
-    tables: dict[str, dict] = {}
     stats = {name: describe(values) for name, values in columns.items()}
-    tables["T1"] = _descriptives_table(_T1_COLUMNS, stats)
-
-    normality = {name: shapiro_wilk(values) for name, values in columns.items()}
+    ordered = {name: np.sort(values, kind="stable") for name, values in columns.items()}
+    normality = {name: _shapiro_wilk_ordered(x) for name, x in ordered.items()}
     normality_screen = {
         "columns": list(_SCHEMA),
         "w": [normality[name].w for name in _SCHEMA],
@@ -307,33 +315,20 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
     }
 
     outlier_screen = {
-        name: [ds.countries[i] for i in boxplot_outliers(values)]
+        name: [ds.countries[i] for i in _outliers(values, ordered[name])]
         for name, values in columns.items()
     }
+    del ordered  # a sorted copy of every column; the later stages do not need it
 
     h0 = null_model(ds, SII)
-    dw_h0 = durbin_watson(h0, replicates=replicates, seed=seed)
-
     simple = fit_ols(ds, SII, [IDESI])
-    dw_simple = durbin_watson(simple, replicates=replicates, seed=seed)
-    tables["T2"] = _model_summary_table(h0, simple, dw_h0, dw_simple,
-                                        label=f"{SII} ~ {IDESI}")
-    tables["T3"] = _coefficients_table(h0, simple, label=f"{SII} ~ {IDESI}")
-
     predictions = [
         prediction_record("simple", simple, PUBLISHED_PREDICTION_INPUT, ds)
     ]
 
     corr = correlation_matrix(ds, _CORR_VARIABLES)
-    tables["T4"] = _correlation_table(corr.block(0, 6), style="r_and_p")
-
     full = fit_ols(ds, SII, list(DIMENSIONS))
     col = collinearity(ds, list(DIMENSIONS))
-    tables["T5"] = _coefficients_table(
-        h0, full, label=f"{SII} ~ dimensions",
-        with_collinearity=True, tolerance=col.tolerance, vif=col.vif,
-    )
-
     cw = casewise_diagnostics(full)
     casewise = {
         "flagged_countries": [ds.countries[i] for i in cw.flagged],
@@ -341,56 +336,66 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
         "max_abs_standardized_residual": max(abs(v) for v in cw.standardized_residuals),
         "max_cooks_distance": max(cw.cooks_distance),
     }
-
     pca = principal_components(corr.block(1, 6))
-    tables["T6"] = {
-        "kind": "pca",
-        "variables": list(pca.variables),
-        "retained": pca.retained,
-        "loadings": [list(row) for row in pca.loadings],
-        "eigenvalues": list(pca.eigenvalues),
-        "variance_explained_pct": list(pca.variance_explained_pct),
-        "cumulative_pct": list(pca.cumulative_pct),
-        "kmo": pca.kmo,
-        "bartlett": {
-            "chi2": pca.bartlett.statistic,
-            "df": pca.bartlett.df,
-            "p": pca.bartlett.p.value,
-        },
-        "note": f"{pca.retained} component extracted.",
-    }
-
-    tables["T7"] = _descriptives_table(_T7_COLUMNS, stats, normality)
 
     gate = _normality_gate(normality, GATE_ALPHA)
     remaining = gate["remaining"]
-
     # the gate can exhaust the candidate set on other datasets; fall back to
     # the null model with an empty trace
     if remaining:
         stepwise, trace = stepwise_fit(ds, SII, remaining)
     else:
         stepwise, trace = null_model(ds, SII), ()
-    dw_stepwise = durbin_watson(stepwise, replicates=replicates, seed=seed)
-    tables["T8"] = _model_summary_table(h0, stepwise, dw_h0, dw_stepwise,
-                                        label=f"{SII} ~ stepwise")
+
+    dw_h0, dw_simple, dw_stepwise = _durbin_watson_many(
+        [h0, simple, stepwise], replicates=replicates, seed=seed)
+
     # a single selected predictor is trivially tolerance 1, VIF 1
     if len(stepwise.predictors) >= 2:
         step_col = collinearity(ds, stepwise.predictors)
         tol, vif = step_col.tolerance, step_col.vif
     else:
         tol, vif = (1.0,) * len(stepwise.predictors), (1.0,) * len(stepwise.predictors)
-    tables["T9"] = _coefficients_table(
-        h0, stepwise, label=f"{SII} ~ stepwise",
-        with_collinearity=True, tolerance=tol, vif=vif,
-    )
+
+    tables = {
+        "T1": _descriptives_table(_T1_COLUMNS, stats),
+        "T2": _model_summary_table(h0, simple, dw_h0, dw_simple, label=f"{SII} ~ {IDESI}"),
+        "T3": _coefficients_table(h0, simple, label=f"{SII} ~ {IDESI}"),
+        "T4": _correlation_table(corr.block(0, 6), style="r_and_p"),
+        "T5": _coefficients_table(
+            h0, full, label=f"{SII} ~ dimensions",
+            with_collinearity=True, tolerance=col.tolerance, vif=col.vif,
+        ),
+        "T6": {
+            "kind": "pca",
+            "variables": list(pca.variables),
+            "retained": pca.retained,
+            "loadings": [list(row) for row in pca.loadings],
+            "eigenvalues": list(pca.eigenvalues),
+            "variance_explained_pct": list(pca.variance_explained_pct),
+            "cumulative_pct": list(pca.cumulative_pct),
+            "kmo": pca.kmo,
+            "bartlett": {
+                "chi2": pca.bartlett.statistic,
+                "df": pca.bartlett.df,
+                "p": pca.bartlett.p.value,
+            },
+            "note": f"{pca.retained} component extracted.",
+        },
+        "T7": _descriptives_table(_T7_COLUMNS, stats, normality),
+        "T8": _model_summary_table(h0, stepwise, dw_h0, dw_stepwise,
+                                   label=f"{SII} ~ stepwise"),
+        "T9": _coefficients_table(
+            h0, stepwise, label=f"{SII} ~ stepwise",
+            with_collinearity=True, tolerance=tol, vif=vif,
+        ),
+        "T10": _correlation_table(corr.block(0, 6), style="r_with_stars"),
+        "T11": _correlation_table(corr.block(1, 10), style="r_with_stars"),
+    }
     tables["T9"]["selection_trace"] = [
         {"action": step.action, "predictor": step.predictor, "p": step.p}
         for step in trace
     ]
-
-    tables["T10"] = _correlation_table(corr.block(0, 6), style="r_with_stars")
-    tables["T11"] = _correlation_table(corr.block(1, 10), style="r_with_stars")
 
     figures = {
         "F3": _residual_figure(simple),

@@ -216,6 +216,44 @@ def test_permutations_are_prefixes_of_longer_runs():
             assert np.array_equal(np.concatenate(chunks), longer[:replicates]), (n, replicates)
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**130 + 3])
+def test_permutations_equal_argsort_of_masked_keys(seed):
+    # low-bit widths at and around powers of two (n = 4, 8/9, 32/33), and R
+    # on both sides of the chunk edge
+    for n in (3, 4, 5, 8, 9, 29, 32, 33, 120, 2900):
+        low_bits = np.uint64((1 << max(1, (n - 1).bit_length())) - 1)
+        for replicates in (1, 255, 256, 257, 1000):
+            keys = np.random.PCG64(seed).random_raw(replicates * n).reshape(replicates, n)
+            keys = (keys & ~low_bits) | np.arange(n, dtype=np.uint64)
+            assert np.array_equal(_permutation_rows(seed, n, replicates),
+                                  np.argsort(keys, axis=1)), (n, replicates)
+
+
+def _seeded_residuals(k: int, n: int) -> list[np.ndarray]:
+    rng = np.random.default_rng([k, n])
+    return [rng.normal(0.0, 3.0, n) for _ in range(k)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_durbin_watson_many_equals_separate_calls(k):
+    for n in (3, 5, 29, 150):
+        for replicates in (1, 257, 1000):
+            residuals = _seeded_residuals(k, n)
+            assert regression._durbin_watson_many(residuals, replicates, 11) == [
+                durbin_watson(r, replicates=replicates, seed=11) for r in residuals]
+
+
+def test_durbin_watson_many_rejects_mixed_lengths(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a rejected call drew permutations")
+
+    monkeypatch.setattr(regression, "_permutation_chunks", no_draws)
+    with pytest.raises(ValidationError, match="residual vectors differ in length: 29, 28"):
+        regression._durbin_watson_many([np.ones(29), np.ones(28)], 100, 1)
+    with pytest.raises(ValidationError, match="differ in length: 5, 5, 4"):
+        regression._durbin_watson_many(_seeded_residuals(2, 5) + [np.ones(4)], 100, 1)
+
+
 def test_permutations_uniform():
     """At n = 4 each of the 24 orders is drawn 10,000 times in expectation."""
     codes = np.concatenate([chunk @ 4 ** np.arange(4)
@@ -516,6 +554,46 @@ def test_ols_matches_lstsq_oracle():
             err = np.abs(np.array(actual) - expected) / np.maximum(1.0, np.abs(expected))
             assert err.max() <= 1e-9, (seed, n, k, err.max())
         assert abs(fit.r_squared - ref_r_squared) <= 1e-12, (seed, n, k)
+
+
+def _exact_least_squares(x: np.ndarray, y: np.ndarray) -> list[Fraction]:
+    """Intercept and slopes solving the normal equations of the float design
+    in exact rational arithmetic."""
+    columns = [np.ones(len(y)), *x.T, y]
+    # each float is an integer over a power of two: scale a column to integers
+    scaled = []
+    for column in columns:
+        ratios = [v.as_integer_ratio() for v in column.tolist()]
+        denominator = max(q for _, q in ratios)
+        scaled.append(([p * (denominator // q) for p, q in ratios], denominator))
+    m = len(columns) - 1
+    rows = [[Fraction(sum(map(int.__mul__, a, b)), da * db) for b, db in scaled]
+            for a, da in scaled[:m]]
+    for c in range(m):  # Gauss-Jordan; the Gram matrix of a full-rank design is positive definite
+        for r in range(m):
+            if r != c:
+                factor = rows[r][c] / rows[c][c]
+                rows[r] = [u - factor * v for u, v in zip(rows[r], rows[c])]
+    return [rows[i][m] / rows[i][i] for i in range(m)]
+
+
+@pytest.mark.parametrize("spread, tolerance", [(1e-4, 1e-9), (1e-5, 1e-7)])
+def test_ols_matches_exact_rational_solution(spread, tolerance):
+    # column 1 is column 0 plus noise at `spread` of its spread. The
+    # tolerances were fixed from 300 designs of another seed stream: worst
+    # 7.1e-10 at 1e-4 and 1.5e-8 at 1e-5, the same for a triangular solve and
+    # for inv(R), because the QR factorization of the design sets the error
+    for seed in range(40):
+        rng = np.random.default_rng([seed, 23])
+        k = int(rng.integers(2, 7))
+        n = int(rng.integers(k + 2, 600))
+        x = rng.normal(size=(n, k)) * rng.uniform(0.1, 10.0, size=k) + rng.uniform(-5, 5, size=k)
+        x[:, 1] = x[:, 0] + spread * x[:, 0].std() * rng.normal(size=n)
+        y = x @ rng.normal(size=k) + rng.uniform(0.01, 3.0) * rng.normal(size=n)
+        fit = OLS().fit(x, y).stats_
+        for actual, exact in zip(fit.coefficients, _exact_least_squares(x, y)):
+            err = float(abs(Fraction(actual) - exact) / max(1, abs(exact)))
+            assert err <= tolerance, (seed, n, k, err)
 
 
 def test_stepwise_requires_candidates(sorted_dataset):

@@ -5,6 +5,7 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from indexlab import (
@@ -292,10 +293,13 @@ def test_seed_changes_only_bootstrap_p(sorted_dataset):
 
 
 def test_each_statistic_computed_once_per_run(dataset, monkeypatch):
-    """One describe and one Shapiro-Wilk per schema column, one correlation
-    matrix, one eigendecomposition, and no per-call column rebuilds."""
+    """One describe, one sort and one Shapiro-Wilk per schema column (the
+    hinges read the same order statistics), one correlation matrix, one
+    eigendecomposition, one draw of the Durbin-Watson permutations for the
+    three models, and no per-call column rebuilds."""
     from indexlab import dataset as dataset_module
     from indexlab import pca as pca_module
+    from indexlab import regression as regression_module
     from indexlab import report as report_module
 
     calls = {}
@@ -309,10 +313,13 @@ def test_each_statistic_computed_once_per_run(dataset, monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("describe", "shapiro_wilk", "correlation_matrix"):
+    for name in ("describe", "shapiro_wilk", "_shapiro_wilk_ordered", "correlation_matrix"):
         counted(report_module, name)
     counted(pca_module, "eigen_symmetric")
     counted(dataset_module.Dataset, "column")
+    counted(np, "sort")
+    counted(regression_module, "_permutation_chunks")
     reproduce_all(dataset, seed=42, replicates=1)
-    assert calls == {"describe": 11, "shapiro_wilk": 11, "correlation_matrix": 1,
-                     "eigen_symmetric": 1}
+    assert calls == {"describe": 11, "_shapiro_wilk_ordered": 11, "sort": 11,
+                     "correlation_matrix": 1, "eigen_symmetric": 1,
+                     "_permutation_chunks": 1}
