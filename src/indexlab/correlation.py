@@ -53,8 +53,8 @@ class CorrelationMatrix:
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     """Sample Pearson correlation with a two-tailed t-test on n-2 df."""
-    xs = check_array(x, name="x", ndim=1).tolist()
-    ys = check_array(y, name="y", ndim=1).tolist()
+    xs = check_array(x, name="x").tolist()
+    ys = check_array(y, name="y").tolist()
     if len(xs) != len(ys):
         raise ValidationError(f"length mismatch: {len(xs)} vs {len(ys)}")
     n = len(xs)

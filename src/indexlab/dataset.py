@@ -3,7 +3,9 @@
 The canonical fixture is the published 29-country table with the SII, its four
 pillars, the I-DESI, and its five dimensions. Scores live on a 0-100 scale.
 A dataset is columnar: its column names, its country names, and one
-read-only (countries x columns) float array that parsing fills directly.
+read-only (countries x columns) float array. ``Dataset(columns, countries,
+scores)`` is the only way to build one, so a parsed, a sorted and a
+hand-built dataset all pass the same checks.
 Everything reads the scores from that array, through ``Dataset.array`` (a
 copy of several columns) or ``Dataset.column`` (a view of one). Row order is
 preserved and semantically meaningful (serial-correlation statistics depend
@@ -14,10 +16,9 @@ from __future__ import annotations
 import csv
 import io
 import numbers
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,53 +58,22 @@ _ALIASES = {
 }
 
 
-@dataclass(frozen=True)
-class CountryRecord:
-    """One row given to the ``Dataset`` constructor: a country name plus its named scores."""
-
-    name: str
-    values: Mapping[str, float]
-
-
 class Dataset:
     """Immutable country-by-column score table.
 
-    The scores live in one read-only (n, p) float array whose rows follow
-    ``countries`` and whose columns follow ``columns``. The constructor takes
-    ``CountryRecord`` rows; reads go through ``array()`` and ``column()``.
+    ``Dataset(columns, countries, scores)`` takes the column names, the
+    country names and any (countries x columns) array-like of real numbers,
+    and keeps a read-only float copy of the scores whose rows follow
+    ``countries`` and whose columns follow ``columns``. Reads go through
+    ``array()`` and ``column()``.
     """
 
-    def __init__(self, columns: tuple[str, ...], records: tuple[CountryRecord, ...]):
-        columns = tuple(columns)
-        records = tuple(records)
-        rows = []
-        for rec in records:
-            if set(rec.values) != set(columns):
-                raise ValidationError(f"record {rec.name!r} does not match the column set")
-            row = [rec.values[c] for c in columns]
-            for col, value in zip(columns, row):
-                # bool is an int subclass; strings and None must not be coerced
-                if not isinstance(value, numbers.Real) or isinstance(value, (bool, np.bool_)):
-                    raise ValidationError(
-                        f"value {value!r} for {rec.name!r}, column {col!r} is not a real number"
-                    )
-            rows.append(row)
-        self.columns = columns
-        self.countries = tuple(rec.name for rec in records)
-        self._data = np.array(rows, dtype=float).reshape(len(records), len(columns))
+    def __init__(self, columns: Sequence[str], countries: Sequence[str],
+                 scores: Sequence[Sequence[float]] | np.ndarray):
+        self.columns = tuple(columns)
+        self.countries = tuple(countries)
+        self._data = _score_array(self.columns, self.countries, scores)
         self._data.setflags(write=False)
-        self._validate()
-
-    @classmethod
-    def _from_array(cls, columns: tuple[str, ...], countries: tuple[str, ...],
-                    data: np.ndarray) -> "Dataset":
-        """Wrap a built score array without validating it."""
-        dataset = cls.__new__(cls)
-        dataset.columns, dataset.countries, dataset._data = columns, countries, data
-        data.setflags(write=False)
-        return dataset
-
-    def _validate(self) -> None:
         if len(set(self.columns)) != len(self.columns):
             raise ValidationError("duplicate column names")
         seen: set[str] = set()
@@ -149,8 +119,34 @@ class Dataset:
     def sorted_by_name(self) -> "Dataset":
         """Rows reordered alphabetically by country name."""
         order = sorted(range(len(self)), key=self.countries.__getitem__)
-        return Dataset._from_array(self.columns, tuple(self.countries[i] for i in order),
-                                   self._data[order])
+        return Dataset(self.columns, [self.countries[i] for i in order], self._data[order])
+
+
+def _score_array(columns: tuple[str, ...], countries: tuple[str, ...],
+                 scores: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
+    """(n, p) float copy of the scores. An integer or float array is copied
+    as it is; anything else is checked cell by cell, so that a string, None,
+    bool or sequence is named with its country and column, not coerced."""
+    shape = (len(countries), len(columns))
+    wrong_shape = f"scores must have shape {shape} (countries x columns)"
+    if isinstance(scores, np.ndarray) and scores.dtype.kind in "fiu":
+        if scores.shape != shape:
+            raise ValidationError(f"{wrong_shape}, got {scores.shape}")
+        return scores.astype(float)
+    try:
+        rows = [list(row) for row in scores]
+    except TypeError:
+        raise ValidationError(wrong_shape) from None
+    if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
+        raise ValidationError(wrong_shape)
+    for name, row in zip(countries, rows):
+        for col, value in zip(columns, row):
+            # bool is an int subclass; strings and None must not be coerced
+            if not isinstance(value, numbers.Real) or isinstance(value, (bool, np.bool_)):
+                raise ValidationError(
+                    f"value {value!r} for {name!r}, column {col!r} is not a real number"
+                )
+    return np.array(rows, dtype=float).reshape(shape)
 
 
 def parse_dataset(csv_text: str) -> Dataset:
@@ -171,10 +167,7 @@ def parse_dataset(csv_text: str) -> Dataset:
         raise DatasetParseError("no score columns in header")
 
     names, values = _names_and_values(header, rows[1:])
-    data = np.array(values, dtype=float).reshape(len(names), len(columns))
-    dataset = Dataset._from_array(columns, tuple(names), data)
-    dataset._validate()
-    return dataset
+    return Dataset(columns, names, np.array(values, dtype=float).reshape(len(names), len(columns)))
 
 
 def _names_and_values(header: list[str], body: list[list[str]]) -> tuple[list[str], list[float]]:

@@ -44,7 +44,7 @@ class NormalityResult:
 
 def describe(series: Sequence[float]) -> DescriptiveStats:
     """Mean, sample standard deviation (n-1 denominator), min, and max."""
-    x = check_array(series, name="series", ndim=1)
+    x = check_array(series, name="series")
     n = len(x)
     if n < 2:
         raise InsufficientDataError(f"describe needs at least 2 values, got {n}")
@@ -120,7 +120,7 @@ def _sw_coefficients(n: int) -> np.ndarray:
 
 def shapiro_wilk(series: Sequence[float]) -> NormalityResult:
     """Shapiro-Wilk W and its p-value per the AS R94 approximation."""
-    return _shapiro_wilk_ordered(np.sort(check_array(series, name="series", ndim=1),
+    return _shapiro_wilk_ordered(np.sort(check_array(series, name="series"),
                                          kind="stable"))
 
 
@@ -163,7 +163,7 @@ def _median(sorted_x: Sequence[float]) -> float:
 
 def tukey_hinges(series: Sequence[float]) -> tuple[float, float]:
     """Lower and upper hinges: medians of the two halves, median included when n is odd."""
-    return _hinges(np.sort(check_array(series, name="series", ndim=1), kind="stable").tolist())
+    return _hinges(np.sort(check_array(series, name="series"), kind="stable").tolist())
 
 
 def _hinges(x: list[float]) -> tuple[float, float]:
@@ -177,7 +177,7 @@ def _hinges(x: list[float]) -> tuple[float, float]:
 
 def boxplot_outliers(series: Sequence[float]) -> list[int]:
     """Indices of values outside [Q1 - 1.5 IQR, Q3 + 1.5 IQR] with Tukey-hinge quartiles."""
-    x = check_array(series, name="series", ndim=1)
+    x = check_array(series, name="series")
     return _outliers(x, np.sort(x, kind="stable"))
 
 

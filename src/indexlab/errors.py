@@ -40,6 +40,3 @@ class DomainError(IndexLabError):
 class SingularDesignError(IndexLabError):
     """Rank-deficient design matrix."""
 
-
-class NotFittedError(IndexLabError):
-    """Estimator method called before fit()."""

@@ -100,7 +100,7 @@ def min_max_normalize(values: Sequence[float], lo: float, hi: float) -> list[flo
     if not 0.0 < span < math.inf:
         raise DegenerateDataError(f"normalization needs finite hi > lo, got [{lo}, {hi}]")
     return [min(100.0, max(0.0, 100.0 * (v - lo) / span))
-            for v in check_array(values, name="values", ndim=1).tolist()]
+            for v in check_array(values, name="values").tolist()]
 
 
 def rank(dataset: Dataset, column: str) -> list[tuple[int, str, float]]:

@@ -5,10 +5,10 @@ equations, so collinear predictors (VIF up to ~4 in the bundled data) stay
 well conditioned. Summary statistics follow the usual package conventions:
 RMSE is the residual standard error with n-k-1 degrees of freedom,
 standardized residuals are internally studentized, and the Durbin-Watson
-p-value comes from a seeded permutation bootstrap of the residuals. The
-dataset functions (``fit_ols``, ``null_model``, ``stepwise_fit``) and the
-array estimators (``OLS``, ``StepwiseOLS``) share one least-squares fit,
-``_ols_arrays``, and one stepwise search, ``_stepwise``.
+p-value comes from a seeded permutation bootstrap of the residuals. Models
+are fitted on a ``Dataset``: ``fit_ols``, ``null_model`` and
+``stepwise_fit`` name their columns, and every least-squares fit among them
+is built by one function, ``_ols_arrays``.
 
 A run draws the bootstrap's permutations once and scores every residual
 vector on them: ``reproduce_all`` passes its three fits to one scorer,
@@ -35,7 +35,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .base import BaseEstimator, check_array, check_X_y
+from .base import check_array
 from .dataset import Dataset
 from .distributions import PValue, f_tail_p, t_two_tailed_p
 from .errors import (
@@ -130,7 +130,7 @@ class CasewiseDiagnostics:
 @dataclass(frozen=True)
 class StepwiseStep:
     action: str
-    predictor: str | int
+    predictor: str
     p: float
 
 
@@ -240,107 +240,6 @@ def _ols_arrays(x: np.ndarray, y: np.ndarray, response: str,
     )
 
 
-def _stepwise(x: np.ndarray, y: np.ndarray, response: str, names: Sequence[str],
-              p_enter: float, p_remove: float
-              ) -> tuple[tuple[int, ...], tuple[StepwiseStep, ...], LinearModelFit]:
-    """Forward-entry, backward-removal search over the columns of x.
-
-    Returns the selected column indices, the trace (predictors as column
-    indices) and the fit of the final selection, the intercept-only fit when
-    nothing is selected.
-    """
-    if not p_enter < p_remove:
-        raise ValidationError(f"p_enter ({p_enter}) must be below p_remove ({p_remove})")
-    selected: list[int] = []
-    trace: list[StepwiseStep] = []
-    while True:
-        steps = len(trace)
-        best_j, best_p = -1, math.inf
-        for j in [j for j in range(x.shape[1]) if j not in selected]:
-            cols = selected + [j]
-            try:
-                p = _ols_arrays(x[:, cols], y, response,
-                                [names[c] for c in cols]).p_values[-1].value
-            except SingularDesignError:
-                continue
-            if p < best_p:
-                best_j, best_p = j, p
-        if best_p < p_enter:
-            selected.append(best_j)
-            trace.append(StepwiseStep("add", best_j, best_p))
-        while selected:
-            fit = _ols_arrays(x[:, selected], y, response, [names[j] for j in selected])
-            slope_ps = [pv.value for pv in fit.p_values[1:]]
-            worst = max(range(len(selected)), key=slope_ps.__getitem__)
-            if not slope_ps[worst] > p_remove:
-                break
-            trace.append(StepwiseStep("remove", selected.pop(worst), slope_ps[worst]))
-        if len(trace) == steps:
-            break
-    # a non-empty selection was last fitted by the removal loop's final pass
-    if not selected:
-        fit = _ols_arrays(x[:, :0], y, response, ())
-    return tuple(selected), tuple(trace), fit
-
-
-class OLS(BaseEstimator):
-    """Least-squares linear regression with an intercept.
-
-    Follows the fit/predict estimator convention: `fit(X, y)` stores the
-    results as trailing-underscore attributes and returns self.
-    """
-
-    def fit(self, X, y) -> "OLS":
-        X, y = check_X_y(X, y)
-        return self._adopt(_ols_arrays(X, y, "y", [f"x{j}" for j in range(X.shape[1])]))
-
-    def _adopt(self, fit: LinearModelFit) -> "OLS":
-        """Store one least-squares fit as the fitted state."""
-        self.n_features_in_ = len(fit.predictors)
-        self.intercept_ = fit.intercept
-        self.coef_ = np.array(fit.coefficients[1:])
-        self.stats_ = fit
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        self._check_fitted("stats_")
-        X = check_array(X, name="X")
-        if X.shape[1] != self.n_features_in_:
-            raise ValidationError(
-                f"X has {X.shape[1]} columns, expected {self.n_features_in_}"
-            )
-        return self.intercept_ + X @ self.coef_
-
-
-class StepwiseOLS(BaseEstimator):
-    """Forward-entry, backward-removal stepwise least squares.
-
-    At each round the candidate whose coefficient would have the smallest
-    p-value enters if that p < p_enter; included predictors with p > p_remove
-    are then dropped, worst first, until the model is stable. The final
-    model's predictors are named by their column in X (``x1``, ``x3``).
-    """
-
-    def __init__(self, p_enter: float = DEFAULT_P_ENTER,
-                 p_remove: float = DEFAULT_P_REMOVE):
-        self.p_enter = p_enter
-        self.p_remove = p_remove
-
-    def fit(self, X, y) -> "StepwiseOLS":
-        X, y = check_X_y(X, y)
-        self.selected_, self.trace_, fit = _stepwise(
-            X, y, "y", [f"x{j}" for j in range(X.shape[1])], self.p_enter, self.p_remove)
-        self.model_ = OLS()._adopt(fit) if self.selected_ else None
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        self._check_fitted("selected_")
-        X = check_array(X, name="X")
-        if self.model_ is None:
-            raise DefinitionError("no predictor entered the model; nothing to predict with")
-        return self.model_.predict(X[:, list(self.selected_)])
-
-
 def _dataset_arrays(dataset: Dataset, response: str,
                     predictors: Sequence[str]) -> tuple[np.ndarray, np.ndarray, str, tuple[str, ...]]:
     response_name = dataset.resolve_column(response)
@@ -420,7 +319,7 @@ def _durbin_watson_many(fits: Sequence[LinearModelFit | Sequence[float]],
     equals that of its own call."""
     # contiguous: the dot products of a strided view sum in another order
     stack = [np.ascontiguousarray(check_array(
-        fit.residuals if isinstance(fit, LinearModelFit) else fit, name="fit", ndim=1))
+        fit.residuals if isinstance(fit, LinearModelFit) else fit, name="fit"))
         for fit in fits]
     for residuals in stack:
         if residuals.shape[0] < 3:
@@ -434,6 +333,15 @@ def _durbin_watson_many(fits: Sequence[LinearModelFit | Sequence[float]],
     sums = [float(residuals @ residuals) for residuals in stack]
     if 0.0 in sums:
         raise ValidationError("Durbin-Watson is undefined for all-zero residuals")
+    for fit, ss in zip(fits, sums):
+        if not isinstance(fit, LinearModelFit):
+            continue
+        # an exact fit leaves rounding noise, not zeros; sst is that of fitted + residuals
+        response = np.add(fit.fitted, fit.residuals)
+        deviations = response - response.mean()
+        if ss <= n * np.finfo(float).eps * float(deviations @ deviations):
+            raise ValidationError("Durbin-Watson is undefined for residuals at rounding "
+                                  "level: the model fits the response exactly")
     observed = [_dw_statistic(residuals) for residuals in stack]
 
     at_or_above = [0] * len(stack)
@@ -470,7 +378,8 @@ def durbin_watson(fit: LinearModelFit | Sequence[float],
     |d_perm - d| <= 1e-12 d is a tie and counts on both sides, so a
     permutation whose d equals the observed d in exact arithmetic (the
     identity, the reversal) is counted the same whatever order its sums were
-    taken in. R must be between 1 and ``MAX_REPLICATES``.
+    taken in. R must be between 1 and ``MAX_REPLICATES``. All-zero residuals,
+    and those of a fit with ss_res <= n * eps * sst (an exact fit), have no d.
     """
     return _durbin_watson_many([fit], replicates, seed)[0]
 
@@ -523,12 +432,45 @@ def casewise_diagnostics(fit: LinearModelFit) -> CasewiseDiagnostics:
 
 def stepwise_fit(dataset: Dataset, response: str,
                  candidates: Sequence[str]) -> tuple[LinearModelFit, tuple[StepwiseStep, ...]]:
-    """Stepwise selection over candidate columns; returns the final fit and trace."""
+    """Forward-entry, backward-removal stepwise selection over candidate columns.
+
+    Each round the candidate with the smallest p enters if p < ``DEFAULT_P_ENTER``;
+    predictors with p > ``DEFAULT_P_REMOVE`` then leave, worst first. Returns
+    the final fit (intercept-only when nothing is selected) and the trace.
+    """
     if not candidates:
         raise ValidationError("stepwise selection needs at least one candidate")
     x, y, response_name, names = _dataset_arrays(dataset, response, candidates)
-    _, trace, fit = _stepwise(x, y, response_name, names, DEFAULT_P_ENTER, DEFAULT_P_REMOVE)
-    return fit, tuple(StepwiseStep(step.action, names[step.predictor], step.p) for step in trace)
+    selected: list[int] = []
+    trace: list[StepwiseStep] = []
+    while True:
+        steps = len(trace)
+        best_j, best_p = -1, math.inf
+        for j in [j for j in range(x.shape[1]) if j not in selected]:
+            cols = selected + [j]
+            try:
+                p = _ols_arrays(x[:, cols], y, response_name,
+                                [names[c] for c in cols]).p_values[-1].value
+            except SingularDesignError:
+                continue
+            if p < best_p:
+                best_j, best_p = j, p
+        if best_p < DEFAULT_P_ENTER:
+            selected.append(best_j)
+            trace.append(StepwiseStep("add", names[best_j], best_p))
+        while selected:
+            fit = _ols_arrays(x[:, selected], y, response_name, [names[j] for j in selected])
+            slope_ps = [pv.value for pv in fit.p_values[1:]]
+            worst = max(range(len(selected)), key=slope_ps.__getitem__)
+            if not slope_ps[worst] > DEFAULT_P_REMOVE:
+                break
+            trace.append(StepwiseStep("remove", names[selected.pop(worst)], slope_ps[worst]))
+        if len(trace) == steps:
+            break
+    # a non-empty selection was last fitted by the removal loop's final pass
+    if not selected:
+        fit = _ols_arrays(x[:, :0], y, response_name, ())
+    return fit, tuple(trace)
 
 
 def predict(fit: LinearModelFit, x: Mapping[str, float]) -> float:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import _criteria
-from indexlab import CountryRecord, Dataset, bundled_table_a1, diff_golden, reproduce_all
+from indexlab import Dataset, bundled_table_a1, diff_golden, reproduce_all
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -48,13 +48,6 @@ def degenerate_designs():
         "linear_combination": (a, b, 0.5 * a + 0.25 * b),
         "constant": (a, np.full(n, 50.0), b),
     }
-    names = ("p1", "p2", "p3")
-    out = {}
-    for kind, cols in designs.items():
-        records = tuple(
-            CountryRecord(f"C{i:02d}", {"y": float(y[i]),
-                                        **{name: float(col[i]) for name, col in zip(names, cols)}})
-            for i in range(n)
-        )
-        out[kind] = Dataset(("y",) + names, records)
-    return out
+    countries = [f"C{i:02d}" for i in range(n)]
+    return {kind: Dataset(("y", "p1", "p2", "p3"), countries, np.column_stack([y, *cols]))
+            for kind, cols in designs.items()}

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from indexlab import (
-    CountryRecord,
     Dataset,
     DegenerateDataError,
     InsufficientDataError,
@@ -132,12 +131,9 @@ def test_correlation_matrix_matches_pearson_random(n):
                       rng.normal(50.0, 10.0, size=(n, 2))])
     data = np.clip(data, 0.0, 100.0)
     names = ("a", "b", "c", "d")
-    records = tuple(
-        CountryRecord(f"C{i:04d}", dict(zip(names, map(float, row))))
-        for i, row in enumerate(data)
-    )
-    _assert_matches_pearson(Dataset(names, records), names)
-    _assert_blocks_match(Dataset(names, records), names)
+    ds = Dataset(names, [f"C{i:04d}" for i in range(n)], data)
+    _assert_matches_pearson(ds, names)
+    _assert_blocks_match(ds, names)
 
 
 def test_correlation_matrix_degenerate_designs(degenerate_designs):
@@ -149,7 +145,5 @@ def test_correlation_matrix_degenerate_designs(degenerate_designs):
 
 
 def test_correlation_matrix_needs_three_rows():
-    records = (CountryRecord("A", {"a": 1.0, "b": 2.0}),
-               CountryRecord("B", {"a": 2.0, "b": 1.0}))
     with pytest.raises(InsufficientDataError):
-        correlation_matrix(Dataset(("a", "b"), records), ("a", "b"))
+        correlation_matrix(Dataset(("a", "b"), ("A", "B"), [[1.0, 2.0], [2.0, 1.0]]), ("a", "b"))

@@ -5,7 +5,6 @@ import pytest
 
 from indexlab import (
     ColumnLookupError,
-    CountryRecord,
     Dataset,
     DatasetParseError,
     ValidationError,
@@ -135,33 +134,59 @@ def test_parse_names_first_bad_row():
 
 
 def test_constructor_validation():
-    record = CountryRecord("A", {"x": 50.0})
     with pytest.raises(ValidationError, match="duplicate column"):
-        Dataset(("x", "x"), (record,))
+        Dataset(("x", "x"), ("A",), [[50.0, 50.0]])
     with pytest.raises(ValidationError, match="duplicate country"):
-        Dataset(("x",), (record, CountryRecord("A", {"x": 10.0})))
-    with pytest.raises(ValidationError, match="does not match the column set"):
-        Dataset(("x",), (CountryRecord("A", {"y": 50.0}),))
+        Dataset(("x",), ("A", "A"), [[50.0], [10.0]])
     with pytest.raises(ValidationError, match="out of range"):
-        Dataset(("x",), (CountryRecord("A", {"x": 101.0}),))
+        Dataset(("x",), ("A",), [[101.0]])
     with pytest.raises(ValidationError, match="out of range"):
-        Dataset(("x",), (CountryRecord("A", {"x": -0.5}),))
+        Dataset(("x",), ("A",), np.array([[-0.5]]))
+
+
+@pytest.mark.parametrize("scores", [
+    [[50.0]], [[50.0, 1.0, 2.0]], [50.0, 1.0], [[50.0, 1.0], [2.0]], 50.0,
+    np.zeros((2, 2)), np.zeros((1, 2)), np.zeros(2), np.zeros((2, 1, 1)),
+])
+def test_constructor_rejects_wrong_shape(scores):
+    with pytest.raises(ValidationError, match=re.escape("scores must have shape (2, 1)")):
+        Dataset(("x",), ("A", "B"), scores)
 
 
 @pytest.mark.parametrize("value", ["50", "abc", True, None, [1, 2]])
 def test_constructor_rejects_non_real_values(value):
     message = f"value {value!r} for 'B', column 'x' is not a real number"
-    records = (CountryRecord("A", {"w": 10.0, "x": 20.0}),
-               CountryRecord("B", {"w": 30.0, "x": value}))
     with pytest.raises(ValidationError, match=re.escape(message)):
-        Dataset(("w", "x"), records)
+        Dataset(("w", "x"), ("A", "B"), [[10.0, 20.0], [30.0, value]])
+    # the same cell in an object array is checked the same way
+    scores = np.empty((2, 2), dtype=object)
+    scores[:] = [[10.0, 20.0], [30.0, 40.0]]
+    scores[1, 1] = value
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        Dataset(("w", "x"), ("A", "B"), scores)
+
+
+def test_constructor_rejects_bool_and_string_arrays():
+    with pytest.raises(ValidationError, match="is not a real number"):
+        Dataset(("x",), ("A",), np.array([[True]]))
+    with pytest.raises(ValidationError, match="is not a real number"):
+        Dataset(("x",), ("A",), np.array([["50"]]))
 
 
 def test_constructor_accepts_ints_and_numpy_scalars():
-    ds = Dataset(("a", "b", "c"),
-                 (CountryRecord("A", {"a": 50, "b": np.float32(2.5), "c": np.int64(7)}),))
+    ds = Dataset(("a", "b", "c"), ("A",), [[50, np.float32(2.5), np.int64(7)]])
     row = ds.array(ds.columns)[ds.countries.index("A")]
     assert row.dtype == np.float64 and row.tolist() == [50.0, 2.5, 7.0]
+    ints = Dataset(("a",), ("A", "B"), np.array([[3], [4]], dtype=np.int32))
+    assert ints.column("a").dtype == np.float64 and ints.column("a").tolist() == [3.0, 4.0]
+
+
+def test_constructor_copies_the_scores():
+    scores = np.array([[10.0], [20.0]])
+    ds = Dataset(("x",), ("A", "B"), scores)
+    scores[0, 0] = 99.0
+    assert ds.column("x").tolist() == [10.0, 20.0]
+    assert scores.flags.writeable and not ds.column("x").flags.writeable
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
@@ -170,7 +195,7 @@ def test_non_finite_cells_rejected(cell):
     with pytest.raises(ValidationError, match=re.escape(message)):
         parse_dataset(f"country,a\nX,{cell}\n")
     with pytest.raises(ValidationError, match=re.escape(message)):
-        Dataset(("a",), (CountryRecord("X", {"a": float(cell)}),))
+        Dataset(("a",), ("X",), [[float(cell)]])
     # the first offending cell in row order is the one named
     with pytest.raises(ValidationError, match=re.escape(message)):
         parse_dataset(f"country,b,a\nW,1,2\nX,3,{cell}\nY,{cell},{cell}\n")

@@ -15,6 +15,7 @@ from indexlab import (
     IndexLabError,
     InsufficientDataError,
     SingularDesignError,
+    ValidationError,
     emit,
     parse_dataset,
     reproduce_all,
@@ -71,9 +72,10 @@ _OUTCOMES = {
     "duplicated_dimensions": (SingularDesignError,
                               "column 'Human capital' is linearly dependent"),
     "coarsened_to_tens": None,
-    # the simple model fits exactly: its residuals are at rounding level
-    # (7e-15), not all zero, so Durbin-Watson runs on them
-    "sii_equals_idesi": None,
+    # the simple model fits exactly: its residuals are rounding noise (7e-15),
+    # not all zero, and Durbin-Watson must not score that noise as data
+    "sii_equals_idesi": (ValidationError,
+                         "Durbin-Watson is undefined for residuals at rounding level"),
     "n6000": (DomainError, "shapiro_wilk needs 3 <= n <= 5000, got 6000"),
 }
 

@@ -142,14 +142,8 @@ def test_rank_published(dataset):
 
 
 def test_rank_competition_ties():
-    from indexlab import CountryRecord, Dataset
+    from indexlab import Dataset
 
-    records = (
-        CountryRecord("A", {"s": 10.0}),
-        CountryRecord("B", {"s": 8.0}),
-        CountryRecord("C", {"s": 8.0}),
-        CountryRecord("D", {"s": 7.0}),
-    )
-    ranked = rank(Dataset(("s",), records), "s")
+    ranked = rank(Dataset(("s",), "ABCD", [[10.0], [8.0], [8.0], [7.0]]), "s")
     assert [(r, name) for r, name, _ in ranked] == [
         (1, "A"), (2, "B"), (2, "C"), (4, "D")]

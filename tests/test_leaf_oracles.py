@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from indexlab import OLS, boxplot_outliers, casewise_diagnostics, describe, shapiro_wilk, tukey_hinges
+from indexlab import boxplot_outliers, casewise_diagnostics, describe, regression, shapiro_wilk, tukey_hinges
 from indexlab.descriptive import _C3, _C4, _C5, _C6, _poly, _sw_coefficients
 from indexlab.distributions import normal_cdf
 from indexlab.regression import COOKS_FLAG, STD_RESIDUAL_FLAG
@@ -163,7 +163,7 @@ def _fit(n: int, kind: str):
         x, y = np.round(x, 1), np.round(y, 1)
     elif kind == "skewed":
         y = y + rng.exponential(6.0, size=n)
-    return OLS().fit(x, y).stats_
+    return regression._ols_arrays(x, y, "y", [f"x{j}" for j in range(k)])
 
 
 def _check_casewise(fit) -> tuple:
@@ -184,7 +184,7 @@ def test_casewise_matches_loop_oracle_at_full_leverage():
     # a dummy predictor set on one row only fits that row exactly
     rng = np.random.default_rng(11)
     x = np.column_stack([rng.normal(50.0, 10.0, 12), np.eye(12)[:, 5]])
-    _check_casewise(OLS().fit(x, rng.normal(50.0, 5.0, 12)).stats_)
+    _check_casewise(regression._ols_arrays(x, rng.normal(50.0, 5.0, 12), "y", ["x0", "x1"]))
     fit = _fit(29, "raw")
     leverage = list(fit.leverage)
     leverage[3] = 1.0

@@ -7,14 +7,10 @@ import numpy as np
 import pytest
 
 from indexlab import (
-    OLS,
-    CountryRecord,
     Dataset,
     DefinitionError,
     InsufficientDataError,
-    NotFittedError,
     SingularDesignError,
-    StepwiseOLS,
     ValidationError,
     anova,
     casewise_diagnostics,
@@ -400,10 +396,7 @@ def test_degenerate_designs(degenerate_designs, kind):
 def _column_dataset(columns: dict) -> Dataset:
     names = tuple(columns)
     rows = np.column_stack(list(columns.values()))
-    return Dataset(names, tuple(
-        CountryRecord(f"C{i:04d}", dict(zip(names, map(float, row))))
-        for i, row in enumerate(rows)
-    ))
+    return Dataset(names, [f"C{i:04d}" for i in range(len(rows))], rows)
 
 
 def _assert_same_fit(actual, expected):
@@ -475,11 +468,8 @@ def test_casewise_flags_planted_outlier():
     x = rng.uniform(20.0, 80.0, size=20)
     y = 0.8 * x + rng.normal(0.0, 1.0, size=20)
     y[7] += 40.0
-    records = tuple(
-        CountryRecord(f"C{i:02d}", {"x": float(x[i]), "y": float(min(y[i], 100.0))})
-        for i in range(20)
-    )
-    ds = Dataset(("x", "y"), records)
+    ds = Dataset(("x", "y"), [f"C{i:02d}" for i in range(20)],
+                 np.column_stack([x, np.minimum(y, 100.0)]))
     cw = casewise_diagnostics(fit_ols(ds, "y", ["x"]))
     assert 7 in cw.flagged
 
@@ -528,8 +518,9 @@ def test_ols_does_not_depend_on_memory_layout():
     rng = np.random.default_rng(11)
     x = rng.normal(50.0, 10.0, size=(2900, 4))
     y = x @ np.array([0.5, -0.2, 0.1, 0.3]) + rng.normal(0.0, 2.0, 2900)
-    c_fit = OLS().fit(np.ascontiguousarray(x), y).stats_
-    f_fit = OLS().fit(np.asfortranarray(x), y).stats_
+    names = [f"x{j}" for j in range(4)]
+    c_fit = regression._ols_arrays(np.ascontiguousarray(x), y, "y", names)
+    f_fit = regression._ols_arrays(np.asfortranarray(x), y, "y", names)
     assert dataclasses.asdict(c_fit) == dataclasses.asdict(f_fit)
 
 
@@ -545,7 +536,7 @@ def test_ols_matches_lstsq_oracle():
         if collinear:
             x[:, 1] = x[:, 0] + 1e-3 * x[:, 0].std() * rng.normal(size=n)
         y = x @ rng.normal(size=k) + rng.uniform(0.01, 3.0) * rng.normal(size=n)
-        fit = OLS().fit(x, y).stats_
+        fit = regression._ols_arrays(x, y, "y", [f"x{j}" for j in range(k)])
         design = np.column_stack([np.ones(n), x])
         ref = np.linalg.lstsq(design, y, rcond=None)[0]
         ref_residuals = y - design @ ref
@@ -590,7 +581,7 @@ def test_ols_matches_exact_rational_solution(spread, tolerance):
         x = rng.normal(size=(n, k)) * rng.uniform(0.1, 10.0, size=k) + rng.uniform(-5, 5, size=k)
         x[:, 1] = x[:, 0] + spread * x[:, 0].std() * rng.normal(size=n)
         y = x @ rng.normal(size=k) + rng.uniform(0.01, 3.0) * rng.normal(size=n)
-        fit = OLS().fit(x, y).stats_
+        fit = regression._ols_arrays(x, y, "y", [f"x{j}" for j in range(k)])
         for actual, exact in zip(fit.coefficients, _exact_least_squares(x, y)):
             err = float(abs(Fraction(actual) - exact) / max(1, abs(exact)))
             assert err <= tolerance, (seed, n, k, err)
@@ -614,67 +605,28 @@ def test_predict_mapping(simple_fit, sorted_dataset):
 def test_fit_errors(sorted_dataset):
     with pytest.raises(ValidationError, match="own predictor"):
         fit_ols(sorted_dataset, SII, [SII])
-    records = tuple(
-        CountryRecord(f"C{i}", {"y": float(10 + i), "a": float(20 + i), "b": float(25 + i)})
-        for i in range(10)
-    )
-    ds = Dataset(("y", "a", "b"), records)
+    ds = Dataset(("y", "a", "b"), [f"C{i}" for i in range(10)],
+                 [[10 + i, 20 + i, 25 + i] for i in range(10)])
     with pytest.raises(SingularDesignError):
         fit_ols(ds, "y", ["a", "b"])
-    tiny = Dataset(("y", "a", "b"),
-                   (CountryRecord("A", {"y": 1.0, "a": 2.0, "b": 5.0}),
-                    CountryRecord("B", {"y": 2.0, "a": 3.0, "b": 7.0}),
-                    CountryRecord("C", {"y": 3.0, "a": 5.0, "b": 8.0})))
+    tiny = Dataset(("y", "a", "b"), ("A", "B", "C"),
+                   [[1.0, 2.0, 5.0], [2.0, 3.0, 7.0], [3.0, 5.0, 8.0]])
     with pytest.raises(InsufficientDataError):
         fit_ols(tiny, "y", ["a", "b"])
 
 
-def test_ols_estimator_api():
-    rng = np.random.default_rng(11)
-    x = rng.normal(0.0, 1.0, size=(25, 2))
-    y = 1.5 + x @ np.array([2.0, -1.0]) + rng.normal(0.0, 0.1, size=25)
-    est = OLS().fit(x, y)
-    assert est.n_features_in_ == 2
-    np.testing.assert_allclose(est.coef_, [2.0, -1.0], atol=0.1)
-    assert abs(est.intercept_ - 1.5) < 0.1
-    predictions = est.predict(x)
-    assert predictions.shape == (25,)
-    np.testing.assert_allclose(predictions, y, atol=0.5)
-    assert est.stats_.n == 25
-    assert est.get_params() == {}
-    with pytest.raises(ValidationError):
-        est.predict(x[:, :1])
-
-
-def test_ols_requires_fit_before_predict():
-    with pytest.raises(NotFittedError):
-        OLS().predict(np.zeros((3, 1)))
-
-
-def test_stepwise_estimator_api():
-    rng = np.random.default_rng(12)
-    x = rng.normal(0.0, 1.0, size=(40, 3))
-    y = 3.0 * x[:, 1] + rng.normal(0.0, 0.5, size=40)
-    est = StepwiseOLS()
-    assert est.get_params() == {"p_enter": 0.05, "p_remove": 0.10}
-    est.set_params(p_enter=0.01)
-    assert est.get_params()["p_enter"] == 0.01
-    est.fit(x, y)
-    assert 1 in est.selected_
-    assert est.trace_[0].action == "add"
-    assert est.predict(x).shape == (40,)
-    with pytest.raises(ValidationError):
-        StepwiseOLS(p_enter=0.2, p_remove=0.1).fit(x, y)
-
-
-def test_stepwise_estimator_matches_stepwise_fit(sorted_dataset):
-    fit, trace = stepwise_fit(sorted_dataset, SII, DIMENSIONS)
-    est = StepwiseOLS().fit(sorted_dataset.array(DIMENSIONS),
-                            sorted_dataset.array([SII])[:, 0])
-    assert tuple(DIMENSIONS[j] for j in est.selected_) == fit.predictors
-    assert [(s.action, DIMENSIONS[s.predictor], s.p) for s in est.trace_] == [
-        (s.action, s.predictor, s.p) for s in trace]
-    assert est.model_.stats_.coefficients == fit.coefficients
-    # the estimator names the selected columns by their index in X
-    assert est.selected_ == (DIMENSIONS.index(IDT),)
-    assert est.model_.stats_.predictors == (f"x{DIMENSIONS.index(IDT)}",)
+def test_durbin_watson_rejects_exact_fit():
+    # y is an exact linear function of x, so the fit's residuals are rounding
+    # noise (about 1e-14), not zeros
+    x = np.round(np.random.default_rng(3).uniform(10.0, 60.0, 20), 1)
+    ds = Dataset(("x", "y"), [f"C{i:02d}" for i in range(20)], np.column_stack([x, 0.7 * x + 3.1]))
+    fit = fit_ols(ds, "y", ["x"])
+    assert 0.0 < max(map(abs, fit.residuals)) < 1e-13
+    with pytest.raises(ValidationError, match="residuals at rounding level"):
+        durbin_watson(fit, replicates=10, seed=1)
+    with pytest.raises(ValidationError, match="residuals at rounding level"):
+        regression._durbin_watson_many([null_model(ds, "y"), fit], replicates=10, seed=1)
+    # a raw sequence carries no response: only exact zeros are rejected
+    assert durbin_watson(fit.residuals, replicates=10, seed=1).d > 0.0
+    with pytest.raises(ValidationError, match="all-zero residuals"):
+        durbin_watson([0.0] * 5, replicates=10, seed=1)
