@@ -18,7 +18,8 @@ import io
 import numbers
 from functools import lru_cache
 from importlib import resources
-from typing import Sequence
+from types import SimpleNamespace
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -62,16 +63,26 @@ class Dataset:
     """Immutable country-by-column score table.
 
     ``Dataset(columns, countries, scores)`` takes the column names, the
-    country names and any (countries x columns) array-like of real numbers,
-    and keeps a read-only float copy of the scores whose rows follow
-    ``countries`` and whose columns follow ``columns``. Reads go through
-    ``array()`` and ``column()``.
+    country names (each a non-blank ``str``) and any (countries x columns)
+    array-like of real numbers, and keeps a read-only float copy of the
+    scores whose rows follow ``countries`` and whose columns follow
+    ``columns``. Reads go through ``array()`` and ``column()``.
+
+    The first ``emit_dataset`` of a dataset keeps the CSV text of each row
+    on it, and ``sorted_by_name`` hands that text, reordered, to the sorted
+    copy, so a row's float ``repr`` is rendered once however often the
+    dataset or its sorted copy is written.
     """
 
     def __init__(self, columns: Sequence[str], countries: Sequence[str],
                  scores: Sequence[Sequence[float]] | np.ndarray):
         self.columns = tuple(columns)
         self.countries = tuple(countries)
+        for kind, names in (("column", self.columns), ("country", self.countries)):
+            for i, name in enumerate(names, start=1):
+                if not isinstance(name, str) or not name.strip():
+                    raise ValidationError(
+                        f"{kind} name {name!r} (number {i}) is not a non-blank string")
         self._data = _score_array(self.columns, self.countries, scores)
         self._data.setflags(write=False)
         if len(set(self.columns)) != len(self.columns):
@@ -89,6 +100,8 @@ class Dataset:
                 f"value {float(self._data[i, j])!r} out of range [{SCORE_MIN:g}, {SCORE_MAX:g}] "
                 f"for {self.countries[i]!r}, column {self.columns[j]!r}"
             )
+        # the CSV text of each row, in row order, once emit_dataset renders it
+        self._rows: tuple[str, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.countries)
@@ -119,7 +132,10 @@ class Dataset:
     def sorted_by_name(self) -> "Dataset":
         """Rows reordered alphabetically by country name."""
         order = sorted(range(len(self)), key=self.countries.__getitem__)
-        return Dataset(self.columns, [self.countries[i] for i in order], self._data[order])
+        by_name = Dataset(self.columns, [self.countries[i] for i in order], self._data[order])
+        if self._rows is not None:
+            by_name._rows = tuple(self._rows[i] for i in order)
+        return by_name
 
 
 def _score_array(columns: tuple[str, ...], countries: tuple[str, ...],
@@ -165,6 +181,9 @@ def parse_dataset(csv_text: str) -> Dataset:
     columns = tuple(header[1:])
     if not columns:
         raise DatasetParseError("no score columns in header")
+    if "" in columns:
+        raise DatasetParseError(
+            f"header cell {columns.index('') + 2} is blank: every score column needs a name")
 
     names, values = _names_and_values(header, rows[1:])
     return Dataset(columns, names, np.array(values, dtype=float).reshape(len(names), len(columns)))
@@ -207,14 +226,26 @@ def _names_and_values(header: list[str], body: list[list[str]]) -> tuple[list[st
     return names, values
 
 
+def _csv_lines(rows: Iterable[Sequence]) -> list[str]:
+    """The CSV text of each row, with its quoting and its line end. The
+    writer makes one write call per row, so a quoted newline stays inside its
+    row's text."""
+    lines: list[str] = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows(rows)
+    return lines
+
+
 def emit_dataset(dataset: Dataset) -> str:
-    """Serialize back to the CSV schema; round-trips through parse_dataset."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("country",) + dataset.columns)
-    # the writer writes a float as its repr, which parses back to the same value
-    writer.writerows(zip(dataset.countries, *dataset._data.T.tolist()))
-    return out.getvalue()
+    """Serialize back to the CSV schema; round-trips through parse_dataset.
+
+    The first call on a dataset renders its rows and keeps their text on it
+    (see ``Dataset``); later calls, and calls on its ``sorted_by_name`` copy,
+    join that text.
+    """
+    if dataset._rows is None:
+        # the writer writes a float as its repr, which parses back to the same value
+        dataset._rows = tuple(_csv_lines(zip(dataset.countries, *dataset._data.T.tolist())))
+    return "".join(_csv_lines([("country",) + dataset.columns])) + "".join(dataset._rows)
 
 
 @lru_cache(maxsize=1)

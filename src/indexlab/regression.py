@@ -10,6 +10,14 @@ are fitted on a ``Dataset``: ``fit_ols``, ``null_model`` and
 ``stepwise_fit`` name their columns, and every least-squares fit among them
 is built by one function, ``_ols_arrays``.
 
+Stepwise entry goes to the remaining candidate with the largest partial t
+among those that keep the design full rank: one thin QR of the selected
+columns residualises the response and every candidate (Frisch-Waugh-Lovell),
+and only the winner is fitted in full. The p that decides its entry and that
+the trace records is that full fit's. Ranking by t settles the tie that a
+smallest-p rule leaves when several p-values underflow to 0.0, as they do
+at n = 2,900.
+
 A run draws the bootstrap's permutations once and scores every residual
 vector on them: ``reproduce_all`` passes its three fits to one scorer,
 ``_durbin_watson_many``, and ``durbin_watson`` is that scorer for one
@@ -140,14 +148,18 @@ def _t_statistic(coef: float, se: float) -> float:
     return coef / se
 
 
+def _rank_tolerance(n: int, col_norms: np.ndarray) -> float:
+    """The length at or below which a centred column, after its projection on
+    the columns before it is removed, counts as dependent on them."""
+    return n * np.finfo(float).eps * max(float(col_norms.max()), 1.0)
+
+
 def _centred_qr(xc: np.ndarray, predictor_names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Thin Q and upper-triangular R of the centred predictors, after the rank
     test: a column whose |R_jj| is at rounding level depends on the columns
     before it."""
-    n = xc.shape[0]
-    col_norms = np.sqrt((xc * xc).sum(axis=0))
     q_thin, r_mat = np.linalg.qr(xc)
-    tol = n * np.finfo(float).eps * max(float(col_norms.max()), 1.0)
+    tol = _rank_tolerance(xc.shape[0], np.sqrt((xc * xc).sum(axis=0)))
     for j, name in enumerate(predictor_names):
         if abs(float(r_mat[j, j])) <= tol:
             raise SingularDesignError(
@@ -155,6 +167,13 @@ def _centred_qr(xc: np.ndarray, predictor_names: Sequence[str]) -> tuple[np.ndar
                 "linearly dependent on the preceding columns (or constant)"
             )
     return q_thin, r_mat
+
+
+def _check_rows(n: int, k: int) -> None:
+    if n < k + 2:
+        raise InsufficientDataError(
+            f"need at least {k + 2} rows to fit {k} predictors with an intercept, got {n}"
+        )
 
 
 def _ols_arrays(x: np.ndarray, y: np.ndarray, response: str,
@@ -167,10 +186,7 @@ def _ols_arrays(x: np.ndarray, y: np.ndarray, response: str,
     """
     x = np.ascontiguousarray(x)
     n, k = x.shape
-    if n < k + 2:
-        raise InsufficientDataError(
-            f"need at least {k + 2} rows to fit {k} predictors with an intercept, got {n}"
-        )
+    _check_rows(n, k)
     y_mean = float(np.mean(y))
     yc = y - y_mean
     sst = float(yc @ yc)
@@ -430,45 +446,90 @@ def casewise_diagnostics(fit: LinearModelFit) -> CasewiseDiagnostics:
                                flagged=tuple(flagged.tolist()))
 
 
+def _entry_order(xc: np.ndarray, yc: np.ndarray, col_norms: np.ndarray,
+                 selected: list[int], remaining: list[int]) -> list[int]:
+    """The remaining candidates that pass the rank rule, largest partial t first.
+
+    Frisch-Waugh-Lovell: the centred response and candidates are residualised
+    on one thin QR of the selected columns, giving e and each r_j, and the t
+    of r_j's slope in a fit of e on r_j is that of candidate j in the full fit
+    of the selected columns plus j, with df = n - len(selected) - 2. A
+    candidate whose |r_j| is within ``_centred_qr``'s rounding tolerance for
+    that design is left out. Equal t keep the listed order.
+    """
+    n = xc.shape[0]
+    z = np.column_stack([yc, xc[:, remaining]])
+    if selected:
+        q_thin = np.linalg.qr(xc[:, selected])[0]
+        z -= q_thin @ (q_thin.T @ z)
+    e, r = z[:, 0], z[:, 1:]
+    rr = (r * r).sum(axis=0)
+    tol = [_rank_tolerance(n, col_norms[selected + [j]]) for j in remaining]
+    keep = np.flatnonzero(np.sqrt(rr) > tol)
+    slopes = (e @ r[:, keep]) / rr[keep]
+    resid = e[:, None] - r[:, keep] * slopes
+    ss_res = (resid * resid).sum(axis=0)
+    # t^2 = slope^2 |r|^2 df / ss_res; an exact fit has |t| infinite unless
+    # the slope is 0
+    signal = slopes * slopes * rr[keep] * (n - len(selected) - 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_squared = np.where(ss_res > 0.0, signal / ss_res, np.where(signal > 0.0, math.inf, 0.0))
+    return [remaining[keep[i]] for i in np.argsort(-t_squared, kind="stable")]
+
+
 def stepwise_fit(dataset: Dataset, response: str,
                  candidates: Sequence[str]) -> tuple[LinearModelFit, tuple[StepwiseStep, ...]]:
     """Forward-entry, backward-removal stepwise selection over candidate columns.
 
-    Each round the candidate with the smallest p enters if p < ``DEFAULT_P_ENTER``;
-    predictors with p > ``DEFAULT_P_REMOVE`` then leave, worst first. Returns
-    the final fit (intercept-only when nothing is selected) and the trace.
+    Each round the remaining candidate with the largest partial |t| enters if
+    its p < ``DEFAULT_P_ENTER``; predictors with p > ``DEFAULT_P_REMOVE`` then
+    leave, worst first. The partial t of every remaining candidate comes from
+    one thin QR of the selected columns (``_entry_order``), and a candidate
+    that would make the design rank deficient is skipped. Only the winner is
+    fitted in full, with the selected columns; if that fit is singular after
+    all, the next candidate is tried. The p that decides entry and that the
+    trace records is the winner's p in that full fit, and the fit is also the
+    first pass of the removal check. Ranking by t, not by p, settles the
+    ties among p-values that underflow to 0.0 (at n = 2,900, |t| above about
+    44) in favour of the largest |t|, where a smallest-p rule would take the
+    first-listed candidate. Returns the final fit (intercept-only when
+    nothing is selected) and the trace.
     """
     if not candidates:
         raise ValidationError("stepwise selection needs at least one candidate")
     x, y, response_name, names = _dataset_arrays(dataset, response, candidates)
+    n = x.shape[0]
+    xc = x - x.mean(axis=0)
+    col_norms = np.sqrt((xc * xc).sum(axis=0))
+    yc = y - y.mean()
     selected: list[int] = []
     trace: list[StepwiseStep] = []
-    while True:
-        steps = len(trace)
-        best_j, best_p = -1, math.inf
-        for j in [j for j in range(x.shape[1]) if j not in selected]:
+    fit = None  # the fit of the selection, once a candidate has entered
+    while remaining := [j for j in range(x.shape[1]) if j not in selected]:
+        _check_rows(n, len(selected) + 1)
+        for j in _entry_order(xc, yc, col_norms, selected, remaining):
             cols = selected + [j]
             try:
-                p = _ols_arrays(x[:, cols], y, response_name,
-                                [names[c] for c in cols]).p_values[-1].value
+                trial = _ols_arrays(x[:, cols], y, response_name, [names[c] for c in cols])
             except SingularDesignError:
-                continue
-            if p < best_p:
-                best_j, best_p = j, p
-        if best_p < DEFAULT_P_ENTER:
-            selected.append(best_j)
-            trace.append(StepwiseStep("add", names[best_j], best_p))
+                continue  # rank deficient after all: try the next candidate
+            break
+        else:
+            break  # no remaining candidate keeps the design full rank
+        p = trial.p_values[-1].value
+        if not p < DEFAULT_P_ENTER:
+            break
+        selected.append(j)
+        trace.append(StepwiseStep("add", names[j], p))
+        fit = trial
         while selected:
-            fit = _ols_arrays(x[:, selected], y, response_name, [names[j] for j in selected])
             slope_ps = [pv.value for pv in fit.p_values[1:]]
             worst = max(range(len(selected)), key=slope_ps.__getitem__)
             if not slope_ps[worst] > DEFAULT_P_REMOVE:
                 break
             trace.append(StepwiseStep("remove", names[selected.pop(worst)], slope_ps[worst]))
-        if len(trace) == steps:
-            break
-    # a non-empty selection was last fitted by the removal loop's final pass
-    if not selected:
+            fit = _ols_arrays(x[:, selected], y, response_name, [names[j] for j in selected])
+    if fit is None:
         fit = _ols_arrays(x[:, :0], y, response_name, ())
     return fit, tuple(trace)
 

@@ -299,6 +299,11 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
     Provenance names the permutation scheme (``dw_permutation``). Each
     column is sorted once, for both Shapiro-Wilk and the boxplot hinges. A
     bad seed or replicate count is rejected before any stage runs.
+
+    ``dataset_sha256`` hashes ``emit_dataset`` of the sorted copy. When the
+    dataset has been exported already, the sorted copy carries its row text
+    (see ``Dataset``), so no row is rendered again; a fresh dataset's rows
+    are rendered once, here.
     """
     _check_bootstrap(replicates, seed)
     validate_schema(dataset)

@@ -83,6 +83,15 @@ def test_dataset_validate_rejects_non_utf8(capsys, tmp_path):
     )
 
 
+def test_dataset_validate_rejects_blank_column_name(capsys, tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("country,,x\nA,1,2\n")
+    assert main(["dataset", "validate", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: header cell 2 is blank: every score column needs a name\n"
+    )
+
+
 _FUZZ_INSERTS = b',\n"\x00.-e9'
 
 

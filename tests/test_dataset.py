@@ -94,6 +94,13 @@ def test_parse_rejects_bad_header():
         parse_dataset("country\nA\n")
 
 
+@pytest.mark.parametrize("header,cell", [("country,,x", 2), ("country,a, ", 3), ("country, ,x,", 2)])
+def test_parse_rejects_blank_header_cell(header, cell):
+    with pytest.raises(DatasetParseError,
+                       match=re.escape(f"header cell {cell} is blank: every score column needs a name")):
+        parse_dataset(header + "\nA,1,2\n")
+
+
 def test_parse_rejects_bad_cells():
     with pytest.raises(DatasetParseError, match="not a number"):
         parse_dataset("country,SII\nA,fifty\n")
@@ -142,6 +149,22 @@ def test_constructor_validation():
         Dataset(("x",), ("A",), [[101.0]])
     with pytest.raises(ValidationError, match="out of range"):
         Dataset(("x",), ("A",), np.array([[-0.5]]))
+
+
+@pytest.mark.parametrize("columns,countries,message", [
+    (("x",), ["A", 1], "country name 1 (number 2)"),
+    ((3,), ["A", "B"], "column name 3 (number 1)"),
+    (("x",), ["", "B"], "country name '' (number 1)"),
+    (("x",), ["A", " \t"], "country name ' \\t' (number 2)"),
+    (("x", ""), ["A", "B"], "column name '' (number 2)"),
+    ((None,), ["A", "B"], "column name None (number 1)"),
+    (("x",), [b"A", "B"], "country name b'A' (number 1)"),
+])
+def test_constructor_requires_non_blank_string_names(columns, countries, message):
+    # before the check these failed later: a sort of mixed names raised
+    # TypeError, a column lookup on an int name AttributeError
+    with pytest.raises(ValidationError, match=re.escape(message + " is not a non-blank string")):
+        Dataset(columns, countries, np.ones((2, len(columns))))
 
 
 @pytest.mark.parametrize("scores", [
@@ -199,3 +222,22 @@ def test_non_finite_cells_rejected(cell):
     # the first offending cell in row order is the one named
     with pytest.raises(ValidationError, match=re.escape(message)):
         parse_dataset(f"country,b,a\nW,1,2\nX,3,{cell}\nY,{cell},{cell}\n")
+
+
+ODD_NAMES_CSV = ('country,a,b\nZed,1.0,2.5\n"Korea, Rep.",3.0,0.1\n'
+                 '"Say ""hi""",99.99,7.0\n"Two\nlines",50.0,12.25\nAlpha,4.0,5.0\n')
+
+
+def test_sorted_copy_carries_row_text():
+    ds = parse_dataset(ODD_NAMES_CSV)
+    assert ds.countries == ("Zed", "Korea, Rep.", 'Say "hi"', "Two\nlines", "Alpha")
+    fresh = ds.sorted_by_name()
+    assert fresh._rows is None
+    assert emit_dataset(ds) == ODD_NAMES_CSV
+    by_name = ds.sorted_by_name()
+    assert by_name._rows is not None
+    # the reordered text is what a fresh rendering of the sorted copy gives
+    assert emit_dataset(by_name) == emit_dataset(fresh)
+    assert emit_dataset(by_name).splitlines(keepends=True)[1:3] == [
+        "Alpha,4.0,5.0\n", '"Korea, Rep.",3.0,0.1\n']
+    assert parse_dataset(emit_dataset(by_name)).countries == by_name.countries

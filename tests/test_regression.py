@@ -514,6 +514,162 @@ def test_stepwise_fit_after_removal_matches_direct_fit():
     _assert_same_fit(fit, fit_ols(ds, "y", ["x2", "x3"]))
 
 
+def _full_fit_stepwise(dataset, response, candidates):
+    """Oracle: the stepwise search with one full fit per remaining candidate
+    per step, entering the smallest p and, among equal p, the larger |t|, and
+    refitting the selection for every removal check."""
+    x, y, response_name, names = regression._dataset_arrays(dataset, response, candidates)
+    selected, trace = [], []
+    while True:
+        steps = len(trace)
+        best_j, best = -1, (math.inf, 0.0)
+        for j in [j for j in range(x.shape[1]) if j not in selected]:
+            cols = selected + [j]
+            try:
+                trial = regression._ols_arrays(x[:, cols], y, response_name,
+                                               [names[c] for c in cols])
+            except SingularDesignError:
+                continue
+            key = (trial.p_values[-1].value, -abs(trial.t_values[-1]))
+            if key < best:
+                best_j, best = j, key
+        if best[0] < regression.DEFAULT_P_ENTER:
+            selected.append(best_j)
+            trace.append(regression.StepwiseStep("add", names[best_j], best[0]))
+        while selected:
+            fit = regression._ols_arrays(x[:, selected], y, response_name,
+                                         [names[j] for j in selected])
+            slope_ps = [pv.value for pv in fit.p_values[1:]]
+            worst = max(range(len(selected)), key=slope_ps.__getitem__)
+            if not slope_ps[worst] > regression.DEFAULT_P_REMOVE:
+                break
+            trace.append(regression.StepwiseStep("remove", names[selected.pop(worst)],
+                                                 slope_ps[worst]))
+        if len(trace) == steps:
+            break
+    if not selected:
+        fit = regression._ols_arrays(x[:, :0], y, response_name, ())
+    return fit, tuple(trace)
+
+
+def _stepwise_design(seed: int, n: int):
+    """A seeded stepwise design: y and five candidates on a one-factor model,
+    scores with one decimal in [5, 95]. Every tenth design is uncorrelated,
+    and in two of ten x0 is the mean of x1 and x2 plus noise while y follows
+    x1 and x2, so x0 enters first and is removed later."""
+    rng = np.random.default_rng([seed, 13])
+    kind = seed % 10
+    if kind == 5:
+        y, x = rng.normal(50.0, 8.0, n), 20.0 + rng.exponential(12.0, (n, 5))
+    else:
+        factor = rng.normal(50.0, 9.0, n)
+        x = factor[:, None] + rng.normal(0.0, rng.uniform(1.0, 6.0), (n, 5))
+        w = rng.uniform(-0.5, 1.5, 5)
+        y = (50.0 + (x - 50.0) @ w / w.sum() * rng.uniform(0.2, 1.0)
+             + rng.normal(0.0, rng.uniform(1.0, 6.0), n))
+        if kind in (2, 7):
+            x[:, 0] = (x[:, 1] + x[:, 2]) / 2.0 + rng.normal(0.0, 0.5, n)
+            y = 50.0 + (x[:, 1] - 50.0) + 0.6 * (x[:, 2] - 50.0) + rng.normal(0.0, 3.0, n)
+    names = ("y",) + tuple(f"x{j}" for j in range(5))
+    data = np.round(np.clip(np.column_stack([y, x]), 5.0, 95.0), 1)
+    return Dataset(names, [f"C{i:04d}" for i in range(n)], data), rng
+
+
+def test_stepwise_matches_full_fit_search():
+    removals = 0
+    for seed in range(2000):
+        ds, rng = _stepwise_design(seed, int(np.random.default_rng(seed).integers(10, 121)))
+        candidates = [f"x{j}" for j in rng.permutation(5)[:rng.integers(1, 6)]]
+        fit, trace = stepwise_fit(ds, "y", candidates)
+        assert (fit, trace) == _full_fit_stepwise(ds, "y", candidates), seed
+        removals += any(step.action == "remove" for step in trace)
+    assert removals >= 10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_stepwise_on_tiny_designs_matches_full_fit_search(n):
+    # too few rows for the next entry is the same InsufficientDataError
+    for seed in range(40):
+        ds, _ = _stepwise_design(seed, n)
+        outcomes = []
+        for search in (stepwise_fit, _full_fit_stepwise):
+            try:
+                outcomes.append(search(ds, "y", ["x0", "x1", "x2", "x3", "x4"]))
+            except InsufficientDataError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], (n, seed)
+    with pytest.raises(InsufficientDataError,
+                       match="need at least 3 rows to fit 1 predictors with an intercept, got 2"):
+        stepwise_fit(_stepwise_design(0, 2)[0], "y", ["x0"])
+
+
+@pytest.fixture(scope="module")
+def large_stepwise_design():
+    """n = 2,900 on a one-factor model, where several step-1 p-values
+    underflow to 0.0; the candidates are listed least significant first."""
+    ds, _ = _stepwise_design(1, 2900)
+    names = [f"x{j}" for j in range(5)]
+    t = {name: abs(fit_ols(ds, "y", [name]).t_values[1]) for name in names}
+    p = {name: fit_ols(ds, "y", [name]).p_values[1].value for name in names}
+    return ds, sorted(names, key=t.__getitem__), p
+
+
+def test_stepwise_enters_largest_t_among_underflowed_p(large_stepwise_design):
+    ds, candidates, p = large_stepwise_design
+    assert sum(value == 0.0 for value in p.values()) >= 2
+    # a smallest-p rule would take the first of the tied candidates
+    assert p[candidates[-1]] == 0.0 and candidates[-1] != next(c for c in candidates if p[c] == 0.0)
+    fit, trace = stepwise_fit(ds, "y", candidates)
+    assert trace[0] == regression.StepwiseStep("add", candidates[-1], 0.0)
+    assert (fit, trace) == _full_fit_stepwise(ds, "y", candidates)
+
+
+def test_stepwise_fits_each_entry_once(large_stepwise_design, monkeypatch):
+    ds, candidates, _ = large_stepwise_design
+    calls = []
+    original = regression._ols_arrays
+
+    def counted(*args):
+        calls.append(args[3])
+        return original(*args)
+
+    monkeypatch.setattr(regression, "_ols_arrays", counted)
+    fit, trace = stepwise_fit(ds, "y", candidates)
+    adds = sum(step.action == "add" for step in trace)
+    removals = sum(step.action == "remove" for step in trace)
+    assert adds >= 3
+    assert len(calls) <= adds + removals + 1
+    # the final fit is the entry's or the removal check's own, not a refit
+    assert calls.count(list(fit.predictors)) == 1
+
+
+def test_stepwise_skips_rank_deficient_winner():
+    # a is zero but for one row, so its centred norm (2e-13) passes the rank
+    # rule alone; with b, whose norm is about 100, the tolerance grows past it
+    # and the fit of a and b is singular, though b's partial t after a is the
+    # largest. The next candidate, c, enters instead.
+    rng = np.random.default_rng(2)
+    n = 20
+    a = np.zeros(n)
+    a[0] = 2e-13
+    b = np.round(rng.uniform(10.0, 90.0, n), 1)
+    c = np.round(rng.normal(50.0, 5.0, n), 1)
+    y = np.round(30.0 + 0.1 * (b - 50.0) + 0.5 * (c - 50.0) + rng.normal(0.0, 1.0, n), 1)
+    y[0] = 95.0
+    ds = Dataset(("y", "a", "b", "c"), [f"C{i:02d}" for i in range(n)],
+                 np.column_stack([y, a, b, c]))
+    x, yv, _, _ = regression._dataset_arrays(ds, "y", ["a", "b", "c"])
+    xc = x - x.mean(axis=0)
+    order = regression._entry_order(xc, yv - yv.mean(), np.sqrt((xc * xc).sum(axis=0)), [0], [1, 2])
+    assert order == [1, 2]
+    with pytest.raises(SingularDesignError):
+        fit_ols(ds, "y", ["a", "b"])
+    fit, trace = stepwise_fit(ds, "y", ["a", "b", "c"])
+    assert [(step.action, step.predictor) for step in trace] == [("add", "a"), ("add", "c")]
+    assert fit.predictors == ("a", "c")
+    assert (fit, trace) == _full_fit_stepwise(ds, "y", ["a", "b", "c"])
+
+
 def test_ols_does_not_depend_on_memory_layout():
     rng = np.random.default_rng(11)
     x = rng.normal(50.0, 10.0, size=(2900, 4))

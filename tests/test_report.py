@@ -1,6 +1,7 @@
 """End-to-end pipeline bundle: structure, frozen values, serialization."""
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -323,3 +324,75 @@ def test_each_statistic_computed_once_per_run(dataset, monkeypatch):
     assert calls == {"describe": 11, "_shapiro_wilk_ordered": 11, "sort": 11,
                      "correlation_matrix": 1, "eigen_symmetric": 1,
                      "_permutation_chunks": 1}
+
+
+def _odd_names_dataset(dataset):
+    """The bundled table with three countries renamed to names that need
+    quoting, read back by parse_dataset from its own export."""
+    odd = {"USA": "Korea, Rep.", "Italy": 'The "Republic"', "Spain": "Two\nlines"}
+    renamed = Dataset(dataset.columns, [odd.get(name, name) for name in dataset.countries],
+                      dataset.array(dataset.columns))
+    parsed = parse_dataset(emit_dataset(renamed))
+    assert set(odd.values()) <= set(parsed.countries)
+    return parsed
+
+
+def _sorted_csv_sha256(dataset):
+    """sha256 of the dataset written from scratch by the csv module, rows
+    sorted by country, floats as repr."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("country",) + dataset.columns)
+    for name, row in sorted(zip(dataset.countries, dataset.array(dataset.columns).tolist())):
+        writer.writerow([name, *map(repr, row)])
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("exported", [False, True], ids=["fresh", "pre-exported"])
+def test_dataset_sha256_is_that_of_the_sorted_csv(dataset, exported):
+    ds = _odd_names_dataset(dataset)
+    if exported:
+        emit_dataset(ds)
+    bundle = reproduce_all(ds, seed=42, replicates=1)
+    assert bundle.provenance["dataset_sha256"] == _sorted_csv_sha256(ds)
+
+
+@pytest.mark.parametrize("exported", [False, True], ids=["fresh", "pre-exported"])
+def test_reproduce_all_renders_each_row_once(dataset, monkeypatch, exported):
+    from indexlab import dataset as dataset_module
+
+    ds = _odd_names_dataset(dataset)
+    if exported:
+        emit_dataset(ds)
+    rendered = []
+    real_writer = csv.writer
+
+    class CountingWriter:
+        def __init__(self, *args, **kwargs):
+            self._writer = real_writer(*args, **kwargs)
+
+        def writerow(self, row):
+            rendered.append(tuple(row))
+            return self._writer.writerow(row)
+
+        def writerows(self, rows):
+            for row in rows:
+                self.writerow(row)
+
+    emits = []
+
+    def counted_emit(data):
+        emits.append(data)
+        return emit_dataset(data)
+
+    monkeypatch.setattr(dataset_module.csv, "writer", CountingWriter)
+    monkeypatch.setattr(report, "emit_dataset", counted_emit)
+    reproduce_all(ds, seed=42, replicates=1)
+    assert len(emits) == 1
+    header = ("country",) + ds.columns
+    if exported:
+        assert rendered == [header]
+    else:
+        assert sorted(rendered[:-1]) == sorted((name, *row) for name, row in zip(
+            ds.countries, ds.array(ds.columns).tolist()))
+        assert rendered[-1] == header
