@@ -19,14 +19,7 @@ from .errors import ColumnLookupError, DatasetParseError, IndexLabError
 from .golden import diff_golden, render_diff
 from .index_engine import compute_composite, preset, preset_names
 from .pca import run_pca
-from .regression import (
-    DEFAULT_REPLICATES,
-    DEFAULT_SEED,
-    anova,
-    collinearity,
-    durbin_watson,
-    fit_ols,
-)
+from .regression import DEFAULT_REPLICATES, DEFAULT_SEED, durbin_watson, fit_ols
 from .report import FORMATS, emit, predict_country, reproduce_all, validate_schema, write_figures
 
 _INPUT = click.option(
@@ -193,15 +186,14 @@ def regress(path: str, response: str, predictors: tuple[str, ...],
     click.echo(f"R-squared: {fit.r_squared:.6f}")
     click.echo(f"adjusted R-squared: {fit.adjusted_r_squared:.6f}")
     click.echo(f"RMSE: {fit.rmse:.6f}")
-    block = anova(fit)
+    block = fit.anova
     click.echo(f"ANOVA: SS {block.ss_regression:.6f}, df {block.df}, "
                f"MS {block.mean_square:.6f}, F {block.f:.6f}, p {block.p.value:.6g}")
     dw = durbin_watson(fit, replicates=replicates, seed=seed)
     click.echo(f"Durbin-Watson: d {dw.d:.6f}, autocorrelation {dw.autocorrelation:.6f}, "
                f"bootstrap p {dw.p.value:.4f} ({replicates} replicates, seed {seed})")
-    if len(predictor_names) >= 2:
-        report = collinearity(ds, predictor_names)
-        for name, tol, vif in zip(report.predictors, report.tolerance, report.vif):
+    if len(fit.predictors) >= 2:
+        for name, tol, vif in zip(fit.predictors, fit.tolerance, fit.vif):
             click.echo(f"collinearity {name}: tolerance {tol:.6f}, VIF {vif:.6f}")
 
 

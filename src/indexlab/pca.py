@@ -17,7 +17,7 @@ import numpy as np
 from .correlation import CorrelationMatrix, correlation_matrix
 from .dataset import Dataset
 from .distributions import PValue, chi2_tail_p
-from .errors import DomainError, SingularDesignError, ValidationError
+from .errors import DegenerateDataError, DomainError, SingularDesignError, ValidationError
 
 KAISER_THRESHOLD = 1.0
 
@@ -81,6 +81,8 @@ def _kmo(r: np.ndarray, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> fl
     partial = -(r_inv * np.outer(d, d))
     off = ~np.eye(p, dtype=bool)
     sum_r2 = float(np.sum(r[off] ** 2))
+    if sum_r2 == 0.0:
+        raise DegenerateDataError("KMO is undefined when every off-diagonal correlation is zero")
     sum_q2 = float(np.sum(partial[off] ** 2))
     return sum_r2 / (sum_r2 + sum_q2)
 

@@ -8,7 +8,11 @@ standardized residuals are internally studentized, and the Durbin-Watson
 p-value comes from a seeded permutation bootstrap of the residuals. Models
 are fitted on a ``Dataset``: ``fit_ols``, ``null_model`` and
 ``stepwise_fit`` name their columns, and every least-squares fit among them
-is built by one function, ``_ols_arrays``.
+is built by one function, ``_ols_arrays``, from one factorisation of its
+design. Fitted values are taken from the centred design too. Each fit
+carries its ANOVA block, and tolerance and VIF per predictor, which come
+from the same ``inv(R)`` as the standard errors; a lone predictor has
+tolerance 1.
 
 Stepwise entry goes to the remaining candidate with the largest partial t
 among those that keep the design full rank: one thin QR of the selected
@@ -46,12 +50,7 @@ import numpy as np
 from .base import check_array
 from .dataset import Dataset
 from .distributions import PValue, f_tail_p, t_two_tailed_p
-from .errors import (
-    DefinitionError,
-    InsufficientDataError,
-    SingularDesignError,
-    ValidationError,
-)
+from .errors import InsufficientDataError, SingularDesignError, ValidationError
 
 DEFAULT_P_ENTER = 0.05
 DEFAULT_P_REMOVE = 0.10
@@ -85,6 +84,16 @@ class AnovaBlock:
 
 @dataclass(frozen=True)
 class LinearModelFit:
+    """A least-squares fit with an intercept and its diagnostics.
+
+    ``anova`` is None for the intercept-only model. ``tolerance`` is 1 - R^2
+    of each predictor regressed on the others and ``vif`` its reciprocal,
+    VIF_j = ss_j [(Xc'Xc)^-1]_jj for the centred predictors Xc with
+    ss_j = |Xc_j|^2 (Marquardt 1970), read from the fit's own ``inv(R)``. A
+    lone predictor has tolerance and VIF 1; the intercept-only model has
+    neither.
+    """
+
     response: str
     predictors: tuple[str, ...]
     coefficients: tuple[float, ...]
@@ -97,6 +106,8 @@ class LinearModelFit:
     adjusted_r_squared: float
     rmse: float
     anova: AnovaBlock | None
+    tolerance: tuple[float, ...]
+    vif: tuple[float, ...]
     residuals: tuple[float, ...]
     fitted: tuple[float, ...]
     leverage: tuple[float, ...]
@@ -119,13 +130,6 @@ class DurbinWatsonResult:
     d: float
     autocorrelation: float
     p: PValue
-
-
-@dataclass(frozen=True)
-class CollinearityReport:
-    predictors: tuple[str, ...]
-    tolerance: tuple[float, ...]
-    vif: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -154,19 +158,21 @@ def _rank_tolerance(n: int, col_norms: np.ndarray) -> float:
     return n * np.finfo(float).eps * max(float(col_norms.max()), 1.0)
 
 
-def _centred_qr(xc: np.ndarray, predictor_names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+def _centred_qr(xc: np.ndarray,
+                predictor_names: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin Q and upper-triangular R of the centred predictors, after the rank
-    test: a column whose |R_jj| is at rounding level depends on the columns
-    before it."""
+    test (a column whose |R_jj| is at rounding level depends on the columns
+    before it), and the column sums of squares the test reads."""
     q_thin, r_mat = np.linalg.qr(xc)
-    tol = _rank_tolerance(xc.shape[0], np.sqrt((xc * xc).sum(axis=0)))
+    ss_cols = (xc * xc).sum(axis=0)
+    tol = _rank_tolerance(xc.shape[0], np.sqrt(ss_cols))
     for j, name in enumerate(predictor_names):
         if abs(float(r_mat[j, j])) <= tol:
             raise SingularDesignError(
                 f"design is rank deficient: column {name!r} is "
                 "linearly dependent on the preceding columns (or constant)"
             )
-    return q_thin, r_mat
+    return q_thin, r_mat, ss_cols
 
 
 def _check_rows(n: int, k: int) -> None:
@@ -193,11 +199,12 @@ def _ols_arrays(x: np.ndarray, y: np.ndarray, response: str,
     df_residual = n - k - 1
 
     x_means = x.mean(axis=0)
+    xc = x - x_means
     if k:
-        q_thin, r_mat = _centred_qr(x - x_means, predictor_names)
+        q_thin, r_mat, ss_cols = _centred_qr(xc, predictor_names)
         # R is upper triangular with a nonzero diagonal, so partial pivoting
         # swaps no rows and this is back-substitution; inv(R) is formed only
-        # for the standard errors
+        # for the standard errors and VIF
         slopes = np.linalg.solve(r_mat, q_thin.T @ yc)
         r_inv = np.linalg.inv(r_mat)
     else:
@@ -206,7 +213,9 @@ def _ols_arrays(x: np.ndarray, y: np.ndarray, response: str,
     leverage = 1.0 / n + (q_thin * q_thin).sum(axis=1)
 
     intercept = y_mean - float(x_means @ slopes)
-    fitted = intercept + x @ slopes
+    # from the centred design: a predictor whose spread is small against its
+    # mean would lose its digits in intercept + x @ slopes
+    fitted = y_mean + xc @ slopes
     residuals = y - fitted
     ss_res = float(residuals @ residuals)
     rmse = math.sqrt(ss_res / df_residual) if df_residual > 0 else 0.0
@@ -226,6 +235,13 @@ def _ols_arrays(x: np.ndarray, y: np.ndarray, response: str,
     for j in range(k):
         s_xj = float(np.std(x[:, j], ddof=1))
         betas.append(float(slopes[j]) * s_xj / s_y if s_y > 0.0 else 0.0)
+
+    # VIF_j = ss_j [(Xc'Xc)^-1]_jj, the row sums of squares of inv(R)
+    # (Marquardt 1970); a lone predictor has tolerance 1 by definition
+    if k >= 2:
+        tolerance = np.minimum(1.0, 1.0 / (ss_cols * (r_inv * r_inv).sum(axis=1)))
+    else:
+        tolerance = np.ones(k)
 
     anova = None
     if k:
@@ -249,6 +265,8 @@ def _ols_arrays(x: np.ndarray, y: np.ndarray, response: str,
         adjusted_r_squared=adjusted,
         rmse=rmse,
         anova=anova,
+        tolerance=tuple(tolerance.tolist()),
+        vif=tuple((1.0 / tolerance).tolist()),
         residuals=tuple(residuals.tolist()),
         fitted=tuple(fitted.tolist()),
         leverage=tuple(leverage.tolist()),
@@ -274,13 +292,6 @@ def fit_ols(dataset: Dataset, response: str, predictors: Sequence[str]) -> Linea
 def null_model(dataset: Dataset, response: str) -> LinearModelFit:
     """Intercept-only fit: intercept = mean, RMSE = sample standard deviation."""
     return fit_ols(dataset, response, ())
-
-
-def anova(fit: LinearModelFit) -> AnovaBlock:
-    """Regression sum of squares, df, mean square, F, and p for a fitted model."""
-    if fit.anova is None:
-        raise DefinitionError("ANOVA is undefined for the intercept-only model")
-    return fit.anova
 
 
 def _dw_statistic(residuals: np.ndarray) -> tuple[float, float]:
@@ -347,17 +358,19 @@ def _durbin_watson_many(fits: Sequence[LinearModelFit | Sequence[float]],
         raise ValidationError("Durbin-Watson residual vectors differ in length: "
                               + ", ".join(str(residuals.shape[0]) for residuals in stack))
     sums = [float(residuals @ residuals) for residuals in stack]
-    if 0.0 in sums:
-        raise ValidationError("Durbin-Watson is undefined for all-zero residuals")
+    # before the all-zero check: an exact fit may leave exact zeros or rounding
+    # noise, and both are reported as an exact fit
     for fit, ss in zip(fits, sums):
         if not isinstance(fit, LinearModelFit):
             continue
-        # an exact fit leaves rounding noise, not zeros; sst is that of fitted + residuals
+        # sst is that of fitted + residuals
         response = np.add(fit.fitted, fit.residuals)
         deviations = response - response.mean()
         if ss <= n * np.finfo(float).eps * float(deviations @ deviations):
             raise ValidationError("Durbin-Watson is undefined for residuals at rounding "
                                   "level: the model fits the response exactly")
+    if 0.0 in sums:
+        raise ValidationError("Durbin-Watson is undefined for all-zero residuals")
     observed = [_dw_statistic(residuals) for residuals in stack]
 
     at_or_above = [0] * len(stack)
@@ -398,37 +411,6 @@ def durbin_watson(fit: LinearModelFit | Sequence[float],
     and those of a fit with ss_res <= n * eps * sst (an exact fit), have no d.
     """
     return _durbin_watson_many([fit], replicates, seed)[0]
-
-
-def collinearity(dataset: Dataset, predictors: Sequence[str]) -> CollinearityReport:
-    """Tolerance (1 - R^2 of each predictor on the rest) and VIF per predictor.
-
-    VIF_j = 1/tolerance_j = ss_j [(Xc'Xc)^-1]_jj for centred predictors Xc with
-    ss_j = |Xc_j|^2: the diagonal of the inverse predictor correlation matrix
-    (Marquardt 1970), from one thin QR. A rank-deficient design gives every
-    predictor tolerance 0 and VIF infinity.
-    """
-    if len(predictors) < 2:
-        raise ValidationError("collinearity needs at least 2 predictors")
-    names = tuple(dataset.resolve_column(p) for p in predictors)
-    x = dataset.array(names)
-    n, k = x.shape
-    if n < k + 1:
-        raise InsufficientDataError(
-            f"need at least {k + 1} rows to fit {k - 1} predictors with an intercept, got {n}"
-        )
-    xc = x - x.mean(axis=0)
-    try:
-        _, r_mat = _centred_qr(xc, names)
-    except SingularDesignError:
-        return CollinearityReport(predictors=names, tolerance=(0.0,) * k,
-                                  vif=(math.inf,) * k)
-    r_inv = np.linalg.inv(r_mat)
-    # (Xc'Xc)^-1 = R^-1 R^-T, so its diagonal is the row sums of squares of R^-1
-    vif = (xc * xc).sum(axis=0) * (r_inv * r_inv).sum(axis=1)
-    tolerance = np.minimum(1.0, 1.0 / vif)
-    return CollinearityReport(predictors=names, tolerance=tuple(tolerance.tolist()),
-                              vif=tuple((1.0 / tolerance).tolist()))
 
 
 def casewise_diagnostics(fit: LinearModelFit) -> CasewiseDiagnostics:

@@ -56,7 +56,6 @@ from .regression import (
     _check_bootstrap,
     _durbin_watson_many,
     casewise_diagnostics,
-    collinearity,
     fit_ols,
     null_model,
     predict,
@@ -165,9 +164,7 @@ def _model_summary_table(h0: LinearModelFit, h1: LinearModelFit,
 
 
 def _coefficients_table(h0: LinearModelFit, h1: LinearModelFit,
-                        label: str, with_collinearity: bool = False,
-                        tolerance: Sequence[float] = (),
-                        vif: Sequence[float] = ()) -> dict:
+                        label: str, with_collinearity: bool = False) -> dict:
     def rows(fit: LinearModelFit) -> tuple[dict, list[str]]:
         labels = ["(Intercept)", *fit.predictors]
         out: dict[str, dict] = {}
@@ -184,9 +181,9 @@ def _coefficients_table(h0: LinearModelFit, h1: LinearModelFit,
     h0_rows, h0_order = rows(h0)
     h1_rows, h1_order = rows(h1)
     if with_collinearity:
-        for j, name in enumerate(h1.predictors):
-            h1_rows[name]["tolerance"] = tolerance[j]
-            h1_rows[name]["vif"] = vif[j]
+        for name, tolerance, vif in zip(h1.predictors, h1.tolerance, h1.vif):
+            h1_rows[name]["tolerance"] = tolerance
+            h1_rows[name]["vif"] = vif
     return {
         "kind": "coefficients",
         "label": label,
@@ -333,7 +330,6 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
 
     corr = correlation_matrix(ds, _CORR_VARIABLES)
     full = fit_ols(ds, SII, list(DIMENSIONS))
-    col = collinearity(ds, list(DIMENSIONS))
     cw = casewise_diagnostics(full)
     casewise = {
         "flagged_countries": [ds.countries[i] for i in cw.flagged],
@@ -355,22 +351,13 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
     dw_h0, dw_simple, dw_stepwise = _durbin_watson_many(
         [h0, simple, stepwise], replicates=replicates, seed=seed)
 
-    # a single selected predictor is trivially tolerance 1, VIF 1
-    if len(stepwise.predictors) >= 2:
-        step_col = collinearity(ds, stepwise.predictors)
-        tol, vif = step_col.tolerance, step_col.vif
-    else:
-        tol, vif = (1.0,) * len(stepwise.predictors), (1.0,) * len(stepwise.predictors)
-
     tables = {
         "T1": _descriptives_table(_T1_COLUMNS, stats),
         "T2": _model_summary_table(h0, simple, dw_h0, dw_simple, label=f"{SII} ~ {IDESI}"),
         "T3": _coefficients_table(h0, simple, label=f"{SII} ~ {IDESI}"),
         "T4": _correlation_table(corr.block(0, 6), style="r_and_p"),
-        "T5": _coefficients_table(
-            h0, full, label=f"{SII} ~ dimensions",
-            with_collinearity=True, tolerance=col.tolerance, vif=col.vif,
-        ),
+        "T5": _coefficients_table(h0, full, label=f"{SII} ~ dimensions",
+                                  with_collinearity=True),
         "T6": {
             "kind": "pca",
             "variables": list(pca.variables),
@@ -390,10 +377,8 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
         "T7": _descriptives_table(_T7_COLUMNS, stats, normality),
         "T8": _model_summary_table(h0, stepwise, dw_h0, dw_stepwise,
                                    label=f"{SII} ~ stepwise"),
-        "T9": _coefficients_table(
-            h0, stepwise, label=f"{SII} ~ stepwise",
-            with_collinearity=True, tolerance=tol, vif=vif,
-        ),
+        "T9": _coefficients_table(h0, stepwise, label=f"{SII} ~ stepwise",
+                                  with_collinearity=True),
         "T10": _correlation_table(corr.block(0, 6), style="r_with_stars"),
         "T11": _correlation_table(corr.block(1, 10), style="r_with_stars"),
     }

@@ -8,8 +8,6 @@ import numpy as np
 
 from indexlab import (
     Dataset,
-    anova,
-    collinearity,
     correlation_matrix,
     eigen_symmetric,
     emit,
@@ -72,7 +70,7 @@ def check_f_equals_t_squared(instances=100, seed=102):
         x = rng.normal(0.0, 1.0, size=(n, 1))
         y = 0.8 * x[:, 0] + rng.normal(0.0, 1.0, size=n)
         fit = regression._ols_arrays(x, y, "y", ["x0"])
-        block = anova(fit)
+        block = fit.anova
         t = fit.t_values[1]
         assert abs(block.f - t * t) <= 1e-9 * max(1.0, abs(block.f))
         assert abs(block.p.value - fit.p_values[1].value) <= 1e-12
@@ -88,8 +86,9 @@ def check_vif_reciprocal(instances=100, seed=103):
         names = tuple(f"x{j}" for j in range(k))
         base = rng.normal(50.0, 6.0, size=n)
         data = np.clip(base[:, None] + rng.normal(0.0, 4.0, size=(n, k)), 1.0, 99.0)
-        report = collinearity(_column_dataset(names, data), names)
-        for tol, vif in zip(report.tolerance, report.vif):
+        # the shared factor is the response: VIF reads only the predictors
+        fit = regression._ols_arrays(data, base, "y", names)
+        for tol, vif in zip(fit.tolerance, fit.vif):
             assert abs(vif * tol - 1.0) <= 1e-9
     return instances
 

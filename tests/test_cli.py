@@ -192,6 +192,18 @@ def test_pca(capsys, data_file):
     assert "Bartlett: chi2 85.288516, df 10," in out
 
 
+def test_pca_uncorrelated_columns(capsys, tmp_path):
+    path = tmp_path / "uncorrelated.csv"
+    path.write_text("country,a,b,c\nA,10,10,10\nB,20,10,20\nC,10,20,20\n"
+                    "D,20,20,10\nE,15,15,15\n")
+    assert main(["pca", "--input", str(path), "--column", "a", "--column", "b",
+                 "--column", "c"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: KMO is undefined when every off-diagonal correlation is zero\n")
+
+
 def test_reproduce_json(capsys):
     assert main(["reproduce", "--format", "json", "--replicates", "40"]) == 0
     payload = json.loads(capsys.readouterr().out)

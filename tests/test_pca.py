@@ -115,6 +115,16 @@ def test_kmo_singular():
         kmo(matrix)
 
 
+_IDENTITY = _matrix(("a", "b", "c"), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
+
+
+def test_kmo_uncorrelated():
+    with pytest.raises(DegenerateDataError, match="every off-diagonal correlation is zero"):
+        kmo(_IDENTITY)
+    with pytest.raises(DegenerateDataError, match="every off-diagonal correlation is zero"):
+        principal_components(_IDENTITY)
+
+
 def test_kmo_needs_two_variables():
     with pytest.raises(ValidationError):
         kmo(_matrix(("a",), ((1.0,),)))

@@ -24,7 +24,8 @@ def test_every_exported_name_resolves():
     assert set(indexlab.__all__) <= set(namespace)
 
 
-@pytest.mark.parametrize("name", ["OLS", "StepwiseOLS", "CountryRecord", "NotFittedError"])
+@pytest.mark.parametrize("name", ["OLS", "StepwiseOLS", "CountryRecord", "NotFittedError",
+                                  "collinearity", "CollinearityReport", "anova"])
 def test_removed_names_are_not_exported(name):
     assert name not in indexlab.__all__
     assert not hasattr(indexlab, name)

@@ -8,14 +8,11 @@ import pytest
 
 from indexlab import (
     Dataset,
-    DefinitionError,
     InsufficientDataError,
     SingularDesignError,
     ValidationError,
-    anova,
     casewise_diagnostics,
     chi2_tail_p,
-    collinearity,
     durbin_watson,
     fit_ols,
     null_model,
@@ -64,7 +61,7 @@ def test_simple_fit_frozen(simple_fit):
 
 
 def test_simple_fit_anova(simple_fit):
-    block = anova(simple_fit)
+    block = simple_fit.anova
     assert block.df == 1
     assert abs(block.ss_regression - 2280.6647365999524) < 1e-9
     assert block.mean_square == block.ss_regression
@@ -81,8 +78,6 @@ def test_null_model_frozen(sorted_dataset):
     assert fit.r == 0.0 and fit.r_squared == 0.0
     assert abs(fit.rmse - 12.202027813384984) < 1e-12
     assert fit.anova is None
-    with pytest.raises(DefinitionError):
-        anova(fit)
 
 
 def test_durbin_watson_frozen(sorted_dataset, simple_fit):
@@ -363,34 +358,42 @@ def test_five_predictor_fit_published(five_fit):
     assert abs(fit.r_squared - 0.547) < 0.05
 
 
-def test_collinearity_published(sorted_dataset):
-    report = collinearity(sorted_dataset, DIMENSIONS)
-    assert report.predictors == DIMENSIONS
+def test_collinearity_published(five_fit, sorted_dataset):
+    fit = five_fit
+    assert fit.predictors == DIMENSIONS
     np.testing.assert_allclose(
-        report.tolerance, (0.429, 0.404, 0.296, 0.260, 0.532), atol=0.005)
+        fit.tolerance, (0.429, 0.404, 0.296, 0.260, 0.532), atol=0.005)
     np.testing.assert_allclose(
-        report.vif, (2.331, 2.476, 3.376, 3.844, 1.880), atol=0.005)
-    for tol, vif in zip(report.tolerance, report.vif):
+        fit.vif, (2.331, 2.476, 3.376, 3.844, 1.880), atol=0.005)
+    np.testing.assert_allclose(fit.tolerance, _refit_tolerances(sorted_dataset.array(DIMENSIONS)),
+                               rtol=0.0, atol=1e-12)
+    for tol, vif in zip(fit.tolerance, fit.vif):
         assert abs(vif * tol - 1.0) < 1e-9
 
 
-_DEGENERATE_COLLINEARITY = {
-    "duplicate": ((0.0, 0.0, 0.0), (math.inf, math.inf, math.inf)),
-    "linear_combination": ((0.0, 0.0, 0.0), (math.inf, math.inf, math.inf)),
-    "constant": ((0.0, 0.0, 0.0), (math.inf, math.inf, math.inf)),
-}
-
-
-@pytest.mark.parametrize("kind", sorted(_DEGENERATE_COLLINEARITY))
+@pytest.mark.parametrize("kind", ["constant", "duplicate", "linear_combination"])
 def test_degenerate_designs(degenerate_designs, kind):
     ds = degenerate_designs[kind]
-    predictors = ["p1", "p2", "p3"]
     with pytest.raises(SingularDesignError, match="rank deficient"):
-        fit_ols(ds, "y", predictors)
-    report = collinearity(ds, predictors)
-    tolerance, vif = _DEGENERATE_COLLINEARITY[kind]
-    assert report.tolerance == tolerance
-    assert report.vif == vif
+        fit_ols(ds, "y", ["p1", "p2", "p3"])
+
+
+def test_fit_of_a_predictor_with_tiny_spread():
+    """A predictor that is 50.0 in every row but one, which is the next float:
+    the residual sum of squares and R^2 are those of the centred closed form,
+    sst - (xc.yc)^2 / (xc.xc), where uncentred fitted values lose every digit."""
+    n = 20
+    a = np.full(n, 50.0)
+    a[0] = np.nextafter(50.0, 100.0)
+    y = np.random.default_rng(3).normal(50.0, 5.0, n)
+    fit = fit_ols(Dataset(("y", "a"), [f"C{i:02d}" for i in range(n)],
+                          np.column_stack([y, a])), "y", ["a"])
+    xc, yc = a - a.mean(), y - y.mean()
+    sst = float(yc @ yc)
+    ss_res = sst - float(xc @ yc) ** 2 / float(xc @ xc)
+    residuals = np.array(fit.residuals)
+    assert float(residuals @ residuals) == pytest.approx(ss_res, rel=1e-9)
+    assert fit.r_squared == pytest.approx(1.0 - ss_res / sst, rel=1e-9)
 
 
 def _column_dataset(columns: dict) -> Dataset:
@@ -433,24 +436,28 @@ def _refit_tolerances(x: np.ndarray) -> list[float]:
                                  (3000, 2), (3000, 5)])
 def test_collinearity_matches_refits(sorted_dataset, n, k):
     if (n, k) == (29, 5):
-        ds, names = sorted_dataset, DIMENSIONS
+        ds, response, names = sorted_dataset, SII, DIMENSIONS
     else:
         rng = np.random.default_rng([n, k])
         factor = rng.normal(0.0, 1.0, size=(n, 1))
         # a spread of loadings gives tolerances from near 0.1 up to near 1
         x = 50.0 + 8.0 * (factor * np.linspace(0.0, 3.0, k) + rng.normal(0.0, 1.0, size=(n, k)))
-        names = tuple(f"p{j}" for j in range(k))
-        ds = _column_dataset(dict(zip(names, np.clip(x, 0.0, 100.0).T)))
-    report = collinearity(ds, names)
+        response, names = "y", tuple(f"p{j}" for j in range(k))
+        ds = _column_dataset({"y": 50.0 + 8.0 * factor[:, 0],
+                              **dict(zip(names, np.clip(x, 0.0, 100.0).T))})
+    fit = fit_ols(ds, response, names)
     reference = _refit_tolerances(ds.array(names))
-    np.testing.assert_allclose(report.tolerance, reference, rtol=0.0, atol=1e-12)
-    for tol, vif in zip(report.tolerance, report.vif):
+    np.testing.assert_allclose(fit.tolerance, reference, rtol=0.0, atol=1e-12)
+    for tol, vif in zip(fit.tolerance, fit.vif):
         assert 0.0 < tol <= 1.0 and vif * tol == pytest.approx(1.0, abs=1e-12)
 
 
-def test_collinearity_needs_two_predictors(sorted_dataset):
-    with pytest.raises(ValidationError, match="at least 2"):
-        collinearity(sorted_dataset, [IDESI])
+def test_collinearity_needs_two_predictors(sorted_dataset, simple_fit):
+    """A lone predictor has tolerance and VIF 1 by definition, and the
+    intercept-only model has neither."""
+    assert simple_fit.tolerance == (1.0,) and simple_fit.vif == (1.0,)
+    fit = null_model(sorted_dataset, SII)
+    assert fit.tolerance == () and fit.vif == ()
 
 
 def test_casewise_frozen(five_fit):
@@ -490,7 +497,7 @@ def test_stepwise_published(sorted_dataset):
     assert abs(fit.adjusted_r_squared - 0.470636061721595) < 1e-12
     assert abs(fit.rmse - 8.877878291649314) < 1e-12
     assert abs(fit.standardized_betas[1] - 0.699672721106168) < 1e-12
-    block = anova(fit)
+    block = fit.anova
     assert abs(block.ss_regression - 2040.853997285251) < 1e-9
     assert abs(block.f - 25.893667239709373) < 1e-10
     dw = durbin_watson(fit, replicates=50, seed=42)

@@ -297,7 +297,8 @@ def test_each_statistic_computed_once_per_run(dataset, monkeypatch):
     """One describe, one sort and one Shapiro-Wilk per schema column (the
     hinges read the same order statistics), one correlation matrix, one
     eigendecomposition, one draw of the Durbin-Watson permutations for the
-    three models, and no per-call column rebuilds."""
+    three models, no per-call column rebuilds, and one factorisation of each
+    fitted design: tolerance and VIF come from the fit's own."""
     from indexlab import dataset as dataset_module
     from indexlab import pca as pca_module
     from indexlab import regression as regression_module
@@ -320,10 +321,48 @@ def test_each_statistic_computed_once_per_run(dataset, monkeypatch):
     counted(dataset_module.Dataset, "column")
     counted(np, "sort")
     counted(regression_module, "_permutation_chunks")
+    counted(regression_module, "_centred_qr")
+    designs = []
+    ols_arrays = regression_module._ols_arrays
+
+    def fit(x, *args):
+        designs.append(x.shape[1])
+        return ols_arrays(x, *args)
+
+    monkeypatch.setattr(regression_module, "_ols_arrays", fit)
     reproduce_all(dataset, seed=42, replicates=1)
+    assert calls.pop("_centred_qr") == sum(k > 0 for k in designs)
     assert calls == {"describe": 11, "_shapiro_wilk_ordered": 11, "sort": 11,
                      "correlation_matrix": 1, "eigen_symmetric": 1,
                      "_permutation_chunks": 1}
+
+
+def test_stepwise_collinearity_matches_refits():
+    """A seeded dataset whose stepwise model keeps three predictors: T9's
+    tolerance and VIF are those of 1 - R^2 from lstsq refits of each kept
+    predictor on the others."""
+    from indexlab.dataset import DIMENSIONS, IDESI, PILLARS, SII
+
+    rng = np.random.default_rng(1)
+    n = 40
+    dims = rng.normal(50.0, 8.0, size=(n, 5))
+    pillars = rng.normal(50.0, 8.0, size=(n, 4))
+    idesi = dims.mean(axis=1) + rng.normal(0.0, 2.0, size=n)
+    sii = 0.5 * dims[:, 0] + 0.5 * dims[:, 3] + rng.normal(0.0, 2.0, size=n)
+    ds = Dataset((SII,) + PILLARS + (IDESI,) + DIMENSIONS, [f"C{i:02d}" for i in range(n)],
+                 np.column_stack([sii, pillars, idesi, dims]))
+    t9 = reproduce_all(ds, seed=1, replicates=10).tables["T9"]
+    kept = t9["row_order"]["H1"][1:]
+    assert len(kept) == 3
+    x = ds.sorted_by_name().array(kept)
+    for j, name in enumerate(kept):
+        design = np.column_stack([np.ones(n), np.delete(x, j, axis=1)])
+        residual = x[:, j] - design @ np.linalg.lstsq(design, x[:, j], rcond=None)[0]
+        centred = x[:, j] - x[:, j].mean()
+        reference = float(residual @ residual) / float(centred @ centred)
+        row = t9["rows"]["H1"][name]
+        assert abs(row["tolerance"] - reference) <= 1e-12
+        assert abs(row["vif"] * row["tolerance"] - 1.0) <= 1e-12
 
 
 def _odd_names_dataset(dataset):
