@@ -9,6 +9,7 @@ are data, not errors; diff_golden never raises on a mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .dataset import IDESI
 from .report import _SCHEMA, ReportBundle
@@ -254,8 +255,10 @@ def _correlation_cells(table_id: str, values: dict, starred: bool) -> list[Golde
     return cells
 
 
+@lru_cache(maxsize=1)
 def golden_cells() -> tuple[GoldenCell, ...]:
-    """The full embedded golden table."""
+    """The full embedded golden table, built once: every caller shares the
+    one tuple of cells, so none may modify an expected value."""
     cells: list[GoldenCell] = []
     cells += _descriptive_cells("T1", _T1_VALUES, 11)
     cells += _descriptive_cells("T7", _T7_VALUES, 6)

@@ -9,9 +9,12 @@ score may be given directly or derived from its sub-indicator scores.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .base import check_array
 from .dataset import SCORE_MAX, SCORE_MIN, Dataset
@@ -66,10 +69,20 @@ class IndexScore:
     contributions: dict[str, float] = field(default_factory=dict)
 
 
+_FLOAT_TYPES = (float, np.float64)
+
+
 def _component_score(component: IndexComponent, scores: Mapping[str, float],
                      index_name: str) -> float:
     if component.name in scores:
-        value = float(scores[component.name])
+        value = scores[component.name]
+        # float and np.float64 skip the type check; bool is an int subclass,
+        # and strings, None and sequences must not be coerced
+        if type(value) not in _FLOAT_TYPES and (
+                not isinstance(value, numbers.Real) or isinstance(value, (bool, np.bool_))):
+            raise ValidationError(
+                f"score for {component.name!r} is {value!r}, not a real number")
+        value = float(value)
         if not SCORE_MIN <= value <= SCORE_MAX:
             raise ValidationError(
                 f"score for {component.name!r} is {value!r}, outside [0, 100]"
@@ -83,7 +96,10 @@ def _component_score(component: IndexComponent, scores: Mapping[str, float],
 
 
 def compute_composite(definition: IndexDefinition, scores: Mapping[str, float]) -> IndexScore:
-    """Renormalized weighted sum of component scores, with per-component contributions."""
+    """Renormalized weighted sum of component scores, with per-component contributions.
+
+    Each score must be a real number in [0, 100]; a bool, a string, None or a
+    sequence is a ``ValidationError`` that names its component."""
     weights = definition.normalized_weights
     contributions: dict[str, float] = {}
     for component in definition.components:

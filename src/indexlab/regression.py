@@ -32,18 +32,22 @@ the sorted keys are read back as the permutation: the order that an argsort
 of the keys gives, and the same for every sort algorithm. numpy promises to
 keep the bit generators' raw streams across versions (NEP 19), so replicate
 i depends only on (seed, n, i). The replicates are drawn in chunks of 256
-rows and each vector is scored on a chunk in one vectorized pass, so no
-permutation matrix is stored and scratch memory does not grow with the
-replicate count. A replicate whose d is within 1e-12 (relative) of the
-observed d is a tie and counts on both sides of the two-tailed test, and the
-p-value counts the observed order among the permutations, (b + 1) / (R + 1),
-so it is never 0.
+rows, so no permutation matrix is stored and scratch memory does not grow
+with the replicate count. Up to n = 256 the scorer first tabulates every
+squared difference (r_v[b] - r_v[a])^2 of every vector, at most 256^2 per
+vector, and then scores all vectors on a chunk with one gather from that
+table; past n = 256 each vector is gathered and differenced on its own. Both
+sum the same terms in the same order, so every permuted d, and every
+p-value, is the same to the last bit. A replicate whose d is within 1e-12
+(relative) of the observed d is a tie and counts on both sides of the
+two-tailed test, and the p-value counts the observed order among the
+permutations, (b + 1) / (R + 1), so it is never 0.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -67,8 +71,9 @@ STD_RESIDUAL_FLAG = 3.0
 COOKS_FLAG = 1.0
 
 # Durbin-Watson bootstrap: replicates drawn and scored per vectorized pass,
-# and the relative distance from the observed d within which a replicate is
-# a tie
+# also the largest n whose squared differences are tabulated (a table of at
+# most 256**2 entries per vector, no more than a chunk's gather), and the
+# relative distance from the observed d within which a replicate is a tie
 _SCORE_CHUNK = 256
 _DW_TIE_RTOL = 1e-12
 
@@ -339,6 +344,48 @@ def _permutation_chunks(seed: int, n: int, replicates: int) -> Iterator[np.ndarr
         yield keys.view(np.int64)
 
 
+def _step_sums(stack: Sequence[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """For k residual vectors of length n, the function from an (m, n) chunk
+    of permutations to the (k, m) sums of squared successive differences of
+    each vector in each order.
+
+    Up to n = ``_SCORE_CHUNK`` it reads a table built once,
+    T[v, a << bits | b] = (r_v[b] - r_v[a])^2 with 2**bits >= n, and a
+    chunk's n - 1 steps of every vector are one gather from it. The table
+    has at most k * 256**2 entries, no more than the gather of a chunk of
+    256 rows; past that bound (at n = 2,900 it would take 3 * 4096**2
+    doubles) each vector is gathered and differenced on its own. Both give
+    the same sums to the last bit.
+    """
+    n = stack[0].shape[0]
+    if n > _SCORE_CHUNK:
+        # one vector at a time: a (k, m, n) gather would cost more than it saves
+        def per_vector(perms: np.ndarray) -> np.ndarray:
+            rows = []
+            for residuals in stack:
+                diffs = np.diff(residuals[perms], axis=1)
+                rows.append((diffs * diffs).sum(axis=1))
+            return np.stack(rows)
+        return per_vector
+
+    bits = (n - 1).bit_length()
+    table = np.zeros((len(stack), 1 << bits, 1 << bits))
+    # filled in place: no (k, n, n) temporary
+    block = table[:, :n, :n]
+    vectors = np.stack(stack)
+    np.subtract(vectors[:, None, :], vectors[:, :, None], out=block)
+    np.square(block, out=block)
+    table = table.reshape(len(stack), -1)
+
+    def from_table(perms: np.ndarray) -> np.ndarray:
+        pairs = perms[:, :-1] << bits
+        pairs |= perms[:, 1:]
+        # np.take, not table[:, pairs]: its C-ordered result sums each row in
+        # the order of (diffs * diffs).sum(axis=1), so the sums are the same
+        return np.take(table, pairs, axis=1).sum(axis=2)
+    return from_table
+
+
 def _durbin_watson_many(fits: Sequence[LinearModelFit | Sequence[float]],
                         replicates: int, seed: int) -> list[DurbinWatsonResult]:
     """``durbin_watson`` of each of one or more residual vectors of one
@@ -357,6 +404,15 @@ def _durbin_watson_many(fits: Sequence[LinearModelFit | Sequence[float]],
     if any(residuals.shape[0] != n for residuals in stack):
         raise ValidationError("Durbin-Watson residual vectors differ in length: "
                               + ", ".join(str(residuals.shape[0]) for residuals in stack))
+    # every squared difference is at most 4 max|r|^2, so below this bound the
+    # n - 1 of them in a permuted sum, and the sum of squares, stay finite
+    limit = math.sqrt(np.finfo(float).max / (4 * n))
+    for residuals in stack:
+        largest = float(np.abs(residuals).max())
+        if largest > limit:
+            raise ValidationError(
+                f"Durbin-Watson residuals up to {largest!r} in magnitude would overflow: "
+                f"at n = {n} they must be at most {limit:.6g}")
     sums = [float(residuals @ residuals) for residuals in stack]
     # before the all-zero check: an exact fit may leave exact zeros or rounding
     # noise, and both are reported as an exact fit
@@ -369,24 +425,29 @@ def _durbin_watson_many(fits: Sequence[LinearModelFit | Sequence[float]],
         if ss <= n * np.finfo(float).eps * float(deviations @ deviations):
             raise ValidationError("Durbin-Watson is undefined for residuals at rounding "
                                   "level: the model fits the response exactly")
-    if 0.0 in sums:
-        raise ValidationError("Durbin-Watson is undefined for all-zero residuals")
+    for residuals, ss in zip(stack, sums):
+        if ss == 0.0 and residuals.any():
+            raise ValidationError("Durbin-Watson is undefined for residuals this small: "
+                                  "their squares underflow to a zero sum of squares")
+        if ss == 0.0:
+            raise ValidationError("Durbin-Watson is undefined for all-zero residuals")
     observed = [_dw_statistic(residuals) for residuals in stack]
+    ss = np.array(sums)[:, None]
+    lower = np.array([d - _DW_TIE_RTOL * d for d, _ in observed])[:, None]
+    upper = np.array([d + _DW_TIE_RTOL * d for d, _ in observed])[:, None]
 
-    at_or_above = [0] * len(stack)
-    at_or_below = [0] * len(stack)
+    step_sums = _step_sums(stack)
+    at_or_above = np.zeros(len(stack), dtype=np.int64)
+    at_or_below = np.zeros(len(stack), dtype=np.int64)
     for perms in _permutation_chunks(seed, n, replicates):
-        # one vector at a time: a (k, m, n) gather would cost more than it saves
-        for i, (residuals, ss, (d, _)) in enumerate(zip(stack, sums, observed)):
-            diffs = np.diff(residuals[perms], axis=1)
-            d_perm = (diffs * diffs).sum(axis=1) / ss
-            tie = _DW_TIE_RTOL * d
-            at_or_above[i] += int(np.count_nonzero(d_perm >= d - tie))
-            at_or_below[i] += int(np.count_nonzero(d_perm <= d + tie))
+        d_perm = step_sums(perms) / ss
+        at_or_above += np.count_nonzero(d_perm >= lower, axis=1)
+        at_or_below += np.count_nonzero(d_perm <= upper, axis=1)
     return [DurbinWatsonResult(
         d=d, autocorrelation=autocorrelation,
         p=PValue(min(1.0, 2.0 * (min(above, below) + 1) / (replicates + 1)), "two-tailed"))
-        for (d, autocorrelation), above, below in zip(observed, at_or_above, at_or_below)]
+        for (d, autocorrelation), above, below
+        in zip(observed, at_or_above.tolist(), at_or_below.tolist())]
 
 
 def durbin_watson(fit: LinearModelFit | Sequence[float],
@@ -399,7 +460,11 @@ def durbin_watson(fit: LinearModelFit | Sequence[float],
     ``_permutation_chunks``) and stores no permutation matrix: it scores
     ``_SCORE_CHUNK`` replicates at a time, each chunk one vectorized pass
     over the permuted residuals divided by their sum of squares, which no
-    permutation changes. Replicate i depends only on (seed, n, i).
+    permutation changes. Up to n = 256 that pass is one gather from a table
+    of the squared differences of every pair of residuals, built once per
+    call; above, the permuted residuals are differenced (see
+    ``_step_sums``). The two give the same sums to the last bit. Replicate
+    i depends only on (seed, n, i).
 
     p = min(1, 2 (min(b_ge, b_le) + 1) / (R + 1)), where b_ge and b_le count
     replicates with d_perm >= d and d_perm <= d; the +1 counts the observed
@@ -408,7 +473,10 @@ def durbin_watson(fit: LinearModelFit | Sequence[float],
     permutation whose d equals the observed d in exact arithmetic (the
     identity, the reversal) is counted the same whatever order its sums were
     taken in. R must be between 1 and ``MAX_REPLICATES``. All-zero residuals,
-    and those of a fit with ss_res <= n * eps * sst (an exact fit), have no d.
+    those whose squares underflow to a zero sum, and those of a fit with
+    ss_res <= n * eps * sst (an exact fit), have no d; residuals above
+    sqrt(max float / 4n) in magnitude are rejected, since a squared
+    difference or a permuted sum of them could overflow.
     """
     return _durbin_watson_many([fit], replicates, seed)[0]
 

@@ -289,8 +289,9 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
     The three Durbin-Watson bootstraps (H0, the simple model and the
     stepwise model) share one draw of R permutations from the seed's raw
     PCG64 stream: the three fits are made first, then one scorer walks the
-    permutations once and scores each residual vector on every chunk of
-    them. Each p-value equals that of its own ``durbin_watson`` call at the
+    permutations once and scores the three residual vectors on every chunk
+    of them, with one gather from a table of their squared differences while
+    n <= 256. Each p-value equals that of its own ``durbin_watson`` call at the
     same seed and R, counts the observed order among the permutations,
     2 (b + 1) / (R + 1), and so is never 0. No permutation matrix is stored.
     Provenance names the permutation scheme (``dw_permutation``). Each

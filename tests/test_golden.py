@@ -22,6 +22,14 @@ def test_cell_count_and_unique_addresses():
     assert len(set(addresses)) == N_CELLS
 
 
+def test_golden_cells_built_once(bundle):
+    assert golden_cells() is golden_cells()
+    golden_cells.cache_clear()
+    first = diff_golden(bundle)
+    assert diff_golden(bundle) == first
+    assert first.n_pass == N_CELLS
+
+
 def test_normality_screen_cells_address_idesi(bundle):
     """I-DESI's normality is published in prose only; its two cells address
     its column of the normality screen."""

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from indexlab import (
@@ -85,6 +86,22 @@ def test_compute_composite_validation():
     del missing["Connectivity"]
     with pytest.raises(DefinitionError, match="no score supplied"):
         compute_composite(definition, missing)
+
+
+def test_compute_composite_rejects_non_numeric_scores():
+    definition = preset("idesi-2020")
+    good = {name: 50.0 for name in DIMENSIONS}
+    # a bool is an int and a string converts with float(); neither is a score
+    for bad in (None, [50.0], (50.0,), np.array([50.0]), True, np.bool_(False), "50"):
+        with pytest.raises(ValidationError, match="score for 'Connectivity' is .* not a real"):
+            compute_composite(definition, {**good, "Connectivity": bad})
+    # a nested component's score is checked the same way
+    sii = preset("sii-2016")
+    indicators = {inner.name: 50.0 for c in sii.components for inner in c.sub.components}
+    with pytest.raises(ValidationError, match="'The rule of law' is '15', not a real number"):
+        compute_composite(sii, {**indicators, "The rule of law": "15"})
+    for fine in (50, np.int64(50), np.float32(50.0), np.float64(50.0)):
+        assert compute_composite(definition, {**good, "Connectivity": fine}).value == 50.0
 
 
 def test_definition_validation():

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,13 @@ from indexlab import (
 )
 from indexlab.dataset import DIMENSIONS, IDESI, SII
 from indexlab import regression
-from indexlab.regression import MAX_REPLICATES, _dw_statistic, _permutation_chunks
+from indexlab.distributions import PValue
+from indexlab.regression import (
+    MAX_REPLICATES,
+    DurbinWatsonResult,
+    _dw_statistic,
+    _permutation_chunks,
+)
 
 IDT = "Integration of digital technology"
 
@@ -232,6 +239,104 @@ def test_durbin_watson_many_equals_separate_calls(k):
             residuals = _seeded_residuals(k, n)
             assert regression._durbin_watson_many(residuals, replicates, 11) == [
                 durbin_watson(r, replicates=replicates, seed=11) for r in residuals]
+
+
+def _per_vector_durbin_watson_many(vectors, replicates: int, seed: int):
+    """The scorer without the table of squared differences: each vector is
+    gathered, differenced and squared on every chunk of permutations."""
+    stack = [np.ascontiguousarray(v, dtype=float) for v in vectors]
+    n = stack[0].shape[0]
+    sums = [float(r @ r) for r in stack]
+    observed = [_dw_statistic(r) for r in stack]
+    at_or_above = [0] * len(stack)
+    at_or_below = [0] * len(stack)
+    for perms in _permutation_chunks(seed, n, replicates):
+        for i, (residuals, ss, (d, _)) in enumerate(zip(stack, sums, observed)):
+            diffs = np.diff(residuals[perms], axis=1)
+            d_perm = (diffs * diffs).sum(axis=1) / ss
+            tie = 1e-12 * d
+            at_or_above[i] += int(np.count_nonzero(d_perm >= d - tie))
+            at_or_below[i] += int(np.count_nonzero(d_perm <= d + tie))
+    return [DurbinWatsonResult(
+        d=d, autocorrelation=autocorrelation,
+        p=PValue(min(1.0, 2.0 * (min(above, below) + 1) / (replicates + 1)), "two-tailed"))
+        for (d, autocorrelation), above, below in zip(observed, at_or_above, at_or_below)]
+
+
+# the table's row widths around powers of two, and n on both sides of the
+# chunk size that bounds the table
+_TABLE_EDGES = [3, 4, 5, 8, 29, 31, 32, 33, 120, 255, 256, 257, 300]
+
+
+@pytest.mark.parametrize("n", _TABLE_EDGES)
+def test_durbin_watson_many_matches_per_vector_scorer(n):
+    for k in (1, 2, 3):
+        residuals = _seeded_residuals(k, n)
+        # whole numbers: many permuted sums equal the observed one in exact
+        # arithmetic, so the tie rule sees every rounding of them
+        residuals[-1] = np.round(residuals[-1])
+        for replicates in (1, 255, 256, 257, 1000):
+            assert regression._durbin_watson_many(residuals, replicates, 3) \
+                == _per_vector_durbin_watson_many(residuals, replicates, 3), (k, replicates)
+
+
+@pytest.mark.parametrize("n", _TABLE_EDGES)
+def test_step_sums_equal_per_vector_differences(n):
+    """The sums from the table equal those of (diffs * diffs).sum(axis=1) to
+    the last bit, so every permuted d is unchanged, not only the p-values."""
+    vectors = _seeded_residuals(3, n)
+    step_sums = regression._step_sums(vectors)
+    for perms in _permutation_chunks(5, n, 600):
+        expected = []
+        for residuals in vectors:
+            diffs = np.diff(residuals[perms], axis=1)
+            expected.append((diffs * diffs).sum(axis=1))
+        assert np.array_equal(step_sums(perms), np.stack(expected))
+
+
+def _scorer_peak_bytes(k: int, n: int, replicates: int) -> int:
+    residuals = _seeded_residuals(k, n)
+    tracemalloc.start()
+    try:
+        regression._durbin_watson_many(residuals, replicates, 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_durbin_watson_scratch_memory():
+    # past the chunk size no table is built: one at n = 2,900 would hold
+    # 4096**2 doubles (134 MB) per vector; the gather peaks near 0.1 MB
+    assert _scorer_peak_bytes(1, 2900, 1) < 1_000_000
+    # at the largest n with a table, three vectors peak near 4.2 MB: the
+    # table and one chunk's gather from it, 1.6 MB each; the peak does not
+    # grow with R
+    peak = _scorer_peak_bytes(3, 256, 10_000)
+    assert peak < 5_000_000
+    assert peak <= _scorer_peak_bytes(3, 256, 512) + 65_536
+
+
+def test_durbin_watson_rejects_overflowing_residuals(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a rejected call drew permutations")
+
+    monkeypatch.setattr(regression, "_permutation_chunks", no_draws)
+    with pytest.raises(ValidationError, match="would overflow: at n = 4"):
+        durbin_watson([1e200, -1e200, 1e200, 3e199], replicates=99, seed=1)
+    with pytest.raises(ValidationError, match="would overflow: at n = 3"):
+        regression._durbin_watson_many([np.ones(3), [1.0, -1e160, 2.0]], 10, 1)
+    with pytest.raises(ValidationError, match="squares underflow"):
+        durbin_watson([1e-200, 2e-200, -1e-200, 5e-201], replicates=99, seed=1)
+
+
+def test_durbin_watson_at_the_overflow_bound():
+    """At max|r| = sqrt(max float / 4n) every square and sum is finite, and
+    numpy warns of no overflow."""
+    limit = math.sqrt(np.finfo(float).max / (4 * 4))
+    alternating = [limit, -limit, limit, -limit]
+    dw = durbin_watson(alternating, replicates=999, seed=1)
+    assert dw.d == 3.0 and dw.autocorrelation == -0.75
+    assert dw == durbin_watson([1.0, -1.0, 1.0, -1.0], replicates=999, seed=1)
 
 
 def test_durbin_watson_many_rejects_mixed_lengths(monkeypatch):
