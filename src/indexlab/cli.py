@@ -1,5 +1,9 @@
 """Command-line interface.
 
+The analysis commands (describe, normality, correlate, regress, pca) build
+the same table dicts as the report and print them with the report's CSV
+emitter: one ``[section]`` per table, every number at full precision.
+
 Exit codes: 0 on success, 1 on usage or validation errors, 2 when
 `reproduce --golden-diff` reports any failing cell. Analysis output goes to
 standard output; figure data files go to --out-dir.
@@ -19,24 +23,23 @@ from .errors import ColumnLookupError, DatasetParseError, IndexLabError
 from .golden import diff_golden, render_diff
 from .index_engine import compute_composite, preset, preset_names
 from .pca import run_pca
-from .regression import DEFAULT_REPLICATES, DEFAULT_SEED, durbin_watson, fit_ols
-from .report import FORMATS, emit, predict_country, reproduce_all, validate_schema, write_figures
+from .regression import DEFAULT_REPLICATES, DEFAULT_SEED, _durbin_watson_many, fit_ols, null_model
+from .report import (FORMATS, ReportBundle, _coefficients_table, _correlation_table,
+                     _descriptives_table, _model_summary_table, _pca_table, emit,
+                     predict_country, reproduce_all, validate_schema, write_figures)
 
-_INPUT = click.option(
-    "--input", "path", required=True,
-    type=click.Path(exists=True, dir_okay=False),
-    help="CSV file with a country column followed by score columns.",
-)
-_COLUMNS = click.option(
-    "--column", "columns", multiple=True,
-    help="Column to include (repeatable); defaults to every score column.",
-)
+_COLUMNS = click.option("--column", "columns", multiple=True,
+                        help="Column to include (repeatable); defaults to every score column.")
+_SEED = click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True,
+                     help="Master seed for the Durbin-Watson bootstrap.")
+_REPLICATES = click.option("--replicates", type=int, default=DEFAULT_REPLICATES,
+                           show_default=True, help="Durbin-Watson bootstrap replicates.")
 
 # published value column produced by each index preset
 _PRESET_TARGETS = {"sii-2016": SII, "idesi-2020": IDESI}
 
 
-def _load(path: str) -> Dataset:
+def _load(ctx: click.Context, param: click.Parameter, path: str) -> Dataset:
     with open(path, "rb") as handle:
         raw = handle.read()
     try:
@@ -49,15 +52,20 @@ def _load(path: str) -> Dataset:
     return parse_dataset(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
+_INPUT = click.option(
+    "--input", "ds", required=True, callback=_load,
+    type=click.Path(exists=True, dir_okay=False),
+    help="CSV file with a country column followed by score columns.",
+)
+
+
 def _resolve_columns(dataset: Dataset, columns: tuple[str, ...],
                      default: tuple[str, ...] | None = None) -> list[str]:
-    if not columns:
-        return list(default) if default is not None else list(dataset.columns)
-    return [dataset.resolve_column(name) for name in columns]
+    return [dataset.resolve_column(name) for name in columns] or list(default or dataset.columns)
 
 
-def _echo_text(text: str) -> None:
-    click.echo(text, nl=not text.endswith("\n"))
+def _echo_tables(provenance: dict | None = None, **tables: dict) -> None:
+    click.echo(emit(ReportBundle(tables=tables, provenance=provenance or {}), "csv"), nl=False)
 
 
 @click.group()
@@ -74,14 +82,13 @@ def dataset() -> None:
 @dataset.command("export")
 def dataset_export() -> None:
     """Write the bundled dataset to standard output as CSV."""
-    _echo_text(emit_dataset(bundled_table_a1()))
+    click.echo(emit_dataset(bundled_table_a1()), nl=False)
 
 
 @dataset.command("validate")
 @_INPUT
-def dataset_validate(path: str) -> None:
+def dataset_validate(ds: Dataset) -> None:
     """Check that a CSV file matches the expected column schema."""
-    ds = _load(path)
     validate_schema(ds)
     click.echo(f"OK: {len(ds)} rows, {len(ds.columns)} columns match the schema")
 
@@ -96,10 +103,9 @@ def index() -> None:
               type=click.Choice(sorted(preset_names())),
               help="Index definition to apply.")
 @_INPUT
-def index_compute(preset_name: str, path: str) -> None:
+def index_compute(preset_name: str, ds: Dataset) -> None:
     """Recompute a composite index from its component columns."""
     definition = preset(preset_name)
-    ds = _load(path)
     components = [c.name for c in definition.components]
     scores = ds.array(components).tolist()
     try:
@@ -118,42 +124,31 @@ def index_compute(preset_name: str, path: str) -> None:
 @cli.command()
 @_INPUT
 @_COLUMNS
-def describe(path: str, columns: tuple[str, ...]) -> None:
+def describe(ds: Dataset, columns: tuple[str, ...]) -> None:
     """Descriptive statistics per column."""
-    ds = _load(path)
-    click.echo("column,valid,missing,mean,std_deviation,minimum,maximum")
-    for name in _resolve_columns(ds, columns):
-        stats = describe_series(ds.column(name))
-        click.echo(f"{name},{stats.valid},{stats.missing},{stats.mean:.6f},"
-                   f"{stats.std_deviation:.6f},{stats.minimum:.6f},{stats.maximum:.6f}")
-
-
-@cli.command()
-@_INPUT
-@_COLUMNS
-def normality(path: str, columns: tuple[str, ...]) -> None:
-    """Shapiro-Wilk normality test per column."""
-    ds = _load(path)
-    click.echo("column,n,w,p")
-    for name in _resolve_columns(ds, columns):
-        values = ds.column(name)
-        result = shapiro_wilk(values)
-        click.echo(f"{name},{len(values)},{result.w:.6f},{result.p.value:.6f}")
-
-
-@cli.command()
-@_INPUT
-@_COLUMNS
-def correlate(path: str, columns: tuple[str, ...]) -> None:
-    """Pearson correlations for every column pair, with significance stars."""
-    ds = _load(path)
     names = _resolve_columns(ds, columns)
-    matrix = correlation_matrix(ds, names)
-    click.echo("variable_a,variable_b,r,p,stars")
-    for i in range(1, len(names)):
-        for j in range(i):
-            click.echo(f"{names[i]},{names[j]},{matrix.r[i][j]:.6f},"
-                       f"{matrix.p[i][j]:.6g},{matrix.stars[i][j]}")
+    _echo_tables(descriptives=_descriptives_table(
+        names, {name: describe_series(ds.column(name)) for name in names}))
+
+
+@cli.command()
+@_INPUT
+@_COLUMNS
+def normality(ds: Dataset, columns: tuple[str, ...]) -> None:
+    """Descriptive statistics and the Shapiro-Wilk normality test per column."""
+    names = _resolve_columns(ds, columns)
+    _echo_tables(normality=_descriptives_table(
+        names, {name: describe_series(ds.column(name)) for name in names},
+        {name: shapiro_wilk(ds.column(name)) for name in names}))
+
+
+@cli.command()
+@_INPUT
+@_COLUMNS
+def correlate(ds: Dataset, columns: tuple[str, ...]) -> None:
+    """Pearson correlations for every column pair, with significance stars."""
+    matrix = correlation_matrix(ds, _resolve_columns(ds, columns))
+    _echo_tables(correlations=_correlation_table(matrix, "r_and_p"))
 
 
 @cli.command()
@@ -161,69 +156,34 @@ def correlate(path: str, columns: tuple[str, ...]) -> None:
 @click.option("--response", required=True, help="Response column.")
 @click.option("--predictor", "predictors", multiple=True, required=True,
               help="Predictor column (repeatable).")
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True,
-              help="Master seed for the Durbin-Watson bootstrap.")
-@click.option("--replicates", type=int, default=DEFAULT_REPLICATES,
-              show_default=True, help="Durbin-Watson bootstrap replicates.")
-def regress(path: str, response: str, predictors: tuple[str, ...],
+@_SEED
+@_REPLICATES
+def regress(ds: Dataset, response: str, predictors: tuple[str, ...],
             seed: int, replicates: int) -> None:
-    """Ordinary least squares fit with diagnostics, in file row order."""
-    ds = _load(path)
+    """Least squares fit (H1) against the intercept-only model (H0), with
+    diagnostics, in file row order."""
     response_name = ds.resolve_column(response)
     predictor_names = [ds.resolve_column(name) for name in predictors]
-    fit = fit_ols(ds, response_name, predictor_names)
-    click.echo(f"model: {response_name} ~ {' + '.join(predictor_names)}")
-    click.echo(f"n: {fit.n}")
-    click.echo("")
-    for i, term in enumerate(["(Intercept)", *fit.predictors]):
-        beta = fit.standardized_betas[i]
-        beta_text = "" if beta is None else f", beta {beta:.6f}"
-        click.echo(f"{term}: coefficient {fit.coefficients[i]:.6f}, "
-                   f"se {fit.standard_errors[i]:.6f}{beta_text}, "
-                   f"t {fit.t_values[i]:.6f}, p {fit.p_values[i].value:.6g}")
-    click.echo("")
-    click.echo(f"R: {fit.r:.6f}")
-    click.echo(f"R-squared: {fit.r_squared:.6f}")
-    click.echo(f"adjusted R-squared: {fit.adjusted_r_squared:.6f}")
-    click.echo(f"RMSE: {fit.rmse:.6f}")
-    block = fit.anova
-    click.echo(f"ANOVA: SS {block.ss_regression:.6f}, df {block.df}, "
-               f"MS {block.mean_square:.6f}, F {block.f:.6f}, p {block.p.value:.6g}")
-    dw = durbin_watson(fit, replicates=replicates, seed=seed)
-    click.echo(f"Durbin-Watson: d {dw.d:.6f}, autocorrelation {dw.autocorrelation:.6f}, "
-               f"bootstrap p {dw.p.value:.4f} ({replicates} replicates, seed {seed})")
-    if len(fit.predictors) >= 2:
-        for name, tol, vif in zip(fit.predictors, fit.tolerance, fit.vif):
-            click.echo(f"collinearity {name}: tolerance {tol:.6f}, VIF {vif:.6f}")
+    h0 = null_model(ds, response_name)
+    h1 = fit_ols(ds, response_name, predictor_names)
+    dw0, dw1 = _durbin_watson_many([h0, h1], replicates=replicates, seed=seed)
+    label = f"{response_name} ~ {' + '.join(predictor_names)}"
+    _echo_tables({"seed": seed, "replicates": replicates},
+                 model_summary=_model_summary_table(h0, h1, dw0, dw1, label),
+                 coefficients=_coefficients_table(h0, h1, label, len(h1.predictors) > 1))
 
 
 @cli.command()
 @_INPUT
 @_COLUMNS
-def pca(path: str, columns: tuple[str, ...]) -> None:
+def pca(ds: Dataset, columns: tuple[str, ...]) -> None:
     """Correlation-matrix principal component analysis with KMO and Bartlett."""
-    ds = _load(path)
-    names = _resolve_columns(ds, columns, default=DIMENSIONS)
-    result = run_pca(ds, names)
-    click.echo(f"variables: {', '.join(result.variables)}")
-    click.echo("eigenvalues: " + ", ".join(f"{v:.6f}" for v in result.eigenvalues))
-    click.echo(f"retained components: {result.retained}")
-    for i, name in enumerate(result.variables):
-        loadings = ", ".join(f"{v:.6f}" for v in result.loadings[i])
-        click.echo(f"loading {name}: {loadings}")
-    click.echo("variance explained (%): "
-               + ", ".join(f"{v:.6f}" for v in result.variance_explained_pct))
-    click.echo("cumulative (%): " + ", ".join(f"{v:.6f}" for v in result.cumulative_pct))
-    click.echo(f"KMO: {result.kmo:.6f}")
-    click.echo(f"Bartlett: chi2 {result.bartlett.statistic:.6f}, "
-               f"df {result.bartlett.df}, p {result.bartlett.p.value:.6g}")
+    _echo_tables(pca=_pca_table(run_pca(ds, _resolve_columns(ds, columns, default=DIMENSIONS))))
 
 
 @cli.command()
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True,
-              help="Master seed for the Durbin-Watson bootstraps.")
-@click.option("--replicates", type=int, default=DEFAULT_REPLICATES,
-              show_default=True, help="Durbin-Watson bootstrap replicates.")
+@_SEED
+@_REPLICATES
 @click.option("--format", "fmt", type=click.Choice(FORMATS), default="markdown",
               show_default=True, help="Serialization format.")
 @click.option("--golden-diff", "golden", is_flag=True,
@@ -245,7 +205,7 @@ def reproduce(ctx: click.Context, seed: int, replicates: int, fmt: str,
         if not diff.passed:
             ctx.exit(2)
         return
-    _echo_text(emit(bundle, fmt))
+    click.echo(emit(bundle, fmt), nl=False)
 
 
 @cli.command()

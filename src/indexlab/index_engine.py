@@ -16,9 +16,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .base import check_array
-from .dataset import SCORE_MAX, SCORE_MIN, Dataset
-from .errors import DefinitionError, DegenerateDataError, ValidationError
+from .dataset import SCORE_MAX, SCORE_MIN
+from .errors import DefinitionError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -106,31 +105,6 @@ def compute_composite(definition: IndexDefinition, scores: Mapping[str, float]) 
         value = _component_score(component, scores, definition.name)
         contributions[component.name] = weights[component.name] * value
     return IndexScore(value=math.fsum(contributions.values()), contributions=contributions)
-
-
-def min_max_normalize(values: Sequence[float], lo: float, hi: float) -> list[float]:
-    """Rescale values to [0, 100] between fixed bounds, clamping out-of-range inputs."""
-    span = hi - lo
-    # negated so that a NaN bound fails too; an infinite bound or an
-    # overflowing difference makes the span infinite
-    if not 0.0 < span < math.inf:
-        raise DegenerateDataError(f"normalization needs finite hi > lo, got [{lo}, {hi}]")
-    return [min(100.0, max(0.0, 100.0 * (v - lo) / span))
-            for v in check_array(values, name="values").tolist()]
-
-
-def rank(dataset: Dataset, column: str) -> list[tuple[int, str, float]]:
-    """(rank, country, score) rows, descending; ties share the smaller rank."""
-    scored = zip(dataset.countries, dataset.column(column).tolist())
-    ordered = sorted(scored, key=lambda pair: -pair[1])
-    out: list[tuple[int, str, float]] = []
-    for position, (country, score) in enumerate(ordered):
-        if out and score == out[-1][2]:
-            shared = out[-1][0]
-        else:
-            shared = position + 1
-        out.append((shared, country, score))
-    return out
 
 
 def parse_definition(text: str, name: str) -> IndexDefinition:

@@ -404,33 +404,26 @@ def _durbin_watson_many(fits: Sequence[LinearModelFit | Sequence[float]],
     if any(residuals.shape[0] != n for residuals in stack):
         raise ValidationError("Durbin-Watson residual vectors differ in length: "
                               + ", ".join(str(residuals.shape[0]) for residuals in stack))
-    # every squared difference is at most 4 max|r|^2, so below this bound the
-    # n - 1 of them in a permuted sum, and the sum of squares, stay finite
-    limit = math.sqrt(np.finfo(float).max / (4 * n))
-    for residuals in stack:
-        largest = float(np.abs(residuals).max())
-        if largest > limit:
-            raise ValidationError(
-                f"Durbin-Watson residuals up to {largest!r} in magnitude would overflow: "
-                f"at n = {n} they must be at most {limit:.6g}")
+    # d and the autocorrelation do not change when every residual is scaled
+    # by one factor, and a power of two scales each product exactly, so each
+    # vector is brought to max|r| in [0.5, 1): no square or sum of squares
+    # overflows, and none underflows unless its term is negligible in the sum
+    scales = [-math.frexp(float(np.abs(residuals).max()))[1] for residuals in stack]
+    stack = [np.ldexp(residuals, e) for residuals, e in zip(stack, scales)]
     sums = [float(residuals @ residuals) for residuals in stack]
     # before the all-zero check: an exact fit may leave exact zeros or rounding
     # noise, and both are reported as an exact fit
-    for fit, ss in zip(fits, sums):
+    for fit, ss, e in zip(fits, sums, scales):
         if not isinstance(fit, LinearModelFit):
             continue
         # sst is that of fitted + residuals
         response = np.add(fit.fitted, fit.residuals)
-        deviations = response - response.mean()
+        deviations = np.ldexp(response - response.mean(), e)
         if ss <= n * np.finfo(float).eps * float(deviations @ deviations):
             raise ValidationError("Durbin-Watson is undefined for residuals at rounding "
                                   "level: the model fits the response exactly")
-    for residuals, ss in zip(stack, sums):
-        if ss == 0.0 and residuals.any():
-            raise ValidationError("Durbin-Watson is undefined for residuals this small: "
-                                  "their squares underflow to a zero sum of squares")
-        if ss == 0.0:
-            raise ValidationError("Durbin-Watson is undefined for all-zero residuals")
+    if not all(sums):
+        raise ValidationError("Durbin-Watson is undefined for all-zero residuals")
     observed = [_dw_statistic(residuals) for residuals in stack]
     ss = np.array(sums)[:, None]
     lower = np.array([d - _DW_TIE_RTOL * d for d, _ in observed])[:, None]
@@ -473,10 +466,10 @@ def durbin_watson(fit: LinearModelFit | Sequence[float],
     permutation whose d equals the observed d in exact arithmetic (the
     identity, the reversal) is counted the same whatever order its sums were
     taken in. R must be between 1 and ``MAX_REPLICATES``. All-zero residuals,
-    those whose squares underflow to a zero sum, and those of a fit with
-    ss_res <= n * eps * sst (an exact fit), have no d; residuals above
-    sqrt(max float / 4n) in magnitude are rejected, since a squared
-    difference or a permuted sum of them could overflow.
+    and those of a fit with ss_res <= n * eps * sst (an exact fit), have no
+    d. The residuals are first scaled by the power of two that brings their
+    largest magnitude into [0.5, 1), which changes no d, so residuals of any
+    finite magnitude are scored as exactly as those near 1.
     """
     return _durbin_watson_many([fit], replicates, seed)[0]
 

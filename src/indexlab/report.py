@@ -47,7 +47,7 @@ from .descriptive import (
     shapiro_wilk,
 )
 from .errors import ValidationError
-from .pca import principal_components
+from .pca import PcaResult, principal_components
 from .regression import (
     DEFAULT_REPLICATES,
     DEFAULT_SEED,
@@ -205,6 +205,25 @@ def _correlation_table(matrix: CorrelationMatrix, style: str) -> dict:
     }
 
 
+def _pca_table(pca: PcaResult) -> dict:
+    return {
+        "kind": "pca",
+        "variables": list(pca.variables),
+        "retained": pca.retained,
+        "loadings": [list(row) for row in pca.loadings],
+        "eigenvalues": list(pca.eigenvalues),
+        "variance_explained_pct": list(pca.variance_explained_pct),
+        "cumulative_pct": list(pca.cumulative_pct),
+        "kmo": pca.kmo,
+        "bartlett": {
+            "chi2": pca.bartlett.statistic,
+            "df": pca.bartlett.df,
+            "p": pca.bartlett.p.value,
+        },
+        "note": f"{pca.retained} component extracted.",
+    }
+
+
 def _standardized_residuals(fit: LinearModelFit) -> list[float]:
     return list(casewise_diagnostics(fit).standardized_residuals)
 
@@ -236,8 +255,8 @@ def _nearest_country(dataset: Dataset, value: float) -> tuple[str, float]:
     return dataset.countries[best], float(sii[best])
 
 
-def prediction_record(model: str, fit: LinearModelFit, score: float,
-                      dataset: Dataset) -> dict:
+def _prediction_record(model: str, fit: LinearModelFit, score: float,
+                       dataset: Dataset) -> dict:
     """Prediction for one input score, annotated with the published value when
     the published computation exists for that query."""
     if not 0.0 <= score <= 100.0:
@@ -268,18 +287,26 @@ def prediction_record(model: str, fit: LinearModelFit, score: float,
     return record
 
 
-def _normality_gate(normality: dict[str, NormalityResult], alpha: float) -> dict:
-    """Gate record: dimensions with Shapiro-Wilk p < alpha are excluded from
-    the stepwise candidates, the rest remain."""
+def _gated_stepwise(ds: Dataset, normality: dict[str, NormalityResult]
+                    ) -> tuple[dict, LinearModelFit, tuple]:
+    """The normality gate record, and the stepwise fit over the dimensions it
+    keeps with its trace: dimensions with Shapiro-Wilk p < GATE_ALPHA are
+    excluded from the candidates."""
     gate_p = {name: normality[name].p.value for name in DIMENSIONS}
-    excluded = [name for name in DIMENSIONS if gate_p[name] < alpha]
-    return {
-        "alpha": alpha,
+    excluded = [name for name in DIMENSIONS if gate_p[name] < GATE_ALPHA]
+    remaining = [name for name in DIMENSIONS if name not in excluded]
+    gate = {
+        "alpha": GATE_ALPHA,
         "candidates": list(DIMENSIONS),
         "shapiro_wilk_p": gate_p,
         "excluded": excluded,
-        "remaining": [name for name in DIMENSIONS if name not in excluded],
+        "remaining": remaining,
     }
+    # the gate can exhaust the candidate set on other datasets; fall back to
+    # the null model with an empty trace
+    if not remaining:
+        return gate, null_model(ds, SII), ()
+    return (gate, *stepwise_fit(ds, SII, remaining))
 
 
 def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
@@ -326,7 +353,7 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
     h0 = null_model(ds, SII)
     simple = fit_ols(ds, SII, [IDESI])
     predictions = [
-        prediction_record("simple", simple, PUBLISHED_PREDICTION_INPUT, ds)
+        _prediction_record("simple", simple, PUBLISHED_PREDICTION_INPUT, ds)
     ]
 
     corr = correlation_matrix(ds, _CORR_VARIABLES)
@@ -340,14 +367,7 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
     }
     pca = principal_components(corr.block(1, 6))
 
-    gate = _normality_gate(normality, GATE_ALPHA)
-    remaining = gate["remaining"]
-    # the gate can exhaust the candidate set on other datasets; fall back to
-    # the null model with an empty trace
-    if remaining:
-        stepwise, trace = stepwise_fit(ds, SII, remaining)
-    else:
-        stepwise, trace = null_model(ds, SII), ()
+    gate, stepwise, trace = _gated_stepwise(ds, normality)
 
     dw_h0, dw_simple, dw_stepwise = _durbin_watson_many(
         [h0, simple, stepwise], replicates=replicates, seed=seed)
@@ -359,22 +379,7 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
         "T4": _correlation_table(corr.block(0, 6), style="r_and_p"),
         "T5": _coefficients_table(h0, full, label=f"{SII} ~ dimensions",
                                   with_collinearity=True),
-        "T6": {
-            "kind": "pca",
-            "variables": list(pca.variables),
-            "retained": pca.retained,
-            "loadings": [list(row) for row in pca.loadings],
-            "eigenvalues": list(pca.eigenvalues),
-            "variance_explained_pct": list(pca.variance_explained_pct),
-            "cumulative_pct": list(pca.cumulative_pct),
-            "kmo": pca.kmo,
-            "bartlett": {
-                "chi2": pca.bartlett.statistic,
-                "df": pca.bartlett.df,
-                "p": pca.bartlett.p.value,
-            },
-            "note": f"{pca.retained} component extracted.",
-        },
+        "T6": _pca_table(pca),
         "T7": _descriptives_table(_T7_COLUMNS, stats, normality),
         "T8": _model_summary_table(h0, stepwise, dw_h0, dw_stepwise,
                                    label=f"{SII} ~ stepwise"),
@@ -432,8 +437,8 @@ def predict_country(fit_source: str, score: float) -> dict:
     else:
         normality = {name: shapiro_wilk(values)
                      for name, values in zip(DIMENSIONS, ds.array(DIMENSIONS).T)}
-        fit, _ = stepwise_fit(ds, SII, _normality_gate(normality, GATE_ALPHA)["remaining"])
-    return prediction_record(fit_source, fit, score, ds)
+        _, fit, _ = _gated_stepwise(ds, normality)
+    return _prediction_record(fit_source, fit, score, ds)
 
 
 # ---------------------------------------------------------------------------

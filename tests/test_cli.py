@@ -1,4 +1,5 @@
 """Command-line interface: output contracts and exit codes, in process."""
+import csv
 import json
 import os
 import random
@@ -138,58 +139,123 @@ def test_index_compute_matches_published(capsys, data_file, preset_name, toleran
         assert abs(difference) <= tolerance
 
 
+def _sections(text: str) -> dict[str, list[list[str]]]:
+    """The CSV emitter's output as its rows under each ``[section]`` header."""
+    sections = {}
+    for block in text.strip("\n").split("\n\n"):
+        header, *rows = block.split("\n")
+        assert header.startswith("[") and header.endswith("]"), header
+        sections[header[1:-1]] = list(csv.reader(rows))
+    return sections
+
+
+def _rows_by_name(rows: list[list[str]]) -> dict[str, list[str]]:
+    return {row[0]: row[1:] for row in rows}
+
+
+def _close(cell: str, expected: float) -> bool:
+    return abs(float(cell) - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
 def test_describe(capsys, data_file):
     assert main(["describe", "--input", data_file, "--column", "SII"]) == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[0] == (
-        "column,valid,missing,mean,std_deviation,minimum,maximum"
-    )
-    assert "SII,29,0,57.534483,12.202028," in out
+    sections = _sections(capsys.readouterr().out)
+    assert list(sections) == ["descriptives"]
+    rows = sections["descriptives"]
+    assert rows[0] == ["statistic", "SII"]
+    stats = _rows_by_name(rows[1:])
+    assert list(stats) == ["valid", "missing", "mean", "std_deviation", "minimum", "maximum"]
+    assert stats["valid"] == ["29"] and stats["missing"] == ["0"]
+    assert _close(stats["mean"][0], 57.53448275862069)
+    assert _close(stats["std_deviation"][0], 12.202027813384984)
+    assert stats["minimum"] == ["33.8"] and stats["maximum"] == ["79.4"]
 
 
 def test_normality(capsys, data_file):
     assert main(["normality", "--input", data_file,
-                 "--column", "Connectivity"]) == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[0] == "column,n,w,p"
-    assert out.splitlines()[1].startswith("Connectivity,29,")
-    p = float(out.splitlines()[1].split(",")[3])
-    assert p < 0.05
+                 "--column", "SII", "--column", "Connectivity"]) == 0
+    rows = _sections(capsys.readouterr().out)["normality"]
+    assert rows[0] == ["statistic", "SII", "Connectivity"]
+    stats = _rows_by_name(rows[1:])
+    assert list(stats) == ["valid", "missing", "mean", "std_deviation", "shapiro_wilk",
+                           "shapiro_wilk_p", "minimum", "maximum"]
+    assert _close(stats["shapiro_wilk"][1], 0.9145677835530619)
+    assert _close(stats["shapiro_wilk_p"][1], 0.0222595609359576)
+    assert _close(stats["shapiro_wilk_p"][0], 0.4265665712736503)
 
 
 def test_correlate(capsys, data_file):
     assert main(["correlate", "--input", data_file,
                  "--column", "SII", "--column", "I-DESI"]) == 0
-    out = capsys.readouterr().out
-    assert "I-DESI,SII,0.739639,4.55016e-06,***" in out
+    rows = _sections(capsys.readouterr().out)["correlations"]
+    assert rows[0] == ["variable_a", "variable_b", "r", "p", "stars"]
+    assert len(rows) == 2
+    a, b, r, p, stars = rows[1]
+    assert (a, b, stars) == ("I-DESI", "SII", "***")
+    assert _close(r, 0.7396388208037808)
+    assert abs(float(p) - 4.550161577616684e-06) <= 1e-16
 
 
 def test_regress(capsys, data_file):
     assert main(["regress", "--input", data_file, "--response", "SII",
                  "--predictor", "I-DESI", "--replicates", "50"]) == 0
-    out = capsys.readouterr().out
-    assert "model: SII ~ I-DESI" in out
-    assert "R-squared: 0.547066" in out
-    assert "ANOVA: SS 2280.664737, df 1," in out
-    assert "Durbin-Watson: d " in out
-    assert "(50 replicates, seed 42)" in out
+    sections = _sections(capsys.readouterr().out)
+    assert list(sections) == ["provenance", "coefficients", "model_summary"]
+    assert sections["provenance"] == [["seed", "42"], ["replicates", "50"]]
+    summary = sections["model_summary"]
+    assert summary[0] == ["model", "R", "R2", "adjusted_R2", "RMSE", "autocorrelation",
+                          "durbin_watson", "dw_p"]
+    models = _rows_by_name(summary[1:3])
+    assert list(models) == ["H0", "H1"]
+    assert _close(models["H0"][0], 0.0)
+    assert _close(models["H0"][3], 12.202027813384982)
+    assert _close(models["H1"][1], 0.5470655852400073)
+    assert summary[3] == ["anova_ss", "anova_df", "anova_mean_square", "anova_F", "anova_p"]
+    assert _close(summary[4][0], 2280.6647365999506) and summary[4][1] == "1"
+    # both Durbin-Watson p-values come from the one draw of 50 replicates
+    for model in ("H0", "H1"):
+        assert 0.0 < float(models[model][6]) <= 1.0
+        assert float(models[model][6]) * 51 == pytest.approx(round(float(models[model][6]) * 51))
+    coefficients = sections["coefficients"]
+    assert coefficients[0] == ["model", "term", "unstandardized", "standard_error",
+                               "standardized", "t", "p"]
+    assert [row[:2] for row in coefficients[1:]] == [
+        ["H0", "(Intercept)"], ["H1", "(Intercept)"], ["H1", "I-DESI"]]
+    assert _close(coefficients[3][4], 0.7396388208037811)
 
 
 def test_regress_collinearity_lines(capsys, data_file):
     assert main(["regress", "--input", data_file, "--response", "SII",
                  "--predictor", "Connectivity", "--predictor", "Human capital",
                  "--replicates", "20"]) == 0
-    out = capsys.readouterr().out
-    assert "collinearity Connectivity: tolerance " in out
-    assert "collinearity Human capital: tolerance " in out
+    coefficients = _sections(capsys.readouterr().out)["coefficients"]
+    assert coefficients[0][-2:] == ["tolerance", "vif"]
+    h1 = {row[1]: row[2:] for row in coefficients[1:] if row[0] == "H1"}
+    assert h1["(Intercept)"][-2:] == ["", ""]
+    for name in ("Connectivity", "Human capital"):
+        assert _close(h1[name][-2], 0.5820160720392329), name
+        assert _close(h1[name][-1], 1.718165610953423), name
 
 
 def test_pca(capsys, data_file):
     assert main(["pca", "--input", data_file]) == 0
-    out = capsys.readouterr().out
-    assert "retained components: 1" in out
-    assert "KMO: 0.881089" in out
-    assert "Bartlett: chi2 85.288516, df 10," in out
+    rows = _sections(capsys.readouterr().out)["pca"]
+    # one component retained
+    assert rows[0] == ["variable", "component_1"]
+    extra = _rows_by_name(rows[6:])
+    assert _close(extra["kmo"][0], 0.8810889804413573)
+    chi2, df_label, df, p_label, p = extra["bartlett_chi2"]
+    assert _close(chi2, 85.28851635900291) and (df_label, df, p_label) == ("df", "10", "p")
+
+
+def test_pca_prints_the_report_component_matrix(capsys, tmp_path):
+    """On the rows in report order, the command prints the report's T6 rows."""
+    path = tmp_path / "sorted.csv"
+    path.write_text(emit_dataset(bundled_table_a1().sorted_by_name()))
+    assert main(["pca", "--input", str(path)]) == 0
+    command = _sections(capsys.readouterr().out)["pca"]
+    assert main(["reproduce", "--format", "csv", "--replicates", "1"]) == 0
+    assert command == _sections(capsys.readouterr().out)["T6"]
 
 
 def test_pca_uncorrelated_columns(capsys, tmp_path):
@@ -309,7 +375,8 @@ def test_huge_seed_runs(capsys, data_file):
     assert json.loads(capsys.readouterr().out)["provenance"]["seed"] == 2**200
     assert main(["regress", "--input", data_file, "--response", "SII",
                  "--predictor", "I-DESI", "--seed", seed, "--replicates", "5"]) == 0
-    assert f"(5 replicates, seed {seed})" in capsys.readouterr().out
+    provenance = _sections(capsys.readouterr().out)["provenance"]
+    assert provenance == [["seed", seed], ["replicates", "5"]]
 
 
 def test_help_and_version(capsys):

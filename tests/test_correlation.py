@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from indexlab import (
     correlation_matrix,
     pearson,
     significance_stars,
+    t_two_tailed_p,
 )
 from indexlab.dataset import DIMENSIONS, PILLARS, SII
 from indexlab.distributions import TWO_TAILED
@@ -62,6 +65,28 @@ def test_pearson_errors():
         pearson([1.0, 2.0, 3.0], [0.1, 0.1, 0.1])
 
 
+def test_pearson_power_of_two_sweep():
+    """Scaling both series by 2**k changes neither r nor p, to the last bit,
+    for every k from -1000 to 1000: each scaled value is a normal float."""
+    x = [1.0, 2.0, 3.0, 4.0, 6.0]
+    y = [1.2, 1.9, 3.3, 3.8, 6.1]
+    expected = pearson(x, y)
+    for k in range(-1000, 1001):
+        scale = 2.0**k
+        assert pearson([v * scale for v in x], [v * scale for v in y]) == expected, k
+
+
+@pytest.mark.parametrize("scale", [1e120, 1e160, 1e-160, 1e-200, 1e-300])
+def test_pearson_at_extreme_scales(scale):
+    """Products of these values overflow or underflow unless the kernel
+    scales the centred columns first."""
+    x = [1.0, 2.0, 3.0, 4.0, 6.0]
+    y = [1.2, 1.9, 3.3, 3.8, 6.1]
+    ref_r, ref_p = _fsum_pearson(x, y)
+    result = pearson([v * scale for v in x], [v * scale for v in y])
+    assert abs(result.r - ref_r) <= 1e-12 and abs(result.p.value - ref_p) <= 1e-12
+
+
 def test_significance_stars_strict_boundaries():
     assert significance_stars(0.0009) == "***"
     assert significance_stars(0.001) == "**"
@@ -88,16 +113,31 @@ def test_correlation_matrix_resolves_aliases(dataset):
     assert matrix.variables == ("SII", "Connectivity")
 
 
+def _fsum_pearson(x, y):
+    """Reference r and p, independent of the Gram kernel: correctly rounded
+    sums of the centred products, then the t-test on n - 2 df."""
+    x, y = list(x), list(y)
+    n = len(x)
+    mx, my = math.fsum(x) / n, math.fsum(y) / n
+    sxx = math.fsum((a - mx) ** 2 for a in x)
+    syy = math.fsum((b - my) ** 2 for b in y)
+    r = math.fsum((a - mx) * (b - my) for a, b in zip(x, y)) / math.sqrt(sxx * syy)
+    return r, t_two_tailed_p(r * math.sqrt((n - 2) / (1.0 - r * r)), n - 2).value
+
+
 def _assert_matches_pearson(dataset, variables):
+    """The matrix and pearson agree with the fsum reference within 1e-12."""
     matrix = correlation_matrix(dataset, variables)
     for i, a in enumerate(matrix.variables):
         for j, b in enumerate(matrix.variables):
             if i == j:
                 continue
-            ref = pearson(dataset.column(a), dataset.column(b))
-            assert abs(matrix.r[i][j] - ref.r) <= 1e-12, (a, b)
-            assert abs(matrix.p[i][j] - ref.p.value) <= 1e-12, (a, b)
-            assert matrix.stars[i][j] == significance_stars(ref.p), (a, b)
+            ref_r, ref_p = _fsum_pearson(dataset.column(a), dataset.column(b))
+            pair = pearson(dataset.column(a), dataset.column(b))
+            for r, p in ((matrix.r[i][j], matrix.p[i][j]), (pair.r, pair.p.value)):
+                assert abs(r - ref_r) <= 1e-12, (a, b)
+                assert abs(p - ref_p) <= 1e-12, (a, b)
+            assert matrix.stars[i][j] == significance_stars(ref_p), (a, b)
 
 
 def test_correlation_matrix_matches_pearson_bundled(dataset):

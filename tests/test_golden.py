@@ -2,6 +2,8 @@
 failure reporting as data rather than exceptions."""
 import copy
 
+import pytest
+
 from indexlab import (
     bundled_table_a1,
     diff_golden,
@@ -28,6 +30,17 @@ def test_golden_cells_built_once(bundle):
     first = diff_golden(bundle)
     assert diff_golden(bundle) == first
     assert first.n_pass == N_CELLS
+
+
+def test_golden_table_cannot_be_changed_through_a_result(bundle):
+    """Every diff hands out the one cached table's expected values; none of
+    them can be mutated in place."""
+    first = diff_golden(bundle)
+    excluded = next(c for c in first.cells if c.address == ("gate", "excluded"))
+    assert excluded.passed
+    with pytest.raises(AttributeError):
+        excluded.expected.append("Human capital")
+    assert diff_golden(bundle) == first
 
 
 def test_normality_screen_cells_address_idesi(bundle):

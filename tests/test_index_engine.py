@@ -1,20 +1,15 @@
-import math
-
 import numpy as np
 import pytest
 
 from indexlab import (
     DefinitionError,
-    DegenerateDataError,
     IndexComponent,
     IndexDefinition,
     ValidationError,
     compute_composite,
-    min_max_normalize,
     parse_definition,
     preset,
     preset_names,
-    rank,
 )
 from indexlab.dataset import DIMENSIONS, IDESI, PILLARS, SII
 
@@ -137,30 +132,3 @@ def test_parse_definition_errors():
         parse_definition("alpha, heavy\n", name="bad")
     with pytest.raises(DefinitionError, match="empty component name"):
         parse_definition(", 5\n", name="bad")
-
-
-def test_min_max_normalize():
-    assert min_max_normalize([5.0, 10.0, 15.0], 5.0, 15.0) == [0.0, 50.0, 100.0]
-    # values beyond the bounds clamp to the scale ends
-    assert min_max_normalize([2.0, 20.0], 5.0, 15.0) == [0.0, 100.0]
-    with pytest.raises(DegenerateDataError):
-        min_max_normalize([1.0, 2.0], 5.0, 5.0)
-    for lo, hi in ((-math.inf, 10.0), (0.0, math.inf), (math.nan, 10.0), (0.0, math.nan)):
-        with pytest.raises(DegenerateDataError):
-            min_max_normalize([5.0], lo, hi)
-
-
-def test_rank_published(dataset):
-    ranked = rank(dataset, SII)
-    assert ranked[0] == (1, "USA", 79.4)
-    assert ranked[1] == (2, "UK", 77.3)
-    by_idesi = rank(dataset, IDESI)
-    assert by_idesi[0] == (1, "Denmark", 65.0)
-
-
-def test_rank_competition_ties():
-    from indexlab import Dataset
-
-    ranked = rank(Dataset(("s",), "ABCD", [[10.0], [8.0], [8.0], [7.0]]), "s")
-    assert [(r, name) for r, name, _ in ranked] == [
-        (1, "A"), (2, "B"), (2, "C"), (4, "D")]

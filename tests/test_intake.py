@@ -12,7 +12,6 @@ from indexlab import (
     describe,
     durbin_watson,
     f_tail_p,
-    min_max_normalize,
     pearson,
     shapiro_wilk,
     t_two_tailed_p,
@@ -30,7 +29,6 @@ _SAMPLE_CALLS = {
     "pearson-x": (lambda s: pearson(s, _SAMPLE), "x"),
     "pearson-y": (lambda s: pearson(_SAMPLE, s), "y"),
     "durbin_watson": (lambda s: durbin_watson(s, replicates=100), "fit"),
-    "min_max_normalize": (lambda s: min_max_normalize(s, 0.0, 10.0), "values"),
 }
 # tail function -> (call on a NaN, or on an infinite df, the guard its error comes from)
 _TAIL_CALLS = {

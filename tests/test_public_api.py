@@ -25,7 +25,8 @@ def test_every_exported_name_resolves():
 
 
 @pytest.mark.parametrize("name", ["OLS", "StepwiseOLS", "CountryRecord", "NotFittedError",
-                                  "collinearity", "CollinearityReport", "anova"])
+                                  "collinearity", "CollinearityReport", "anova", "rank",
+                                  "min_max_normalize", "prediction_record"])
 def test_removed_names_are_not_exported(name):
     assert name not in indexlab.__all__
     assert not hasattr(indexlab, name)

@@ -316,17 +316,29 @@ def test_durbin_watson_scratch_memory():
     assert peak <= _scorer_peak_bytes(3, 256, 512) + 65_536
 
 
-def test_durbin_watson_rejects_overflowing_residuals(monkeypatch):
-    def no_draws(*args):
-        raise AssertionError("a rejected call drew permutations")
+def test_durbin_watson_scores_residuals_of_any_magnitude():
+    """Residuals whose squares would overflow or underflow are scored as
+    their scaled copies are: d does not depend on the scale."""
+    assert (durbin_watson([1e200, -1e200, 1e200, 3e199], replicates=99, seed=1)
+            == durbin_watson([1.0, -1.0, 1.0, 0.3], replicates=99, seed=1))
+    huge, unit = regression._durbin_watson_many(
+        [[1.0, -1e160, 2.0], [1.0, -1.0, 2e-160]], 10, 1)
+    assert huge.d == 2.0 and unit.d == 2.5
+    # each square of these is subnormal or zero
+    tiny = durbin_watson([v * 1e-162 for v in [1.0, 2.0, -1.0, 0.5]], replicates=99, seed=1)
+    assert tiny == durbin_watson([1.0, 2.0, -1.0, 0.5], replicates=99, seed=1)
+    assert (tiny.d, tiny.autocorrelation, tiny.p.value) == (1.96, -0.08, 0.68)
+    small = durbin_watson([1e-200, 2e-200, -1e-200, 5e-201], replicates=99, seed=1)
+    assert math.isclose(small.d, 1.96, rel_tol=1e-15) and small.p.value == 0.68
 
-    monkeypatch.setattr(regression, "_permutation_chunks", no_draws)
-    with pytest.raises(ValidationError, match="would overflow: at n = 4"):
-        durbin_watson([1e200, -1e200, 1e200, 3e199], replicates=99, seed=1)
-    with pytest.raises(ValidationError, match="would overflow: at n = 3"):
-        regression._durbin_watson_many([np.ones(3), [1.0, -1e160, 2.0]], 10, 1)
-    with pytest.raises(ValidationError, match="squares underflow"):
-        durbin_watson([1e-200, 2e-200, -1e-200, 5e-201], replicates=99, seed=1)
+
+def test_durbin_watson_power_of_two_sweep():
+    """Scaling the residuals by 2**k changes neither d nor p, to the last bit,
+    for every k from -1000 to 1000: each scaled residual is a normal float."""
+    residuals = _seeded_residuals(1, 29)[0]
+    expected = durbin_watson(residuals, replicates=199, seed=5)
+    for k in range(-1000, 1001):
+        assert durbin_watson(residuals * 2.0**k, replicates=199, seed=5) == expected, k
 
 
 def test_durbin_watson_at_the_overflow_bound():
