@@ -1,6 +1,7 @@
-"""Input validation shared by the statistics that take a sample."""
+"""Input validation and scaling shared by the statistics that take a sample."""
 from __future__ import annotations
 
+import math
 from typing import Any
 
 import numpy as np
@@ -19,3 +20,11 @@ def check_array(x: Any, *, name: str) -> np.ndarray:
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite values")
     return arr
+
+
+def unit_exponent(*arrays: np.ndarray) -> int:
+    """The e for which 2^-e brings the largest magnitude in ``arrays`` into
+    [0.5, 1); 0 when every value is 0. A power of two scales exactly, so a
+    statistic computed on the data times 2^-e has no square that overflows
+    or underflows, and is scaled back exactly."""
+    return math.frexp(max(float(np.abs(a).max(initial=0.0)) for a in arrays))[1]

@@ -8,9 +8,18 @@ Each statistic works on one float array, sorted (stably, as ``sorted``
 does) where order matters. Sums stay exactly rounded: ``math.fsum`` over the
 ``tolist()`` of a numpy element-wise expression (the values, the squared
 deviations ``d * d``, the products of weights and order statistics), so no
-summation order can move a printed digit. The report pipeline sorts each
-column once and hands the order statistics to both Shapiro-Wilk and the
-boxplot hinges.
+summation order can move a printed digit. One pass per column gives the
+mean, the standard deviation and the sum of squared deviations that
+Shapiro-Wilk divides by (``_moments``); the report pipeline sorts each
+column once and hands the order statistics to that pass, to Shapiro-Wilk
+and to the boxplot hinges.
+
+Before any sum or square, the pass scales the sample by 2^-e, where e is
+the ``frexp`` exponent of max|x|, so the largest value lies in [0.5, 1) and
+no sum overflows and no square underflows; the mean and the standard
+deviation are scaled back. A power of two commutes with rounding, so for
+values of any finite magnitude the results keep the bits they have at
+ordinary scales, and W does not depend on the scale at all.
 """
 from __future__ import annotations
 
@@ -21,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import check_array
+from .base import check_array, unit_exponent
 from .distributions import PValue, normal_cdf, normal_quantile
 from .errors import DegenerateDataError, DomainError, InsufficientDataError
 
@@ -44,26 +53,33 @@ class NormalityResult:
 
 def describe(series: Sequence[float]) -> DescriptiveStats:
     """Mean, sample standard deviation (n-1 denominator), min, and max."""
-    x = check_array(series, name="series")
+    return _moments(check_array(series, name="series"))[0]
+
+
+def _moments(x: np.ndarray) -> tuple[DescriptiveStats, np.ndarray, float]:
+    """``describe`` of a finite sample, with the sample scaled by 2^-e so
+    that max|x| lies in [0.5, 1), and the exactly rounded sum of squared
+    deviations of that scaled sample. Order does not matter: a sorted sample
+    gives the same bits."""
     n = len(x)
     if n < 2:
         raise InsufficientDataError(f"describe needs at least 2 values, got {n}")
-    mean = math.fsum(x.tolist()) / n
-    return DescriptiveStats(
+    e = unit_exponent(x)
+    scaled = np.ldexp(x, -e)
+    mean = math.fsum(scaled.tolist()) / n
+    d = scaled - mean
+    ssq = math.fsum((d * d).tolist())
+    stats = DescriptiveStats(
         valid=n,
         missing=0,
-        mean=mean,
-        std_deviation=math.sqrt(_sum_sq_dev(x, mean) / (n - 1)),
-        # the first extreme in row order, as min() and max() pick among equal zeros
+        mean=math.ldexp(mean, e),
+        std_deviation=math.ldexp(math.sqrt(ssq / (n - 1)), e),
+        # the first extreme in row order, as min() and max() pick among equal
+        # zeros; a stable sort keeps that element first among its equals
         minimum=float(x[x.argmin()]),
         maximum=float(x[x.argmax()]),
     )
-
-
-def _sum_sq_dev(x: np.ndarray, mean: float) -> float:
-    """Exactly rounded sum of squared deviations from ``mean``."""
-    d = x - mean
-    return math.fsum((d * d).tolist())
+    return stats, scaled, ssq
 
 
 def _poly(coeffs: Sequence[float], x: float) -> float:
@@ -120,19 +136,25 @@ def _sw_coefficients(n: int) -> np.ndarray:
 
 def shapiro_wilk(series: Sequence[float]) -> NormalityResult:
     """Shapiro-Wilk W and its p-value per the AS R94 approximation."""
-    return _shapiro_wilk_ordered(np.sort(check_array(series, name="series"),
-                                         kind="stable"))
+    x = np.sort(check_array(series, name="series"), kind="stable")
+    _check_shapiro_wilk_size(len(x))
+    return _shapiro_wilk_ordered(*_moments(x)[1:])
 
 
-def _shapiro_wilk_ordered(x: np.ndarray) -> NormalityResult:
-    """``shapiro_wilk`` of a finite sample already sorted ascending."""
-    n = len(x)
+def _check_shapiro_wilk_size(n: int) -> None:
     if n < 3 or n > 5000:
         raise DomainError(f"shapiro_wilk needs 3 <= n <= 5000, got {n}")
+
+
+def _shapiro_wilk_ordered(x: np.ndarray, ssq: float) -> NormalityResult:
+    """``shapiro_wilk`` of a finite sample already sorted ascending, given
+    the sum of squared deviations ``ssq`` at the sample's own scale; W is the
+    same at any power-of-two scale, and ``_moments`` gives both."""
+    n = len(x)
+    _check_shapiro_wilk_size(n)
     if x[0] == x[-1]:
         raise DegenerateDataError("shapiro_wilk needs non-constant data")
 
-    ssq = _sum_sq_dev(x, math.fsum(x.tolist()) / n)
     wnum = math.fsum((_sw_coefficients(n) * x).tolist()) ** 2
     w = min(1.0, wnum / ssq)
 
@@ -166,7 +188,7 @@ def tukey_hinges(series: Sequence[float]) -> tuple[float, float]:
     return _hinges(np.sort(check_array(series, name="series"), kind="stable").tolist())
 
 
-def _hinges(x: list[float]) -> tuple[float, float]:
+def _hinges(x: Sequence[float]) -> tuple[float, float]:
     """``tukey_hinges`` of a sample already sorted ascending."""
     n = len(x)
     if n < 4:
@@ -184,7 +206,7 @@ def boxplot_outliers(series: Sequence[float]) -> list[int]:
 def _outliers(x: np.ndarray, ordered: np.ndarray) -> list[int]:
     """``boxplot_outliers`` of a finite sample x, given x sorted (stably) as
     ``ordered``."""
-    q1, q3 = _hinges(ordered.tolist())
+    q1, q3 = _hinges(ordered)
     iqr = q3 - q1
     lo = q1 - 1.5 * iqr
     hi = q3 + 1.5 * iqr

@@ -61,6 +61,13 @@ class IndexDefinition:
         total = sum(c.weight for c in self.components)
         return {c.name: c.weight / total for c in self.components}
 
+    @cached_property
+    def _plan(self) -> tuple[tuple[str, float, IndexComponent], ...]:
+        """(name, normalized weight, component) per component, in order: the
+        one loop ``compute_composite`` runs, built once per definition."""
+        weights = self.normalized_weights
+        return tuple((c.name, weights[c.name], c) for c in self.components)
+
 
 @dataclass(frozen=True)
 class IndexScore:
@@ -71,40 +78,33 @@ class IndexScore:
 _FLOAT_TYPES = (float, np.float64)
 
 
-def _component_score(component: IndexComponent, scores: Mapping[str, float],
-                     index_name: str) -> float:
-    if component.name in scores:
-        value = scores[component.name]
-        # float and np.float64 skip the type check; bool is an int subclass,
-        # and strings, None and sequences must not be coerced
-        if type(value) not in _FLOAT_TYPES and (
-                not isinstance(value, numbers.Real) or isinstance(value, (bool, np.bool_))):
-            raise ValidationError(
-                f"score for {component.name!r} is {value!r}, not a real number")
-        value = float(value)
-        if not SCORE_MIN <= value <= SCORE_MAX:
-            raise ValidationError(
-                f"score for {component.name!r} is {value!r}, outside [0, 100]"
-            )
-        return value
-    if component.sub is not None:
-        return compute_composite(component.sub, scores).value
-    raise DefinitionError(
-        f"no score supplied for component {component.name!r} of {index_name!r}"
-    )
-
-
 def compute_composite(definition: IndexDefinition, scores: Mapping[str, float]) -> IndexScore:
     """Renormalized weighted sum of component scores, with per-component contributions.
 
-    Each score must be a real number in [0, 100]; a bool, a string, None or a
-    sequence is a ``ValidationError`` that names its component."""
-    weights = definition.normalized_weights
+    A component's score is read from ``scores`` by its name; only a missing
+    name is derived from the component's sub-indicators. Each score must be
+    a real number in [0, 100]; a bool, a string, None or a sequence is a
+    ``ValidationError`` that names its component."""
     contributions: dict[str, float] = {}
-    for component in definition.components:
-        value = _component_score(component, scores, definition.name)
-        contributions[component.name] = weights[component.name] * value
-    return IndexScore(value=math.fsum(contributions.values()), contributions=contributions)
+    for name, weight, component in definition._plan:
+        if name in scores:
+            value = scores[name]
+            # float and np.float64 skip the type check; bool is an int
+            # subclass, and strings, None and sequences must not be coerced
+            if type(value) not in _FLOAT_TYPES and (
+                    not isinstance(value, numbers.Real) or isinstance(value, (bool, np.bool_))):
+                raise ValidationError(f"score for {name!r} is {value!r}, not a real number")
+            value = float(value)
+            if not SCORE_MIN <= value <= SCORE_MAX:
+                raise ValidationError(f"score for {name!r} is {value!r}, outside [0, 100]")
+        elif component.sub is not None:
+            value = compute_composite(component.sub, scores).value
+        else:
+            raise DefinitionError(
+                f"no score supplied for component {name!r} of {definition.name!r}")
+        contributions[name] = weight * value
+    # positional: the frozen dataclass's keyword call costs more per row
+    return IndexScore(math.fsum(contributions.values()), contributions)
 
 
 def parse_definition(text: str, name: str) -> IndexDefinition:

@@ -51,7 +51,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .base import check_array
+from .base import check_array, unit_exponent
 from .dataset import Dataset
 from .distributions import PValue, f_tail_p, t_two_tailed_p
 from .errors import InsufficientDataError, SingularDesignError, ValidationError
@@ -159,20 +159,29 @@ def _t_statistic(coef: float, se: float) -> float:
 
 def _rank_tolerance(n: int, col_norms: np.ndarray) -> float:
     """The length at or below which a centred column, after its projection on
-    the columns before it is removed, counts as dependent on them."""
-    return n * np.finfo(float).eps * max(float(col_norms.max()), 1.0)
+    the columns before it is removed, counts as dependent on them: n eps
+    times the largest centred column norm of the design. It scales with the
+    design, so the rule does not depend on the units of the data."""
+    return n * np.finfo(float).eps * float(col_norms.max())
 
 
 def _centred_qr(xc: np.ndarray,
                 predictor_names: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin Q and upper-triangular R of the centred predictors, after the rank
-    test (a column whose |R_jj| is at rounding level depends on the columns
-    before it), and the column sums of squares the test reads."""
+    test (a constant column, or one whose |R_jj| is at rounding level,
+    depends on the columns before it), and the column sums of squares the
+    test reads."""
     q_thin, r_mat = np.linalg.qr(xc)
     ss_cols = (xc * xc).sum(axis=0)
     tol = _rank_tolerance(xc.shape[0], np.sqrt(ss_cols))
+    # by spread: a constant column whose mean is inexact keeps a little noise
+    # when centred, which a tolerance relative to the design need not exceed;
+    # the first and last rows rule out nearly every other column cheaply
+    constant = xc[0] == xc[-1]
+    if constant.any():
+        constant &= np.ptp(xc, axis=0) == 0.0
     for j, name in enumerate(predictor_names):
-        if abs(float(r_mat[j, j])) <= tol:
+        if constant[j] or abs(float(r_mat[j, j])) <= tol:
             raise SingularDesignError(
                 f"design is rank deficient: column {name!r} is "
                 "linearly dependent on the preceding columns (or constant)"
@@ -194,10 +203,17 @@ def _ols_arrays(x: np.ndarray, y: np.ndarray, response: str,
 
     x is taken C-ordered, so a column slice of a design sums its means in the
     same order as a fresh copy and the fit does not depend on memory layout.
+    x and y are first scaled by one power of two, 2^-e, that brings their
+    largest magnitude into [0.5, 1), so no square overflows or underflows;
+    the results that carry the data's unit are scaled back at the end. A
+    power of two commutes with rounding, so every result is the same at any
+    scale of the data, up to that factor.
     """
-    x = np.ascontiguousarray(x)
     n, k = x.shape
     _check_rows(n, k)
+    e = unit_exponent(x, y)
+    x = np.ldexp(np.ascontiguousarray(x), -e)
+    y = np.ldexp(y, -e)
     y_mean = float(np.mean(y))
     yc = y - y_mean
     sst = float(yc @ yc)
@@ -234,6 +250,10 @@ def _ols_arrays(x: np.ndarray, y: np.ndarray, response: str,
     coefficients = (intercept, *slopes.tolist())
     standard_errors = (se_intercept, *se_slopes.tolist())
     t_values = tuple(_t_statistic(c, s) for c, s in zip(coefficients, standard_errors))
+    # the intercept and its standard error carry the data's unit; the slopes
+    # and theirs are ratios of it
+    coefficients = (math.ldexp(intercept, e), *coefficients[1:])
+    standard_errors = (math.ldexp(se_intercept, e), *standard_errors[1:])
 
     s_y = math.sqrt(sst / (n - 1)) if n > 1 else 0.0
     betas: list[float | None] = [None]
@@ -254,7 +274,8 @@ def _ols_arrays(x: np.ndarray, y: np.ndarray, response: str,
         ms_reg = ss_reg / k
         ms_res = ss_res / df_residual
         f_stat = ms_reg / ms_res if ms_res else math.inf
-        anova = AnovaBlock(ss_regression=ss_reg, df=k, mean_square=ms_reg, f=f_stat,
+        anova = AnovaBlock(ss_regression=math.ldexp(ss_reg, 2 * e), df=k,
+                           mean_square=math.ldexp(ms_reg, 2 * e), f=f_stat,
                            p=f_tail_p(max(0.0, f_stat), k, df_residual))
 
     return LinearModelFit(
@@ -268,12 +289,12 @@ def _ols_arrays(x: np.ndarray, y: np.ndarray, response: str,
         r=math.sqrt(r_squared),
         r_squared=r_squared,
         adjusted_r_squared=adjusted,
-        rmse=rmse,
+        rmse=math.ldexp(rmse, e),
         anova=anova,
         tolerance=tuple(tolerance.tolist()),
         vif=tuple((1.0 / tolerance).tolist()),
-        residuals=tuple(residuals.tolist()),
-        fitted=tuple(fitted.tolist()),
+        residuals=tuple(np.ldexp(residuals, e).tolist()),
+        fitted=tuple(np.ldexp(fitted, e).tolist()),
         leverage=tuple(leverage.tolist()),
         df_residual=df_residual,
     )
@@ -408,7 +429,7 @@ def _durbin_watson_many(fits: Sequence[LinearModelFit | Sequence[float]],
     # by one factor, and a power of two scales each product exactly, so each
     # vector is brought to max|r| in [0.5, 1): no square or sum of squares
     # overflows, and none underflows unless its term is negligible in the sum
-    scales = [-math.frexp(float(np.abs(residuals).max()))[1] for residuals in stack]
+    scales = [-unit_exponent(residuals) for residuals in stack]
     stack = [np.ldexp(residuals, e) for residuals, e in zip(stack, scales)]
     sums = [float(residuals @ residuals) for residuals in stack]
     # before the all-zero check: an exact fit may leave exact zeros or rounding
@@ -542,9 +563,14 @@ def stepwise_fit(dataset: Dataset, response: str,
         raise ValidationError("stepwise selection needs at least one candidate")
     x, y, response_name, names = _dataset_arrays(dataset, response, candidates)
     n = x.shape[0]
-    xc = x - x.mean(axis=0)
+    # ranked, as ``_ols_arrays`` fits, at a power-of-two scale where no
+    # square overflows or underflows
+    e = unit_exponent(x, y)
+    xc = np.ldexp(x, -e)
+    xc -= xc.mean(axis=0)
     col_norms = np.sqrt((xc * xc).sum(axis=0))
-    yc = y - y.mean()
+    yc = np.ldexp(y, -e)
+    yc -= yc.mean()
     selected: list[int] = []
     trace: list[StepwiseStep] = []
     fit = None  # the fit of the selection, once a candidate has entered

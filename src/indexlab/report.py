@@ -41,9 +41,9 @@ from .dataset import (
 from .descriptive import (
     DescriptiveStats,
     NormalityResult,
+    _moments,
     _outliers,
     _shapiro_wilk_ordered,
-    describe,
     shapiro_wilk,
 )
 from .errors import ValidationError
@@ -243,7 +243,7 @@ def _residual_figure(fit: LinearModelFit) -> dict:
         "residuals_vs_predicted": {
             "x_label": "predicted",
             "y_label": "residual",
-            "points": np.column_stack((fit.fitted, fit.residuals)).tolist(),
+            "points": [[f, r] for f, r in zip(fit.fitted, fit.residuals)],
         },
         "standardized_residual_histogram": _histogram(_standardized_residuals(fit)),
     }
@@ -322,7 +322,9 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
     same seed and R, counts the observed order among the permutations,
     2 (b + 1) / (R + 1), and so is never 0. No permutation matrix is stored.
     Provenance names the permutation scheme (``dw_permutation``). Each
-    column is sorted once, for both Shapiro-Wilk and the boxplot hinges. A
+    column is sorted once, for the descriptives, Shapiro-Wilk and the boxplot
+    hinges, and one exact-sum pass over it gives both the descriptives and
+    the sum of squares that Shapiro-Wilk divides by. A
     bad seed or replicate count is rejected before any stage runs.
 
     ``dataset_sha256`` hashes ``emit_dataset`` of the sorted copy. When the
@@ -335,9 +337,10 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
     ds = dataset.sorted_by_name()
     columns = dict(zip(_SCHEMA, ds.array(_SCHEMA).T))
 
-    stats = {name: describe(values) for name, values in columns.items()}
     ordered = {name: np.sort(values, kind="stable") for name, values in columns.items()}
-    normality = {name: _shapiro_wilk_ordered(x) for name, x in ordered.items()}
+    moments = {name: _moments(x) for name, x in ordered.items()}
+    stats = {name: m[0] for name, m in moments.items()}
+    normality = {name: _shapiro_wilk_ordered(*m[1:]) for name, m in moments.items()}
     normality_screen = {
         "columns": list(_SCHEMA),
         "w": [normality[name].w for name in _SCHEMA],
@@ -348,7 +351,8 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
         name: [ds.countries[i] for i in _outliers(values, ordered[name])]
         for name, values in columns.items()
     }
-    del ordered  # a sorted copy of every column; the later stages do not need it
+    # sorted and scaled copies of every column; the later stages do not need them
+    del ordered, moments
 
     h0 = null_model(ds, SII)
     simple = fit_ols(ds, SII, [IDESI])
@@ -362,7 +366,7 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
     casewise = {
         "flagged_countries": [ds.countries[i] for i in cw.flagged],
         "flagged_count": len(cw.flagged),
-        "max_abs_standardized_residual": max(abs(v) for v in cw.standardized_residuals),
+        "max_abs_standardized_residual": max(map(abs, cw.standardized_residuals)),
         "max_cooks_distance": max(cw.cooks_distance),
     }
     pca = principal_components(corr.block(1, 6))

@@ -10,6 +10,7 @@ import pytest
 
 from indexlab import (
     CellResult,
+    Dataset,
     GoldenDiff,
     ReportBundle,
     bundled_table_a1,
@@ -182,6 +183,50 @@ def test_normality(capsys, data_file):
     assert _close(stats["shapiro_wilk"][1], 0.9145677835530619)
     assert _close(stats["shapiro_wilk_p"][1], 0.0222595609359576)
     assert _close(stats["shapiro_wilk_p"][0], 0.4265665712736503)
+
+
+@pytest.fixture(scope="module")
+def tiny_data_file(tmp_path_factory):
+    """The bundled table scaled by 2**-600: every score near 1e-179, whose
+    squares underflow to 0.0 unless a statistic scales them first."""
+    ds = bundled_table_a1()
+    path = tmp_path_factory.mktemp("cli") / "table_a1_tiny.csv"
+    path.write_text(emit_dataset(Dataset(ds.columns, ds.countries,
+                                         ds.array(ds.columns) * 2.0**-600)))
+    return str(path)
+
+
+def test_normality_at_tiny_scale(capsys, data_file, tiny_data_file):
+    """W and its p do not depend on the unit; the mean and the standard
+    deviation scale with it, exactly."""
+    out = {}
+    for path in (data_file, tiny_data_file):
+        assert main(["normality", "--input", path]) == 0
+        out[path] = _rows_by_name(_sections(capsys.readouterr().out)["normality"][1:])
+    unit, tiny = out[data_file], out[tiny_data_file]
+    for row in ("shapiro_wilk", "shapiro_wilk_p", "valid"):
+        assert tiny[row] == unit[row], row
+    for row in ("mean", "std_deviation", "minimum", "maximum"):
+        assert [float(v) for v in tiny[row]] == [float(v) * 2.0**-600 for v in unit[row]], row
+
+
+def test_regress_at_tiny_scale(capsys, data_file, tiny_data_file):
+    """The same fit at 2**-600: not rank deficient, with the unscaled R^2,
+    t and p, and the intercept scaled by 2**-600."""
+    args = ["--response", "SII", "--predictor", "I-DESI", "--replicates", "50"]
+    out = {}
+    for path in (data_file, tiny_data_file):
+        assert main(["regress", "--input", path, *args]) == 0
+        out[path] = _sections(capsys.readouterr().out)
+    unit, tiny = out[data_file], out[tiny_data_file]
+    h1 = {path: _rows_by_name(out[path]["model_summary"][1:3])["H1"] for path in out}
+    assert h1[tiny_data_file][:3] == h1[data_file][:3]  # R, R2, adjusted R2
+    assert h1[tiny_data_file][1] == "0.5470655852400073"
+    assert h1[tiny_data_file][4:] == h1[data_file][4:]  # Durbin-Watson
+    for row_unit, row_tiny in zip(unit["coefficients"][1:], tiny["coefficients"][1:]):
+        assert row_tiny[5:] == row_unit[5:]  # t and p
+        scale = 2.0**-600 if row_unit[1] == "(Intercept)" else 1.0
+        assert float(row_tiny[2]) == float(row_unit[2]) * scale
 
 
 def test_correlate(capsys, data_file):

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from indexlab import (
     DegenerateDataError,
     DomainError,
+    IndexLabError,
     InsufficientDataError,
     boxplot_outliers,
     describe,
@@ -90,6 +93,44 @@ def test_shapiro_wilk_domain():
         shapiro_wilk([0.5] * 5001)
     with pytest.raises(DegenerateDataError):
         shapiro_wilk([3.0, 3.0, 3.0, 3.0])
+
+
+def test_describe_and_shapiro_wilk_power_of_two_sweep(dataset):
+    """Scaling a column by 2**k leaves W and its p unchanged and scales the
+    mean, the standard deviation and the extremes by 2**k, to the last bit,
+    for every k at which each scaled value is a normal float (so the scaling
+    is exact), from about 2**-1027 to 2**1017 here. Below that the values
+    lose bits as subnormals, down to the last k at which one stays nonzero:
+    there a result is still a valid W, or an IndexLabError says why not."""
+    x = np.asarray(dataset.column("SII"))
+    stats, normality = describe(x), shapiro_wilk(x)
+    exponents = [math.frexp(v)[1] for v in x.tolist()]
+    lowest, highest = -1021 - min(exponents), 1024 - max(exponents)
+    for k in range(lowest, highest + 1):
+        scaled = x * 2.0**k
+        assert shapiro_wilk(scaled) == normality, k
+        assert describe(scaled) == type(stats)(
+            valid=stats.valid, missing=0, mean=stats.mean * 2.0**k,
+            std_deviation=stats.std_deviation * 2.0**k,
+            minimum=stats.minimum * 2.0**k, maximum=stats.maximum * 2.0**k), k
+    for k in range(lowest - 1, -1075 - max(exponents), -1):
+        scaled = np.ldexp(x, k)
+        assert scaled.any(), k
+        assert math.isfinite(describe(scaled).std_deviation), k
+        try:
+            result = shapiro_wilk(scaled)
+        except IndexLabError:
+            continue  # values that became equal as subnormals
+        assert 0.0 <= result.w <= 1.0 and 0.0 <= result.p.value <= 1.0, k
+
+
+@pytest.mark.parametrize("k", [-560, 600])
+def test_shapiro_wilk_at_extreme_scales(dataset, k):
+    """At 2**-560 the squared deviations underflow and at 2**600 the squared
+    sum of weighted order statistics overflows, unless the sample is scaled
+    first."""
+    x = dataset.column("SII")
+    assert shapiro_wilk(np.ldexp(x, k)) == shapiro_wilk(x)
 
 
 def test_shapiro_wilk_w_capped():

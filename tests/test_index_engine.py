@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,41 @@ def test_compute_composite_validation():
     del missing["Connectivity"]
     with pytest.raises(DefinitionError, match="no score supplied"):
         compute_composite(definition, missing)
+
+
+def _oracle(definition, scores):
+    """The composite as the fsum of weight x score, each weight the published
+    one over the definition's total; a component without a score is the
+    composite of its sub-indicators."""
+    total = sum(c.weight for c in definition.components)
+    return math.fsum(
+        c.weight / total * (float(scores[c.name]) if c.name in scores
+                            else _oracle(c.sub, scores))
+        for c in definition.components)
+
+
+def test_compute_composite_matches_fsum_oracle():
+    """Bit for bit, on random direct scores of both presets (as floats and
+    as numpy floats), on the SII preset's nested sub-indicator scores, and on
+    mixed rows where some pillars are given and the rest derived."""
+    rng = np.random.default_rng(17)
+    sii, idesi = preset("sii-2016"), preset("idesi-2020")
+    indicators = [inner.name for c in sii.components for inner in c.sub.components]
+    rows = []
+    for definition, names in ((sii, PILLARS), (idesi, DIMENSIONS)):
+        for values in rng.uniform(0.0, 100.0, (200, len(names))):
+            rows.append((definition, dict(zip(names, values))))
+            rows.append((definition, dict(zip(names, values.tolist()))))
+    for values in rng.uniform(0.0, 100.0, (200, len(indicators))):
+        nested = dict(zip(indicators, values.tolist()))
+        rows.append((sii, nested))
+        given = rng.permutation(PILLARS)[:int(rng.integers(1, len(PILLARS)))]
+        rows.append((sii, {**nested, **{p: float(rng.uniform(0.0, 100.0)) for p in given}}))
+    for definition, scores in rows:
+        result = compute_composite(definition, scores)
+        assert result.value == _oracle(definition, scores), scores
+        assert list(result.contributions) == [c.name for c in definition.components]
+        assert math.fsum(result.contributions.values()) == result.value
 
 
 def test_compute_composite_rejects_non_numeric_scores():

@@ -9,6 +9,7 @@ import pytest
 
 from indexlab import (
     Dataset,
+    IndexLabError,
     InsufficientDataError,
     SingularDesignError,
     ValidationError,
@@ -372,6 +373,24 @@ def test_permutations_uniform():
     assert chi2_tail_p(chi2, 23).value > 0.001, counts
 
 
+def test_permutations_position_uniform_past_the_table():
+    """At n = 300 the scorer gathers each vector on its own, not from the
+    table, and the keys carry 9 low bits: every draw is a permutation, and
+    each index lands in each position R / n = 100 times in expectation
+    (a chi-square test over all 300 x 300 cells; rows and columns each sum
+    to R, so df = 299**2)."""
+    n, replicates = 300, 30_000
+    assert n > regression._SCORE_CHUNK
+    counts = np.zeros(n * n, dtype=np.int64)
+    offsets = np.arange(n) * n
+    for chunk in _permutation_chunks(23, n, replicates):
+        assert (np.sort(chunk, axis=1) == np.arange(n)).all()
+        counts += np.bincount((chunk + offsets).ravel(), minlength=n * n)
+    expected = replicates / n
+    chi2 = float(((counts - expected) ** 2).sum() / expected)
+    assert chi2_tail_p(chi2, (n - 1) ** 2).value > 0.001, chi2
+
+
 def _exact_permutation_p(residuals: np.ndarray) -> tuple[float, float]:
     """The smaller tail share q over all n! orders, with the tie rule, and
     the expected bootstrap p at R = 20,000 for that q."""
@@ -493,6 +512,44 @@ def test_degenerate_designs(degenerate_designs, kind):
     ds = degenerate_designs[kind]
     with pytest.raises(SingularDesignError, match="rank deficient"):
         fit_ols(ds, "y", ["p1", "p2", "p3"])
+
+
+def test_fit_ols_power_of_two_sweep(dataset):
+    """Scaling every score by 2**k leaves R^2, t, p, the slopes, tolerance
+    and leverage unchanged and scales the intercept, its standard error, the
+    RMSE and the residuals by 2**k, to the last bit, for every k at which each
+    scaled score is a normal float. Scores are capped at 100, so the sweep
+    runs downward only; below the normal range, where scores lose bits as
+    subnormals, a fit is still a valid fit or an IndexLabError. The rank rule
+    scales with the design, so no fit is called rank deficient on the way."""
+    data = dataset.array(dataset.columns)
+    exponents = [math.frexp(v)[1] for v in data.ravel().tolist() if v]
+    lowest = -1021 - min(exponents)
+    designs = ([IDESI], list(DIMENSIONS))
+    expected = [fit_ols(dataset, SII, predictors) for predictors in designs]
+
+    def scaled_fits(k):
+        ds = Dataset(dataset.columns, dataset.countries, np.ldexp(data, k))
+        return [fit_ols(ds, SII, predictors) for predictors in designs]
+
+    for k in range(0, lowest - 1, -1):
+        for fit, unit in zip(scaled_fits(k), expected):
+            assert fit.coefficients == (unit.coefficients[0] * 2.0**k,
+                                        *unit.coefficients[1:]), k
+            assert fit.standard_errors == (unit.standard_errors[0] * 2.0**k,
+                                           *unit.standard_errors[1:]), k
+            assert fit.residuals == tuple(v * 2.0**k for v in unit.residuals), k
+            assert fit.rmse == unit.rmse * 2.0**k, k
+            for name in ("r_squared", "adjusted_r_squared", "t_values", "p_values",
+                         "tolerance", "vif", "leverage"):
+                assert getattr(fit, name) == getattr(unit, name), (k, name)
+    for k in range(lowest - 1, -1075 - max(exponents), -1):
+        try:
+            fits = scaled_fits(k)
+        except IndexLabError:
+            continue  # scores that became equal or collinear as subnormals
+        for fit in fits:
+            assert 0.0 <= fit.r_squared <= 1.0 and all(map(math.isfinite, fit.coefficients)), k
 
 
 def test_fit_of_a_predictor_with_tiny_spread():

@@ -293,12 +293,33 @@ def test_seed_changes_only_bootstrap_p(sorted_dataset):
     assert first == second
 
 
+def test_reproduce_all_at_tiny_scale(dataset):
+    """Every score times 2**-600: the normality screen and gate, the
+    stepwise selection, every correlation, KMO and every model's R^2 and
+    Durbin-Watson p are those of the unscaled table, to the last bit."""
+    tiny = Dataset(dataset.columns, dataset.countries,
+                   np.ldexp(dataset.array(dataset.columns), -600))
+    unit, scaled = (reproduce_all(ds, seed=42, replicates=100) for ds in (dataset, tiny))
+    assert scaled.normality_screen == unit.normality_screen
+    assert scaled.gate == unit.gate
+    for table_id in ("T4", "T11"):
+        assert scaled.tables[table_id]["r"] == unit.tables[table_id]["r"]
+    assert scaled.tables["T6"]["kmo"] == unit.tables["T6"]["kmo"]
+    assert scaled.tables["T9"]["selection_trace"] == unit.tables["T9"]["selection_trace"]
+    for table_id in ("T2", "T8"):
+        for model in ("H0", "H1"):
+            a, b = (bundle.tables[table_id]["rows"][model] for bundle in (scaled, unit))
+            assert (a["R2"], a["dw_p"]) == (b["R2"], b["dw_p"]), (table_id, model)
+
+
 def test_each_statistic_computed_once_per_run(dataset, monkeypatch):
-    """One describe, one sort and one Shapiro-Wilk per schema column (the
-    hinges read the same order statistics), one correlation matrix, one
-    eigendecomposition, one draw of the Durbin-Watson permutations for the
-    three models, no per-call column rebuilds, and one factorisation of each
-    fitted design: tolerance and VIF come from the fit's own."""
+    """One sort, one exact-sum pass and one Shapiro-Wilk per schema column:
+    the descriptives and Shapiro-Wilk share the pass's sum of squared
+    deviations (11 passes, not 22), and the hinges read the same order
+    statistics. One correlation matrix, one eigendecomposition, one draw of
+    the Durbin-Watson permutations for the three models, no per-call column
+    rebuilds, and one factorisation of each fitted design: tolerance and VIF
+    come from the fit's own."""
     from indexlab import dataset as dataset_module
     from indexlab import pca as pca_module
     from indexlab import regression as regression_module
@@ -315,7 +336,7 @@ def test_each_statistic_computed_once_per_run(dataset, monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("describe", "shapiro_wilk", "_shapiro_wilk_ordered", "correlation_matrix"):
+    for name in ("_moments", "shapiro_wilk", "_shapiro_wilk_ordered", "correlation_matrix"):
         counted(report_module, name)
     counted(pca_module, "eigen_symmetric")
     counted(dataset_module.Dataset, "column")
@@ -332,7 +353,7 @@ def test_each_statistic_computed_once_per_run(dataset, monkeypatch):
     monkeypatch.setattr(regression_module, "_ols_arrays", fit)
     reproduce_all(dataset, seed=42, replicates=1)
     assert calls.pop("_centred_qr") == sum(k > 0 for k in designs)
-    assert calls == {"describe": 11, "_shapiro_wilk_ordered": 11, "sort": 11,
+    assert calls == {"_moments": 11, "_shapiro_wilk_ordered": 11, "sort": 11,
                      "correlation_matrix": 1, "eigen_symmetric": 1,
                      "_permutation_chunks": 1}
 
