@@ -68,39 +68,47 @@ class Dataset:
     scores whose rows follow ``countries`` and whose columns follow
     ``columns``. Reads go through ``array()`` and ``column()``.
 
-    The first ``emit_dataset`` of a dataset keeps the CSV text of each row
-    on it, and ``sorted_by_name`` hands that text, reordered, to the sorted
-    copy, so a row's float ``repr`` is rendered once however often the
-    dataset or its sorted copy is written.
+    A dataset carries the CSV text of each row once it has it. A parsed
+    dataset in canonical form (each score the ``repr`` of its value, each
+    name stripped and needing no quotes) carries its parsed text; any other
+    dataset is rendered at its first ``emit_dataset``. ``sorted_by_name``
+    hands that text, reordered, to the sorted copy, so a row's float
+    ``repr`` is rendered at most once however often the dataset or its
+    sorted copy is written, and never for a canonical parsed table.
     """
 
     def __init__(self, columns: Sequence[str], countries: Sequence[str],
                  scores: Sequence[Sequence[float]] | np.ndarray):
         self.columns = tuple(columns)
         self.countries = tuple(countries)
+        # one pass over each name list, and one set for uniqueness; the names
+        # are walked one by one only to name the offender
         for kind, names in (("column", self.columns), ("country", self.countries)):
-            for i, name in enumerate(names, start=1):
-                if not isinstance(name, str) or not name.strip():
-                    raise ValidationError(
-                        f"{kind} name {name!r} (number {i}) is not a non-blank string")
+            if not _non_blank_strings(names):
+                for i, name in enumerate(names, start=1):
+                    if not isinstance(name, str) or not name.strip():
+                        raise ValidationError(
+                            f"{kind} name {name!r} (number {i}) is not a non-blank string")
         self._data = _score_array(self.columns, self.countries, scores)
         self._data.setflags(write=False)
         if len(set(self.columns)) != len(self.columns):
             raise ValidationError("duplicate column names")
-        seen: set[str] = set()
-        for name in self.countries:
-            if name in seen:
-                raise ValidationError(f"duplicate country {name!r}")
-            seen.add(name)
-        # negated so that NaN is out of range too
-        bad = np.argwhere(~((self._data >= SCORE_MIN) & (self._data <= SCORE_MAX)))
-        if len(bad):
-            i, j = bad[0]
+        if len(set(self.countries)) != len(self.countries):
+            seen: set[str] = set()
+            for name in self.countries:
+                if name in seen:
+                    raise ValidationError(f"duplicate country {name!r}")
+                seen.add(name)
+        # NaN compares false, so it is out of range too
+        in_range = (self._data >= SCORE_MIN) & (self._data <= SCORE_MAX)
+        if not in_range.all():
+            i, j = np.argwhere(~in_range)[0]
             raise ValidationError(
                 f"value {float(self._data[i, j])!r} out of range [{SCORE_MIN:g}, {SCORE_MAX:g}] "
                 f"for {self.countries[i]!r}, column {self.columns[j]!r}"
             )
-        # the CSV text of each row, in row order, once emit_dataset renders it
+        # the CSV text of each row, in row order, once parse_dataset or
+        # emit_dataset gives it
         self._rows: tuple[str, ...] | None = None
 
     def __len__(self) -> int:
@@ -136,6 +144,15 @@ class Dataset:
         if self._rows is not None:
             by_name._rows = tuple(self._rows[i] for i in order)
         return by_name
+
+
+def _non_blank_strings(names: tuple) -> bool:
+    """Whether every name is a ``str`` with a non-blank character.
+    ``str.strip`` raises TypeError on any other type."""
+    try:
+        return all(map(str.strip, names))
+    except TypeError:
+        return False
 
 
 def _score_array(columns: tuple[str, ...], countries: tuple[str, ...],
@@ -185,23 +202,48 @@ def parse_dataset(csv_text: str) -> Dataset:
         raise DatasetParseError(
             f"header cell {columns.index('') + 2} is blank: every score column needs a name")
 
-    names, values = _names_and_values(header, rows[1:])
-    return Dataset(columns, names, np.array(values, dtype=float).reshape(len(names), len(columns)))
+    names, values, text = _names_and_values(header, rows[1:])
+    dataset = Dataset(columns, names,
+                      np.array(values, dtype=float).reshape(len(names), len(columns)))
+    dataset._rows = text
+    return dataset
 
 
-def _names_and_values(header: list[str], body: list[list[str]]) -> tuple[list[str], list[float]]:
-    """Country names and the row-major cell values of the data rows.
+# characters that make the csv writer quote a field: the delimiter, the quote
+# character and line ends
+_QUOTED = (",", '"', "\r", "\n")
 
-    A well-formed body converts in one pass (``float`` strips whitespace
-    itself). Anything else goes through the row-by-row loop, which raises on
-    the first bad row or cell with its line number and column.
+
+def _names_and_values(header: list[str], body: list[list[str]]
+                      ) -> tuple[list[str], list[float], tuple[str, ...] | None]:
+    """Country names, the row-major cell values of the data rows, and the
+    CSV text of each row when it is already the text ``emit_dataset`` would
+    render (else None).
+
+    A well-formed body converts in one pass that parses each distinct cell
+    once (``float`` strips whitespace itself). The values are looked up by
+    cell string, not by float, so ``-0.0`` and ``0.0`` stay apart. Its rows
+    keep their parsed text when every distinct cell is the ``repr`` of its
+    value, which is what the writer writes for a float, and every name is
+    stripped already and holds no character the writer would quote.
+    Anything else goes through the row-by-row loop, which raises on the
+    first bad row or cell with its line number and column.
     """
     names = [row[0].strip() for row in body]
     if all(names) and all(len(row) == len(header) for row in body):
+        cells = [cell for row in body for cell in row[1:]]
         try:
-            return names, [float(cell) for row in body for cell in row[1:]]
+            number = {cell: float(cell) for cell in set(cells)}
         except ValueError:
             pass
+        else:
+            text = None
+            joined = "".join(names)
+            if (all(repr(value) == cell for cell, value in number.items())
+                    and names == [row[0] for row in body]
+                    and not any(c in joined for c in _QUOTED)):
+                text = tuple(",".join(row) + "\n" for row in body)
+            return names, list(map(number.__getitem__, cells)), text
     columns = header[1:]
     names, values = [], []
     for lineno, row in enumerate(body, start=2):
@@ -223,7 +265,7 @@ def _names_and_values(header: list[str], body: list[list[str]]) -> tuple[list[st
                 raise DatasetParseError(
                     f"row {lineno}, column {col!r}: not a number: {cell!r}"
                 ) from None
-    return names, values
+    return names, values, None
 
 
 def _csv_lines(rows: Iterable[Sequence]) -> list[str]:
@@ -238,9 +280,10 @@ def _csv_lines(rows: Iterable[Sequence]) -> list[str]:
 def emit_dataset(dataset: Dataset) -> str:
     """Serialize back to the CSV schema; round-trips through parse_dataset.
 
-    The first call on a dataset renders its rows and keeps their text on it
-    (see ``Dataset``); later calls, and calls on its ``sorted_by_name`` copy,
-    join that text.
+    This renderer defines a row's text. A parsed dataset in canonical form
+    carries its parsed text, which equals that rendering; any other dataset
+    is rendered at its first emit and keeps the text (see ``Dataset``).
+    Later calls, and calls on its ``sorted_by_name`` copy, join that text.
     """
     if dataset._rows is None:
         # the writer writes a float as its repr, which parses back to the same value

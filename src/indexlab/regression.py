@@ -53,6 +53,7 @@ import numpy as np
 
 from .base import check_array, unit_exponent
 from .dataset import Dataset
+from .descriptive import _moments
 from .distributions import PValue, f_tail_p, t_two_tailed_p
 from .errors import InsufficientDataError, SingularDesignError, ValidationError
 
@@ -216,7 +217,10 @@ def _ols_arrays(x: np.ndarray, y: np.ndarray, response: str,
     y = np.ldexp(y, -e)
     y_mean = float(np.mean(y))
     yc = y - y_mean
-    sst = float(yc @ yc)
+    # the intercept-only model takes its sum of squares from describe's exact
+    # pass, so its RMSE is the sample standard deviation to the last bit; y
+    # is at unit scale already, so that pass scales it by 2^0
+    sst = float(yc @ yc) if k else _moments(y)[2]
     df_residual = n - k - 1
 
     x_means = x.mean(axis=0)
@@ -238,7 +242,7 @@ def _ols_arrays(x: np.ndarray, y: np.ndarray, response: str,
     # mean would lose its digits in intercept + x @ slopes
     fitted = y_mean + xc @ slopes
     residuals = y - fitted
-    ss_res = float(residuals @ residuals)
+    ss_res = float(residuals @ residuals) if k else sst
     rmse = math.sqrt(ss_res / df_residual) if df_residual > 0 else 0.0
 
     r_squared = max(0.0, 1.0 - ss_res / sst) if k and sst > 0.0 else 0.0
@@ -316,7 +320,8 @@ def fit_ols(dataset: Dataset, response: str, predictors: Sequence[str]) -> Linea
 
 
 def null_model(dataset: Dataset, response: str) -> LinearModelFit:
-    """Intercept-only fit: intercept = mean, RMSE = sample standard deviation."""
+    """Intercept-only fit: intercept = mean, RMSE = sample standard deviation,
+    each the same float as ``describe`` gives."""
     return fit_ols(dataset, response, ())
 
 

@@ -327,9 +327,10 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
     the sum of squares that Shapiro-Wilk divides by. A
     bad seed or replicate count is rejected before any stage runs.
 
-    ``dataset_sha256`` hashes ``emit_dataset`` of the sorted copy. When the
-    dataset has been exported already, the sorted copy carries its row text
-    (see ``Dataset``), so no row is rendered again; a fresh dataset's rows
+    ``dataset_sha256`` hashes ``emit_dataset`` of the sorted copy. A parsed
+    dataset in canonical form carries its parsed text, and an exported one
+    the text of its export; the sorted copy carries that text, reordered
+    (see ``Dataset``), so no row is rendered here. Any other dataset's rows
     are rendered once, here.
     """
     _check_bootstrap(replicates, seed)

@@ -1,4 +1,5 @@
 import re
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from indexlab import (
     Dataset,
     DatasetParseError,
     ValidationError,
+    bundled_table_a1,
     emit_dataset,
     parse_dataset,
+    reproduce_all,
 )
 from indexlab.dataset import DIMENSIONS, IDESI, PILLARS, SII
 
@@ -241,3 +244,80 @@ def test_sorted_copy_carries_row_text():
     assert emit_dataset(by_name).splitlines(keepends=True)[1:3] == [
         "Alpha,4.0,5.0\n", '"Korea, Rep.",3.0,0.1\n']
     assert parse_dataset(emit_dataset(by_name)).countries == by_name.countries
+
+
+def _packaged_text() -> str:
+    return resources.files("indexlab.data").joinpath("table_a1.csv").read_text("utf-8")
+
+
+def _generated_text(n: int) -> str:
+    """An n-row table in the form ``emit_dataset`` writes: one-decimal
+    scores, each the repr of its float, and bare names."""
+    rng = np.random.default_rng(n)
+    data = np.round(rng.uniform(5.0, 95.0, size=(n, 11)), 1)
+    header = "country," + ",".join(bundled_table_a1().columns) + "\n"
+    return header + "".join(
+        ",".join([f"C{i:05d}"] + [repr(v) for v in row]) + "\n"
+        for i, row in enumerate(data.tolist()))
+
+
+@pytest.mark.parametrize("text", [_packaged_text(), _generated_text(2_900)],
+                         ids=["packaged", "generated_2900"])
+def test_canonical_text_round_trips_byte_for_byte(text):
+    ds = parse_dataset(text)
+    # the parsed text is kept, so the emit renders no row
+    assert ds._rows is not None
+    assert emit_dataset(ds) == text
+
+
+def _first_row(text: str, row: str) -> str:
+    header, first, rest = text.split("\n", 2)
+    return "\n".join([header, row, rest])
+
+
+_PACKAGED = _packaged_text()
+_USA = _PACKAGED.split("\n")[1]  # USA,79.4,84.6,...
+
+
+# (text, whether the parsed text is the canonical rendering and is kept)
+AWKWARD_TEXTS = {
+    "two_decimals": (_first_row(_PACKAGED, _USA.replace(",79.4,", ",79.40,")), False),
+    "exponent": (_first_row(_PACKAGED, _USA.replace(",79.4,", ",7.94e1,")), False),
+    "leading_space": (_first_row(_PACKAGED, _USA.replace(",79.4,", ", 79.4,")), False),
+    "zero_and_negative_zero": (
+        _first_row(_PACKAGED, _USA.replace(",84.6,80.4,", ",-0.0,0.0,")), True),
+    "negative_zero_spelt_short": (
+        _first_row(_PACKAGED, _USA.replace(",84.6,80.4,", ",-0,0.0,")), False),
+    "name_with_comma": (_first_row(_PACKAGED, _USA.replace("USA", '"USA, the"')), False),
+    "name_with_quote": (_first_row(_PACKAGED, _USA.replace("USA", '"The ""USA"""')), False),
+    "name_with_newline": (_first_row(_PACKAGED, _USA.replace("USA", '"U\nSA"')), False),
+    "needless_quotes": (_first_row(_PACKAGED, _USA.replace("USA", '"USA"')), True),
+    "padded_name": (_first_row(_PACKAGED, _USA.replace("USA", " USA")), False),
+    "crlf": (_PACKAGED.replace("\n", "\r\n"), True),
+    "bom": ("\ufeff" + _PACKAGED, True),
+    "blank_lines": (_PACKAGED.replace("\nUK,", "\n\n\nUK,") + "\n\n", True),
+}
+
+
+@pytest.mark.parametrize("case", list(AWKWARD_TEXTS))
+def test_awkward_text_emits_as_a_hand_built_dataset(case):
+    """The parsed text is kept only when it is the canonical rendering.
+    Either way the emit and the report's dataset hash are those of the same
+    dataset built by hand from the parsed values, which has no text until its
+    first emit; so a parse that gave 0.0 for a "-0.0" cell while keeping the
+    cell's text would fail here."""
+    text, kept = AWKWARD_TEXTS[case]
+    ds = parse_dataset(text)
+    hand = Dataset(ds.columns, ds.countries, ds.array(ds.columns))
+    assert (ds._rows is not None) == kept
+    assert emit_dataset(ds) == emit_dataset(hand)
+    sha = [reproduce_all(d, seed=1, replicates=1).provenance["dataset_sha256"] for d in (ds, hand)]
+    assert sha[0] == sha[1]
+
+
+def test_bad_cell_in_a_canonical_table_is_named():
+    lines = _PACKAGED.split("\n")
+    lines[4] = lines[4].replace(",61.1,", ",6l.1,")
+    with pytest.raises(DatasetParseError,
+                       match=re.escape("row 5, column 'Entrepreneurship': not a number: '6l.1'")):
+        parse_dataset("\n".join(lines))

@@ -5,8 +5,10 @@ import pytest
 
 from indexlab import (
     CorrelationMatrix,
+    Dataset,
     DegenerateDataError,
     DomainError,
+    IndexLabError,
     SingularDesignError,
     ValidationError,
     bartlett_sphericity,
@@ -166,3 +168,35 @@ def test_retention_threshold(sorted_dataset):
     none_kept = run_pca(sorted_dataset, DIMENSIONS, retention=10.0)
     assert none_kept.retained == 0
     assert none_kept.loadings == ((), (), (), (), ())
+
+
+def test_correlation_kmo_and_pca_power_of_two_sweep(dataset):
+    """Scaling every score by 2**k leaves r, p, KMO, the eigenvalues and the
+    loadings unchanged, to the last bit, for every k at which each scaled
+    score is a normal float: the correlation kernel centres each column and
+    scales it by a power of two, both exact there. Scores are capped at 100,
+    so the sweep runs downward only; below the normal range, where scores
+    lose bits as subnormals, each is still a valid result or an
+    IndexLabError."""
+    data = dataset.array(dataset.columns)
+    exponents = [math.frexp(v)[1] for v in data.ravel().tolist() if v]
+    lowest = -1021 - min(exponents)
+
+    def analysis(k):
+        ds = Dataset(dataset.columns, dataset.countries, np.ldexp(data, k))
+        corr = correlation_matrix(ds, dataset.columns)
+        return corr, principal_components(corr.block(1, 6)), kmo(corr.block(6, 11))
+
+    expected = analysis(0)
+    for k in range(-1, lowest - 1, -1):
+        assert analysis(k) == expected, k
+    for k in range(lowest - 1, -1075 - max(exponents), -1):
+        try:
+            corr, pca, dims_kmo = analysis(k)
+        except IndexLabError:
+            continue  # scores that became equal or collinear as subnormals
+        r, p = np.array(corr.r), np.array(corr.p)
+        assert np.all(np.abs(r) <= 1.0) and np.all((p >= 0.0) & (p <= 1.0)), k
+        assert all(map(math.isfinite, pca.eigenvalues)), k
+        assert all(math.isfinite(v) for row in pca.loadings for v in row), k
+        assert 0.0 <= pca.kmo <= 1.0 and 0.0 <= dims_kmo <= 1.0, k

@@ -15,6 +15,7 @@ from indexlab import (
     ValidationError,
     casewise_diagnostics,
     chi2_tail_p,
+    describe,
     durbin_watson,
     fit_ols,
     null_model,
@@ -86,6 +87,19 @@ def test_null_model_frozen(sorted_dataset):
     assert fit.r == 0.0 and fit.r_squared == 0.0
     assert abs(fit.rmse - 12.202027813384984) < 1e-12
     assert fit.anova is None
+
+
+def test_null_model_rmse_is_the_sample_standard_deviation():
+    """The null model's RMSE and describe's standard deviation are one
+    statistic and come from one computation, so they are the same float: a
+    dot product of the centred column would differ in the last bit on about
+    one such dataset in four."""
+    rng = np.random.default_rng(11)
+    for i in range(60):
+        n = int(rng.integers(10, 121))
+        y = np.round(np.clip(rng.normal(50.0, 9.0, n), 5.0, 95.0), 1)
+        ds = Dataset(("y",), [f"C{j:03d}" for j in range(n)], y[:, None])
+        assert null_model(ds, "y").rmse == describe(y).std_deviation, i
 
 
 def test_durbin_watson_frozen(sorted_dataset, simple_fit):
