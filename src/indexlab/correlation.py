@@ -16,7 +16,7 @@ import numpy as np
 
 from .base import check_array
 from .dataset import Dataset
-from .distributions import TWO_TAILED, PValue, t_two_tailed_p
+from .distributions import PValue, t_two_tailed_p
 from .errors import DegenerateDataError, InsufficientDataError, ValidationError
 
 _STAR_LEVELS = ((0.001, "***"), (0.01, "**"), (0.05, "*"))
@@ -97,7 +97,7 @@ def _correlate(x: np.ndarray, names: Sequence[str]) -> tuple[list[list[float]],
         raise DegenerateDataError(f"correlation undefined: zero variance in {', '.join(constant)}")
     cross = np.clip(gram / np.sqrt(np.outer(ss, ss)), -1.0, 1.0)
     r = [[1.0] * k for _ in range(k)]
-    p = [[PValue(0.0, TWO_TAILED)] * k for _ in range(k)]
+    p = [[PValue(0.0)] * k for _ in range(k)]
     for i in range(k):
         for j in range(i):
             r[i][j] = r[j][i] = float(cross[i, j])

@@ -8,11 +8,12 @@ Each statistic works on one float array, sorted (stably, as ``sorted``
 does) where order matters. Sums stay exactly rounded: ``math.fsum`` over the
 ``tolist()`` of a numpy element-wise expression (the values, the squared
 deviations ``d * d``, the products of weights and order statistics), so no
-summation order can move a printed digit. One pass per column gives the
-mean, the standard deviation and the sum of squared deviations that
-Shapiro-Wilk divides by (``_moments``); the report pipeline sorts each
-column once and hands the order statistics to that pass, to Shapiro-Wilk
-and to the boxplot hinges.
+summation order can move a printed digit. A square is a product, ``s * s``,
+not ``s ** 2``, which is C ``pow`` and not correctly rounded by every libm.
+One pass per column gives the mean, the standard deviation and the sum of
+squared deviations that Shapiro-Wilk divides by (``_moments``); the report
+pipeline sorts each column once and hands the order statistics to that
+pass, to Shapiro-Wilk and to the boxplot hinges.
 
 Before any sum or square, the pass scales the sample by 2^-e, where e is
 the ``frexp`` exponent of max|x|, so the largest value lies in [0.5, 1) and
@@ -115,8 +116,8 @@ def _sw_coefficients(n: int) -> np.ndarray:
         a_n = _poly(_C1, rsn) + an
         a_n1 = _poly(_C2, rsn) + an1
         # renormalize the interior so the weight vector stays unit length
-        phi = ((ssumm2 - 2.0 * m[-1] ** 2 - 2.0 * m[-2] ** 2)
-               / (1.0 - 2.0 * a_n ** 2 - 2.0 * a_n1 ** 2))
+        phi = ((ssumm2 - 2.0 * m[-1] * m[-1] - 2.0 * m[-2] * m[-2])
+               / (1.0 - 2.0 * a_n * a_n - 2.0 * a_n1 * a_n1))
         a = [v / math.sqrt(phi) for v in m]
         a[0] = -a_n
         a[1] = -a_n1
@@ -125,7 +126,7 @@ def _sw_coefficients(n: int) -> np.ndarray:
     elif n > 3:
         an = -a[0]
         a_n = _poly(_C1, rsn) + an
-        phi = (ssumm2 - 2.0 * m[-1] ** 2) / (1.0 - 2.0 * a_n ** 2)
+        phi = (ssumm2 - 2.0 * m[-1] * m[-1]) / (1.0 - 2.0 * a_n * a_n)
         a = [v / math.sqrt(phi) for v in m]
         a[0] = -a_n
         a[-1] = a_n
@@ -155,8 +156,8 @@ def _shapiro_wilk_ordered(x: np.ndarray, ssq: float) -> NormalityResult:
     if x[0] == x[-1]:
         raise DegenerateDataError("shapiro_wilk needs non-constant data")
 
-    wnum = math.fsum((_sw_coefficients(n) * x).tolist()) ** 2
-    w = min(1.0, wnum / ssq)
+    s = math.fsum((_sw_coefficients(n) * x).tolist())
+    w = min(1.0, s * s / ssq)
 
     if n == 3:
         # exact distribution for the minimum sample size

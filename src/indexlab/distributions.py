@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 from .errors import DomainError
 
@@ -28,20 +29,14 @@ _TINY = 1e-300
 _STIRLING_MIN_SHAPE = 100.0
 _BETA_STIRLING_MIN_SHAPE = 20.0
 
-ONE_TAILED = "one-tailed"
-TWO_TAILED = "two-tailed"
-
 
 @dataclass(frozen=True)
 class PValue:
     value: float
-    tails: str = ONE_TAILED
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.value <= 1.0:
             raise DomainError(f"p-value {self.value!r} outside [0, 1]")
-        if self.tails not in (ONE_TAILED, TWO_TAILED):
-            raise DomainError(f"unknown tails spec {self.tails!r}")
 
     def __float__(self) -> float:
         return self.value
@@ -52,43 +47,16 @@ def normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-# Rational approximation for the normal quantile (relative error < 1.2e-9),
-# then one Newton step against normal_cdf pushes the error near machine level.
-_NQ_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_NQ_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-_NQ_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_NQ_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
+_STANDARD_NORMAL = NormalDist()
 
 
 def normal_quantile(p: float) -> float:
-    """Inverse of normal_cdf on (0, 1)."""
+    """Inverse of normal_cdf on (0, 1): the standard library's
+    ``NormalDist.inv_cdf``, Wichura's AS 241 (1988), within a few ulps, and
+    normal_quantile(1 - p) == -normal_quantile(p) wherever 1 - p is exact."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"normal quantile needs 0 < p < 1, got {p!r}")
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_NQ_C[0] * q + _NQ_C[1]) * q + _NQ_C[2]) * q + _NQ_C[3]) * q
-              + _NQ_C[4]) * q + _NQ_C[5])
-             / ((((_NQ_D[0] * q + _NQ_D[1]) * q + _NQ_D[2]) * q + _NQ_D[3]) * q + 1.0))
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = ((((((_NQ_A[0] * r + _NQ_A[1]) * r + _NQ_A[2]) * r + _NQ_A[3]) * r
-              + _NQ_A[4]) * r + _NQ_A[5]) * q
-             / (((((_NQ_B[0] * r + _NQ_B[1]) * r + _NQ_B[2]) * r + _NQ_B[3]) * r
-                + _NQ_B[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -((((((_NQ_C[0] * q + _NQ_C[1]) * q + _NQ_C[2]) * q + _NQ_C[3]) * q
-               + _NQ_C[4]) * q + _NQ_C[5])
-              / ((((_NQ_D[0] * q + _NQ_D[1]) * q + _NQ_D[2]) * q + _NQ_D[3]) * q + 1.0))
-    err = normal_cdf(x) - p
-    x -= err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
@@ -253,11 +221,11 @@ def t_two_tailed_p(t: float, df: float) -> PValue:
     if math.isnan(t):
         raise DomainError("t statistic is NaN")
     if not math.isfinite(t):
-        return PValue(0.0, TWO_TAILED)
+        return PValue(0.0)
     if t == 0.0:
-        return PValue(1.0, TWO_TAILED)
+        return PValue(1.0)
     x = df / (df + t * t)
-    return PValue(min(1.0, regularized_beta(x, 0.5 * df, 0.5)), TWO_TAILED)
+    return PValue(min(1.0, regularized_beta(x, 0.5 * df, 0.5)))
 
 
 def f_tail_p(f: float, df1: float, df2: float) -> PValue:
@@ -267,11 +235,11 @@ def f_tail_p(f: float, df1: float, df2: float) -> PValue:
     if not f >= 0.0:
         raise DomainError(f"F statistic must be non-negative, got {f!r}")
     if f == 0.0:
-        return PValue(1.0, ONE_TAILED)
+        return PValue(1.0)
     if not math.isfinite(f):
-        return PValue(0.0, ONE_TAILED)
+        return PValue(0.0)
     x = df2 / (df2 + df1 * f)
-    return PValue(min(1.0, regularized_beta(x, 0.5 * df2, 0.5 * df1)), ONE_TAILED)
+    return PValue(min(1.0, regularized_beta(x, 0.5 * df2, 0.5 * df1)))
 
 
 def chi2_tail_p(x: float, df: float) -> PValue:
@@ -281,5 +249,5 @@ def chi2_tail_p(x: float, df: float) -> PValue:
     if not x >= 0.0:
         raise DomainError(f"chi-square statistic must be non-negative, got {x!r}")
     if not math.isfinite(x):
-        return PValue(0.0, ONE_TAILED)
-    return PValue(regularized_gamma_q(0.5 * df, 0.5 * x), ONE_TAILED)
+        return PValue(0.0)
+    return PValue(regularized_gamma_q(0.5 * df, 0.5 * x))

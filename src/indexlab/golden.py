@@ -331,13 +331,12 @@ def diff_golden(bundle: ReportBundle) -> GoldenDiff:
     return GoldenDiff(cells=tuple(results))
 
 
-def render_diff(diff: GoldenDiff, verbose: bool = False) -> str:
-    """Human-readable diff summary; failures always listed."""
+def render_diff(diff: GoldenDiff) -> str:
+    """Human-readable diff summary: each failing cell, then the counts."""
     lines = []
     for cell in diff.cells:
-        if cell.passed and not verbose:
+        if cell.passed:
             continue
-        status = "PASS" if cell.passed else "FAIL"
         address = "/".join(str(k) for k in cell.address)
         if cell.op == "abs":
             detail = f"expected {cell.expected} +/- {cell.tolerance}, got {cell.actual}"
@@ -345,7 +344,7 @@ def render_diff(diff: GoldenDiff, verbose: bool = False) -> str:
             detail = f"expected < {cell.expected}, got {cell.actual}"
         else:
             detail = f"expected {cell.expected!r}, got {cell.actual!r}"
-        lines.append(f"{status}  {address}: {detail}")
+        lines.append(f"FAIL  {address}: {detail}")
     lines.append(
         f"golden diff: {len(diff.cells)} cells, {diff.n_pass} passed, {diff.n_fail} failed"
     )

@@ -215,17 +215,14 @@ def _ols_arrays(x: np.ndarray, y: np.ndarray, response: str,
     e = unit_exponent(x, y)
     x = np.ldexp(np.ascontiguousarray(x), -e)
     y = np.ldexp(y, -e)
-    y_mean = float(np.mean(y))
-    yc = y - y_mean
-    # the intercept-only model takes its sum of squares from describe's exact
-    # pass, so its RMSE is the sample standard deviation to the last bit; y
-    # is at unit scale already, so that pass scales it by 2^0
-    sst = float(yc @ yc) if k else _moments(y)[2]
     df_residual = n - k - 1
 
     x_means = x.mean(axis=0)
     xc = x - x_means
     if k:
+        y_mean = float(np.mean(y))
+        yc = y - y_mean
+        sst = float(yc @ yc)
         q_thin, r_mat, ss_cols = _centred_qr(xc, predictor_names)
         # R is upper triangular with a nonzero diagonal, so partial pivoting
         # swaps no rows and this is back-substitution; inv(R) is formed only
@@ -233,8 +230,16 @@ def _ols_arrays(x: np.ndarray, y: np.ndarray, response: str,
         slopes = np.linalg.solve(r_mat, q_thin.T @ yc)
         r_inv = np.linalg.inv(r_mat)
     else:
-        q_thin, slopes, r_inv = np.zeros((n, 0)), np.zeros(0), np.zeros((0, 0))
+        # the intercept-only model takes its mean and sum of squares from
+        # describe's exact pass, so its intercept is the sample mean and its
+        # RMSE the sample standard deviation to the last bit; y is at unit
+        # scale already, so that pass scales it by 2^0
+        stats, _, sst = _moments(y)
+        y_mean = stats.mean
+        q_thin, r_inv = np.zeros((n, 0)), np.zeros((0, 0))
+        slopes = ss_cols = np.zeros(0)
     s_inv = r_inv @ r_inv.T
+    s_diag = np.diag(s_inv)
     leverage = 1.0 / n + (q_thin * q_thin).sum(axis=1)
 
     intercept = y_mean - float(x_means @ slopes)
@@ -249,7 +254,7 @@ def _ols_arrays(x: np.ndarray, y: np.ndarray, response: str,
     adjusted = 1.0 - (1.0 - r_squared) * (n - 1) / df_residual
 
     se_intercept = rmse * math.sqrt(1.0 / n + float(x_means @ s_inv @ x_means))
-    se_slopes = rmse * np.sqrt(np.diag(s_inv))
+    se_slopes = rmse * np.sqrt(s_diag)
 
     coefficients = (intercept, *slopes.tolist())
     standard_errors = (se_intercept, *se_slopes.tolist())
@@ -259,16 +264,15 @@ def _ols_arrays(x: np.ndarray, y: np.ndarray, response: str,
     coefficients = (math.ldexp(intercept, e), *coefficients[1:])
     standard_errors = (math.ldexp(se_intercept, e), *standard_errors[1:])
 
-    s_y = math.sqrt(sst / (n - 1)) if n > 1 else 0.0
-    betas: list[float | None] = [None]
-    for j in range(k):
-        s_xj = float(np.std(x[:, j], ddof=1))
-        betas.append(float(slopes[j]) * s_xj / s_y if s_y > 0.0 else 0.0)
+    # each predictor's standard deviation from the rank test's sums of squares
+    s_y = math.sqrt(sst / (n - 1))
+    s_x = np.sqrt(ss_cols / (n - 1))
+    betas = [None, *(slopes * s_x / s_y if s_y > 0.0 else np.zeros(k)).tolist()]
 
-    # VIF_j = ss_j [(Xc'Xc)^-1]_jj, the row sums of squares of inv(R)
-    # (Marquardt 1970); a lone predictor has tolerance 1 by definition
+    # VIF_j = ss_j [(Xc'Xc)^-1]_jj (Marquardt 1970), the diagonal the slopes'
+    # standard errors read; a lone predictor has tolerance 1 by definition
     if k >= 2:
-        tolerance = np.minimum(1.0, 1.0 / (ss_cols * (r_inv * r_inv).sum(axis=1)))
+        tolerance = np.minimum(1.0, 1.0 / (ss_cols * s_diag))
     else:
         tolerance = np.ones(k)
 
@@ -321,7 +325,8 @@ def fit_ols(dataset: Dataset, response: str, predictors: Sequence[str]) -> Linea
 
 def null_model(dataset: Dataset, response: str) -> LinearModelFit:
     """Intercept-only fit: intercept = mean, RMSE = sample standard deviation,
-    each the same float as ``describe`` gives."""
+    each the same float as ``describe`` gives, as both come from its exact
+    pass over the column."""
     return fit_ols(dataset, response, ())
 
 
@@ -464,7 +469,7 @@ def _durbin_watson_many(fits: Sequence[LinearModelFit | Sequence[float]],
         at_or_below += np.count_nonzero(d_perm <= upper, axis=1)
     return [DurbinWatsonResult(
         d=d, autocorrelation=autocorrelation,
-        p=PValue(min(1.0, 2.0 * (min(above, below) + 1) / (replicates + 1)), "two-tailed"))
+        p=PValue(min(1.0, 2.0 * (min(above, below) + 1) / (replicates + 1))))
         for (d, autocorrelation), above, below
         in zip(observed, at_or_above.tolist(), at_or_below.tolist())]
 

@@ -14,7 +14,6 @@ from indexlab import (
     t_two_tailed_p,
 )
 from indexlab.dataset import DIMENSIONS, PILLARS, SII
-from indexlab.distributions import TWO_TAILED
 
 
 def test_pearson_reference(dataset):
@@ -94,7 +93,7 @@ def test_significance_stars_strict_boundaries():
     assert significance_stars(0.01) == "*"
     assert significance_stars(0.049) == "*"
     assert significance_stars(0.05) == ""
-    assert significance_stars(PValue(0.0001, tails=TWO_TAILED)) == "***"
+    assert significance_stars(PValue(0.0001)) == "***"
 
 
 def test_correlation_matrix_structure(dataset):

@@ -102,6 +102,18 @@ def test_null_model_rmse_is_the_sample_standard_deviation():
         assert null_model(ds, "y").rmse == describe(y).std_deviation, i
 
 
+def test_null_model_intercept_is_the_sample_mean():
+    """The null model's intercept is describe's mean, to the last bit: a
+    pairwise sum of the column would differ on about one such dataset in
+    three, and can cross a rounding tie in a printed digit."""
+    rng = np.random.default_rng(12)
+    for i in range(200):
+        n = int(rng.integers(10, 121))
+        y = np.round(np.clip(rng.normal(50.0, 9.0, n), 5.0, 95.0), 1)
+        ds = Dataset(("y",), [f"C{j:03d}" for j in range(n)], y[:, None])
+        assert null_model(ds, "y").intercept == describe(y).mean, i
+
+
 def test_durbin_watson_frozen(sorted_dataset, simple_fit):
     dw = durbin_watson(simple_fit, replicates=50, seed=42)
     assert abs(dw.d - 2.350860711828942) < 1e-12
@@ -274,7 +286,7 @@ def _per_vector_durbin_watson_many(vectors, replicates: int, seed: int):
             at_or_below[i] += int(np.count_nonzero(d_perm <= d + tie))
     return [DurbinWatsonResult(
         d=d, autocorrelation=autocorrelation,
-        p=PValue(min(1.0, 2.0 * (min(above, below) + 1) / (replicates + 1)), "two-tailed"))
+        p=PValue(min(1.0, 2.0 * (min(above, below) + 1) / (replicates + 1))))
         for (d, autocorrelation), above, below in zip(observed, at_or_above, at_or_below)]
 
 
