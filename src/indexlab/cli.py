@@ -19,7 +19,7 @@ from .correlation import correlation_matrix
 from .dataset import DIMENSIONS, IDESI, SII, Dataset, bundled_table_a1, emit_dataset, parse_dataset
 from .descriptive import describe as describe_series
 from .descriptive import shapiro_wilk
-from .errors import ColumnLookupError, DatasetParseError, IndexLabError
+from .errors import ColumnLookupError, DatasetParseError, IndexLabError, ValidationError
 from .golden import diff_golden, render_diff
 from .index_engine import compute_composite, preset, preset_names
 from .pca import run_pca
@@ -61,7 +61,12 @@ _INPUT = click.option(
 
 def _resolve_columns(dataset: Dataset, columns: tuple[str, ...],
                      default: tuple[str, ...] | None = None) -> list[str]:
-    return [dataset.resolve_column(name) for name in columns] or list(default or dataset.columns)
+    names = [dataset.resolve_column(name) for name in columns]
+    for i, name in enumerate(names):
+        # two spellings of one column, such as "SII" and "sii", resolve alike
+        if name in names[:i]:
+            raise ValidationError(f"column {name!r} is named more than once")
+    return names or list(default or dataset.columns)
 
 
 def _echo_tables(provenance: dict | None = None, **tables: dict) -> None:
@@ -163,7 +168,7 @@ def regress(ds: Dataset, response: str, predictors: tuple[str, ...],
     """Least squares fit (H1) against the intercept-only model (H0), with
     diagnostics, in file row order."""
     response_name = ds.resolve_column(response)
-    predictor_names = [ds.resolve_column(name) for name in predictors]
+    predictor_names = _resolve_columns(ds, predictors)
     h0 = null_model(ds, response_name)
     h1 = fit_ols(ds, response_name, predictor_names)
     dw0, dw1 = _durbin_watson_many([h0, h1], replicates=replicates, seed=seed)

@@ -10,8 +10,10 @@ deviations) for a and b up to 1e4. Near x = a the incomplete
 gamma's series and fraction need a number of terms that grows like sqrt(a),
 so they stop at 300 + 20 sqrt(a); from a = 100 their common prefactor comes
 from Stirling's series. On x = a + k sqrt(a), |k| <= 6, Q(a, x) is then
-within 1e-13 of scipy's ``gammaincc`` up to a = 1e4 and 2e-12 up to a = 1e6
-(a chi-square test with 2 million degrees of freedom).
+within 1e-13 of scipy's ``gammaincc`` up to a = 1e4. Against mpmath at 40
+digits it is within 6.9e-13 at a = 1e6 and 2.2e-12 at a = 1e7 (a chi-square
+test with 20 million degrees of freedom), where ``gammaincc`` itself is off
+by 3.8e-11 and 1.1e-7.
 """
 from __future__ import annotations
 

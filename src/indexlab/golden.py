@@ -1,10 +1,15 @@
 """Golden-diff: cell-by-cell comparison of a report bundle against the
 published reference values, with explicit per-cell tolerances.
 
-Each golden cell is an address path into the bundle dictionary, an expected
-value, and a comparison op: "abs" (|actual - expected| <= tolerance),
-"lt" (actual strictly below expected), or "eq" (exact equality). Failures
-are data, not errors; diff_golden never raises on a mismatch.
+The published tables are data in the shape of the report's table dicts: a
+dict holds keys, a tuple holds positions, a correlation table is its lower
+triangle row by row, a bound is written as printed ("<0.001"), and None
+marks a value the paper does not print. One walk turns them into golden
+cells, each an address path into the bundle dictionary, an expected value
+and a comparison op. A "<b" string gives "lt" (actual strictly below b); a
+float gives "abs" (|actual - expected| <= tolerance), at the tolerance of
+the nearest key above it; any other value gives "eq" (exact equality).
+Failures are data, not errors; diff_golden never raises on a mismatch.
 """
 from __future__ import annotations
 
@@ -71,227 +76,164 @@ class GoldenDiff:
         return tuple(c for c in self.cells if not c.passed)
 
 
-# published Table 1 (full descriptives, 11 columns)
-_T1_VALUES = {
-    "mean": (57.534, 56.062, 58.417, 59.303, 58.576, 49.103,
-             59.759, 39.690, 45.517, 44.379, 56.310),
-    "std_deviation": (12.202, 16.210, 14.540, 8.118, 18.714, 10.520,
-                      9.425, 11.604, 14.339, 12.448, 16.123),
-    "minimum": (33.800, 28.800, 36.900, 44.800, 24.000, 26.000,
-                40.000, 19.000, 19.000, 19.000, 24.000),
-    "maximum": (79.400, 86.600, 82.000, 76.200, 88.300, 65.000,
-                72.000, 62.000, 68.000, 62.000, 80.000),
-}
-
-# published Table 7 (descriptives with normality, 6 columns)
-_T7_VALUES = {
-    "mean": (57.534, 59.759, 39.690, 45.517, 44.379, 56.310),
-    "std_deviation": (12.202, 9.425, 11.604, 14.339, 12.448, 16.123),
-    "shapiro_wilk": (0.965, 0.915, 0.972, 0.960, 0.948, 0.931),
-    "shapiro_wilk_p": (0.427, 0.022, 0.616, 0.332, 0.166, 0.059),
-    "minimum": (33.800, 40.000, 19.000, 19.000, 19.000, 24.000),
-    "maximum": (79.400, 72.000, 62.000, 68.000, 62.000, 80.000),
-}
-
-# published model summaries (Tables 2 and 8): H0/H1 rows + ANOVA
-_SUMMARY_VALUES = {
-    "T2": {
-        "H0": (0.000, 0.000, 0.000, 12.202, -0.165, 2.214, 0.559),
-        "H1": (0.740, 0.547, 0.530, 8.363, -0.233, 2.351, 0.338),
-        "anova": (2280.665, 1, 2280.665, 32.611),
-    },
-    "T8": {
-        "H0": (0.000, 0.000, 0.000, 12.202, -0.165, 2.214, 0.559),
-        "H1": (0.700, 0.490, 0.471, 8.878, -0.071, 1.988, 0.997),
-        "anova": (2040.854, 1, 2040.854, 25.894),
-    },
-}
-
-# published coefficient rows (Tables 3, 5, 9):
-# term -> (unstandardized, se, standardized, t, p-or-None-for-<0.001, tolerance, vif)
-_COEFFICIENT_VALUES = {
-    "T3": {
-        ("H0", "(Intercept)"): (57.534, 2.266, None, 25.392, None, None, None),
-        ("H1", "(Intercept)"): (15.408, 7.539, None, 2.044, 0.051, None, None),
-        ("H1", "I-DESI"): (0.858, 0.150, 0.740, 5.711, None, None, None),
-    },
-    "T5": {
-        ("H0", "(Intercept)"): (57.534, 2.266, None, 25.392, None, None, None),
-        ("H1", "(Intercept)"): (12.662, 10.712, None, 1.182, 0.249, None, None),
-        ("H1", "Connectivity"): (0.332, 0.264, 0.257, 1.259, 0.221, 0.429, 2.331),
-        ("H1", "Human capital"): (-0.145, 0.221, -0.137, -0.654, 0.519, 0.404, 2.476),
-        ("H1", "Use of the internet"): (0.211, 0.209, 0.248, 1.009, 0.323, 0.296, 3.376),
-        ("H1", "Integration of digital technology"):
-            (0.295, 0.257, 0.301, 1.148, 0.263, 0.260, 3.844),
-        ("H1", "Digital public services"): (0.144, 0.139, 0.190, 1.036, 0.311, 0.532, 1.880),
-    },
-    "T9": {
-        ("H0", "(Intercept)"): (57.534, 2.266, None, 25.392, None, None, None),
-        ("H1", "(Intercept)"): (27.098, 6.204, None, 4.367, None, None, None),
-        ("H1", "Integration of digital technology"):
-            (0.686, 0.135, 0.700, 5.089, None, 1.000, 1.000),
-    },
-}
-
-# published Table 4: (row index, col index) -> (r, p or None for "<0.001")
-_T4_VALUES = {
-    (1, 0): (0.658, None),
-    (2, 0): (0.530, 0.003), (2, 1): (0.647, None),
-    (3, 0): (0.680, None), (3, 1): (0.663, None), (3, 2): (0.705, None),
-    (4, 0): (0.700, None), (4, 1): (0.698, None), (4, 2): (0.730, None),
-    (4, 3): (0.816, None),
-    (5, 0): (0.606, None), (5, 1): (0.614, None), (5, 2): (0.564, 0.001),
-    (5, 3): (0.603, None), (5, 4): (0.623, None),
-}
-
-# published Table 10: starred r for SII and the five dimensions
-_T10_VALUES = {
-    (1, 0): "0.658***",
-    (2, 0): "0.530**", (2, 1): "0.647***",
-    (3, 0): "0.680***", (3, 1): "0.663***", (3, 2): "0.705***",
-    (4, 0): "0.700***", (4, 1): "0.698***", (4, 2): "0.730***", (4, 3): "0.816***",
-    (5, 0): "0.606***", (5, 1): "0.614***", (5, 2): "0.564**", (5, 3): "0.603***",
-    (5, 4): "0.623***",
-}
-
-# published Table 11: starred r for the nine dimensions and pillars, variable
-# order Connectivity, Human capital, Use of the internet, Integration of
-# digital technology, Digital public services, Policy and institutional
-# framework, Financing, Entrepreneurship, Society
-_T11_VALUES = {
-    (1, 0): "0.647***",
-    (2, 0): "0.663***", (2, 1): "0.705***",
-    (3, 0): "0.698***", (3, 1): "0.730***", (3, 2): "0.816***",
-    (4, 0): "0.614***", (4, 1): "0.564**", (4, 2): "0.603***", (4, 3): "0.623***",
-    (5, 0): "0.495**", (5, 1): "0.262", (5, 2): "0.425*", (5, 3): "0.478**",
-    (5, 4): "0.431*",
-    (6, 0): "0.617***", (6, 1): "0.494**", (6, 2): "0.683***", (6, 3): "0.656***",
-    (6, 4): "0.611***", (6, 5): "0.631***",
-    (7, 0): "0.170", (7, 1): "0.452*", (7, 2): "0.274", (7, 3): "0.308",
-    (7, 4): "0.282", (7, 5): "0.174", (7, 6): "0.376*",
-    (8, 0): "0.666***", (8, 1): "0.709***", (8, 2): "0.788***", (8, 3): "0.760***",
-    (8, 4): "0.579**", (8, 5): "0.355", (8, 6): "0.738***", (8, 7): "0.491**",
-}
-
-# published Table 6 loadings plus the PCA summary statistics
-_T6_LOADINGS = (0.845, 0.853, 0.889, 0.908, 0.786)
-
-
-def _split_starred(text: str) -> tuple[float, str]:
-    value = text.rstrip("*")
-    return float(value), text[len(value):]
-
-
-def _descriptive_cells(table_id: str, values: dict, n_cols: int) -> list[GoldenCell]:
-    cells = []
-    for i in range(n_cols):
-        cells.append(GoldenCell(("tables", table_id, "rows", "valid", i), 29, "eq"))
-        cells.append(GoldenCell(("tables", table_id, "rows", "missing", i), 0, "eq"))
-    for row_key, row_values in values.items():
-        if row_key == "shapiro_wilk":
-            tol = TOL_SW_W
-        elif row_key == "shapiro_wilk_p":
-            tol = TOL_SW_P
-        else:
-            tol = TOL_DESCRIPTIVE
-        for i, expected in enumerate(row_values):
-            cells.append(GoldenCell(
-                ("tables", table_id, "rows", row_key, i), expected, "abs", tol))
-    return cells
-
-
-def _summary_cells(table_id: str, values: dict) -> list[GoldenCell]:
+def _summary(h1: tuple, anova: tuple) -> dict:
+    """A model-summary table (Tables 2 and 8): H0/H1 rows, then the ANOVA line."""
     keys = ("R", "R2", "adjusted_R2", "RMSE", "autocorrelation", "durbin_watson", "dw_p")
-    tols = (TOL_R, TOL_R2, TOL_R2, TOL_COEF, TOL_DW, TOL_DW, TOL_DW_P)
-    cells = []
-    for model in ("H0", "H1"):
-        for key, tol, expected in zip(keys, tols, values[model]):
-            cells.append(GoldenCell(
-                ("tables", table_id, "rows", model, key), expected, "abs", tol))
-    ss, df, ms, f = values["anova"]
-    base = ("tables", table_id, "anova")
-    cells.append(GoldenCell(base + ("ss_regression",), ss, "abs", TOL_SS))
-    cells.append(GoldenCell(base + ("df",), df, "eq"))
-    cells.append(GoldenCell(base + ("mean_square",), ms, "abs", TOL_SS))
-    cells.append(GoldenCell(base + ("F",), f, "abs", TOL_F))
-    cells.append(GoldenCell(base + ("p",), 0.001, "lt"))
-    return cells
+    h0 = (0.000, 0.000, 0.000, 12.202, -0.165, 2.214, 0.559)
+    return {"rows": {"H0": dict(zip(keys, h0)), "H1": dict(zip(keys, h1))},
+            "anova": dict(zip(("ss_regression", "df", "mean_square", "F", "p"), anova))}
 
 
-def _coefficient_cells(table_id: str, values: dict) -> list[GoldenCell]:
-    cells = []
-    for (model, term), row in values.items():
-        unstd, se, std, t, p, tol, vif = row
-        base = ("tables", table_id, "rows", model, term)
-        cells.append(GoldenCell(base + ("unstandardized",), unstd, "abs", TOL_COEF))
-        cells.append(GoldenCell(base + ("standard_error",), se, "abs", TOL_COEF))
-        if std is not None:
-            cells.append(GoldenCell(base + ("standardized",), std, "abs", TOL_COEF))
-        cells.append(GoldenCell(base + ("t",), t, "abs", TOL_T))
-        if p is None:
-            cells.append(GoldenCell(base + ("p",), 0.001, "lt"))
-        else:
-            cells.append(GoldenCell(base + ("p",), p, "abs", TOL_P))
-        if tol is not None:
-            cells.append(GoldenCell(base + ("tolerance",), tol, "abs", TOL_COEF))
-            cells.append(GoldenCell(base + ("vif",), vif, "abs", TOL_COEF))
-    return cells
+def _coef(*values) -> dict:
+    """One coefficient row in column order; one without collinearity stops at p."""
+    keys = ("unstandardized", "standard_error", "standardized", "t", "p", "tolerance", "vif")
+    return dict(zip(keys, values))
 
 
-def _correlation_cells(table_id: str, values: dict, starred: bool) -> list[GoldenCell]:
-    cells = []
-    for (i, j), entry in values.items():
-        if starred:
-            r, stars = _split_starred(entry)
-            cells.append(GoldenCell(("tables", table_id, "r", i, j), r, "abs", TOL_R))
-            cells.append(GoldenCell(("tables", table_id, "stars", i, j), stars, "eq"))
-        else:
-            r, p = entry
-            cells.append(GoldenCell(("tables", table_id, "r", i, j), r, "abs", TOL_R))
-            if p is None:
-                cells.append(GoldenCell(("tables", table_id, "p", i, j), 0.001, "lt"))
-            else:
-                cells.append(GoldenCell(("tables", table_id, "p", i, j), p, "abs", TOL_P))
-    return cells
+def _starred(*rows: str) -> dict:
+    """A starred correlation table (Tables 10 and 11): each row of the lower
+    triangle is space-separated text such as "0.530** 0.647***"."""
+    split = [row.split() for row in rows]
+    return {"r": tuple(tuple(float(text.rstrip("*")) for text in row) for row in split),
+            "stars": tuple(tuple("*" * text.count("*") for text in row) for row in split)}
+
+
+# the null model's coefficient table, shared by Tables 3, 5 and 9
+_H0_COEFFICIENTS = {"(Intercept)": _coef(57.534, 2.266, None, 25.392, "<0.001")}
+
+
+# the published tables, keyed by table id
+_PUBLISHED = {
+    "T1": {"rows": {
+        "valid": (29,) * 11, "missing": (0,) * 11,
+        "mean": (57.534, 56.062, 58.417, 59.303, 58.576, 49.103,
+                 59.759, 39.690, 45.517, 44.379, 56.310),
+        "std_deviation": (12.202, 16.210, 14.540, 8.118, 18.714, 10.520,
+                          9.425, 11.604, 14.339, 12.448, 16.123),
+        "minimum": (33.800, 28.800, 36.900, 44.800, 24.000, 26.000,
+                    40.000, 19.000, 19.000, 19.000, 24.000),
+        "maximum": (79.400, 86.600, 82.000, 76.200, 88.300, 65.000,
+                    72.000, 62.000, 68.000, 62.000, 80.000),
+    }},
+    "T2": _summary((0.740, 0.547, 0.530, 8.363, -0.233, 2.351, 0.338),
+                   (2280.665, 1, 2280.665, 32.611, "<0.001")),
+    "T3": {"rows": {"H0": _H0_COEFFICIENTS, "H1": {
+        "(Intercept)": _coef(15.408, 7.539, None, 2.044, 0.051),
+        "I-DESI": _coef(0.858, 0.150, 0.740, 5.711, "<0.001"),
+    }}},
+    "T4": {
+        "r": ((), (0.658,), (0.530, 0.647), (0.680, 0.663, 0.705),
+              (0.700, 0.698, 0.730, 0.816), (0.606, 0.614, 0.564, 0.603, 0.623)),
+        "p": ((), ("<0.001",), (0.003, "<0.001"), ("<0.001",) * 3, ("<0.001",) * 4,
+              ("<0.001", "<0.001", 0.001, "<0.001", "<0.001")),
+    },
+    "T5": {"rows": {"H0": _H0_COEFFICIENTS, "H1": {
+        "(Intercept)": _coef(12.662, 10.712, None, 1.182, 0.249),
+        "Connectivity": _coef(0.332, 0.264, 0.257, 1.259, 0.221, 0.429, 2.331),
+        "Human capital": _coef(-0.145, 0.221, -0.137, -0.654, 0.519, 0.404, 2.476),
+        "Use of the internet": _coef(0.211, 0.209, 0.248, 1.009, 0.323, 0.296, 3.376),
+        "Integration of digital technology":
+            _coef(0.295, 0.257, 0.301, 1.148, 0.263, 0.260, 3.844),
+        "Digital public services": _coef(0.144, 0.139, 0.190, 1.036, 0.311, 0.532, 1.880),
+    }}},
+    "T6": {
+        "loadings": ((0.845,), (0.853,), (0.889,), (0.908,), (0.786,)),
+        "retained": 1,
+        "variance_explained_pct": (73.468,),
+        "kmo": 0.881,
+        "bartlett": {"chi2": 85.289, "df": 10, "p": "<0.0005"},
+    },
+    "T7": {"rows": {
+        "valid": (29,) * 6, "missing": (0,) * 6,
+        "mean": (57.534, 59.759, 39.690, 45.517, 44.379, 56.310),
+        "std_deviation": (12.202, 9.425, 11.604, 14.339, 12.448, 16.123),
+        "shapiro_wilk": (0.965, 0.915, 0.972, 0.960, 0.948, 0.931),
+        "shapiro_wilk_p": (0.427, 0.022, 0.616, 0.332, 0.166, 0.059),
+        "minimum": (33.800, 40.000, 19.000, 19.000, 19.000, 24.000),
+        "maximum": (79.400, 72.000, 62.000, 68.000, 62.000, 80.000),
+    }},
+    "T8": _summary((0.700, 0.490, 0.471, 8.878, -0.071, 1.988, 0.997),
+                   (2040.854, 1, 2040.854, 25.894, "<0.001")),
+    "T9": {"rows": {"H0": _H0_COEFFICIENTS, "H1": {
+        "(Intercept)": _coef(27.098, 6.204, None, 4.367, "<0.001"),
+        "Integration of digital technology":
+            _coef(0.686, 0.135, 0.700, 5.089, "<0.001", 1.000, 1.000),
+    }}},
+    # SII and the five dimensions
+    "T10": _starred(
+        "",
+        "0.658***",
+        "0.530** 0.647***",
+        "0.680*** 0.663*** 0.705***",
+        "0.700*** 0.698*** 0.730*** 0.816***",
+        "0.606*** 0.614*** 0.564** 0.603*** 0.623***",
+    ),
+    # variable order Connectivity, Human capital, Use of the internet,
+    # Integration of digital technology, Digital public services, Policy and
+    # institutional framework, Financing, Entrepreneurship, Society
+    "T11": _starred(
+        "",
+        "0.647***",
+        "0.663*** 0.705***",
+        "0.698*** 0.730*** 0.816***",
+        "0.614*** 0.564** 0.603*** 0.623***",
+        "0.495** 0.262 0.425* 0.478** 0.431*",
+        "0.617*** 0.494** 0.683*** 0.656*** 0.611*** 0.631***",
+        "0.170 0.452* 0.274 0.308 0.282 0.174 0.376*",
+        "0.666*** 0.709*** 0.788*** 0.760*** 0.579** 0.355 0.738*** 0.491**",
+    ),
+}
+
+# a published float's tolerance, by the key nearest it in its table
+_TOLERANCES = {
+    **dict.fromkeys(("mean", "std_deviation", "minimum", "maximum"), TOL_DESCRIPTIVE),
+    "shapiro_wilk": TOL_SW_W, "shapiro_wilk_p": TOL_SW_P,
+    "R": TOL_R, "r": TOL_R, "R2": TOL_R2, "adjusted_R2": TOL_R2,
+    "autocorrelation": TOL_DW, "durbin_watson": TOL_DW, "dw_p": TOL_DW_P,
+    "ss_regression": TOL_SS, "mean_square": TOL_SS, "F": TOL_F,
+    **dict.fromkeys(("RMSE", "unstandardized", "standard_error", "standardized",
+                     "tolerance", "vif"), TOL_COEF),
+    "t": TOL_T, "p": TOL_P,
+    "loadings": TOL_PCA_LOADING, "variance_explained_pct": TOL_VARIANCE_PCT,
+    "kmo": TOL_KMO, "chi2": TOL_BARTLETT,
+}
+
+
+def _table_cells(address: tuple, published, key=None):
+    """Walk published values into cells, carrying the nearest key."""
+    if isinstance(published, dict):
+        for name, value in published.items():
+            yield from _table_cells(address + (name,), value, name)
+    elif isinstance(published, tuple):
+        for i, value in enumerate(published):
+            yield from _table_cells(address + (i,), value, key)
+    elif isinstance(published, str) and published.startswith("<"):
+        yield GoldenCell(address, float(published[1:]), "lt")
+    elif isinstance(published, float):
+        yield GoldenCell(address, published, "abs", _TOLERANCES[key])
+    elif published is not None:
+        yield GoldenCell(address, published, "eq")
 
 
 @lru_cache(maxsize=1)
 def golden_cells() -> tuple[GoldenCell, ...]:
     """The full embedded golden table, built once: every caller shares the
     one tuple of cells, so none may modify an expected value."""
-    cells: list[GoldenCell] = []
-    cells += _descriptive_cells("T1", _T1_VALUES, 11)
-    cells += _descriptive_cells("T7", _T7_VALUES, 6)
     # normality of the second index variable is published in prose only; the
-    # screen lists the schema's columns in order
+    # screen lists the schema's columns in order, and its p is a Shapiro-Wilk
+    # p (TOL_SW_P), not the "p" of a table
     idesi = _SCHEMA.index(IDESI)
-    cells.append(GoldenCell(("normality_screen", "w", idesi), 0.945, "abs", TOL_SW_W))
-    cells.append(GoldenCell(("normality_screen", "p", idesi), 0.135, "abs", TOL_SW_P))
-    for table_id, values in _SUMMARY_VALUES.items():
-        cells += _summary_cells(table_id, values)
-    for table_id, values in _COEFFICIENT_VALUES.items():
-        cells += _coefficient_cells(table_id, values)
-    cells += _correlation_cells("T4", _T4_VALUES, starred=False)
-    cells += _correlation_cells("T10", _T10_VALUES, starred=True)
-    cells += _correlation_cells("T11", _T11_VALUES, starred=True)
-    for i, loading in enumerate(_T6_LOADINGS):
-        cells.append(GoldenCell(("tables", "T6", "loadings", i, 0), loading,
-                                "abs", TOL_PCA_LOADING))
-    cells.append(GoldenCell(("tables", "T6", "retained"), 1, "eq"))
-    cells.append(GoldenCell(("tables", "T6", "variance_explained_pct", 0),
-                            73.468, "abs", TOL_VARIANCE_PCT))
-    cells.append(GoldenCell(("tables", "T6", "kmo"), 0.881, "abs", TOL_KMO))
-    cells.append(GoldenCell(("tables", "T6", "bartlett", "chi2"), 85.289,
-                            "abs", TOL_BARTLETT))
-    cells.append(GoldenCell(("tables", "T6", "bartlett", "df"), 10, "eq"))
-    cells.append(GoldenCell(("tables", "T6", "bartlett", "p"), 0.0005, "lt"))
-    cells.append(GoldenCell(("gate", "excluded"), ("Connectivity",), "eq"))
-    cells.append(GoldenCell(("casewise", "flagged_count"), 0, "eq"))
-    cells.append(GoldenCell(("predictions", 0, "predicted"), 51.44, "abs", 0.01))
-    cells.append(GoldenCell(("predictions", 0, "published"), 51.084, "eq"))
-    cells.append(GoldenCell(("predictions", 0, "country"), "Hungary", "eq"))
-    cells.append(GoldenCell(("predictions", 0, "nearest_country"), "Portugal", "eq"))
-    return tuple(cells)
+    return (
+        *_table_cells(("tables",), _PUBLISHED),
+        GoldenCell(("normality_screen", "w", idesi), 0.945, "abs", TOL_SW_W),
+        GoldenCell(("normality_screen", "p", idesi), 0.135, "abs", TOL_SW_P),
+        GoldenCell(("gate", "excluded"), ("Connectivity",), "eq"),
+        GoldenCell(("casewise", "flagged_count"), 0, "eq"),
+        GoldenCell(("predictions", 0, "predicted"), 51.44, "abs", 0.01),
+        GoldenCell(("predictions", 0, "published"), 51.084, "eq"),
+        GoldenCell(("predictions", 0, "country"), "Hungary", "eq"),
+        GoldenCell(("predictions", 0, "nearest_country"), "Portugal", "eq"),
+    )
 
 
 def _resolve(data, address: tuple):

@@ -429,3 +429,20 @@ def test_help_and_version(capsys):
     assert "Usage:" in capsys.readouterr().out
     assert main(["--version"]) == 0
     assert "indexlab, version" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [
+    ["describe", "--column", "SII", "--column", "sii"],
+    ["normality", "--column", "I-DESI", "--column", "idesi"],
+    ["correlate", "--column", "SII", "--column", "sii"],
+    ["pca", "--column", "SII", "--column", "SII"],
+    ["regress", "--response", "SII", "--predictor", "I-DESI", "--predictor", "idesi"],
+], ids=lambda args: args[0])
+def test_column_named_twice_exits_1(capsys, data_file, args):
+    """Two names that resolve to one column are rejected before any statistic
+    is computed, naming the column."""
+    column = "I-DESI" if args[0] in ("normality", "regress") else "SII"
+    assert main([args[0], "--input", data_file, *args[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: column {column!r} is named more than once\n"

@@ -1,6 +1,7 @@
 """Embedded golden table: coverage, full pass on the bundled data, and
 failure reporting as data rather than exceptions."""
 import copy
+from collections import Counter
 
 import pytest
 
@@ -22,6 +23,23 @@ def test_cell_count_and_unique_addresses():
     assert len(cells) == N_CELLS
     addresses = [c.address for c in cells]
     assert len(set(addresses)) == N_CELLS
+
+
+def test_tolerances_and_cells_per_table_are_pinned():
+    """A widened, narrowed or moved tolerance changes these counts."""
+    cells = golden_cells()
+    assert Counter((c.op, c.tolerance) for c in cells) == {
+        ("abs", 0.001): 146, ("eq", 0.0): 94, ("abs", 0.005): 70, ("lt", 0.0): 22,
+        ("abs", 0.01): 14, ("abs", 0.002): 9, ("abs", 0.02): 7, ("abs", 0.5): 5,
+        ("abs", 0.1): 4, ("abs", 0.05): 3,
+    }
+    per_table = Counter(c.address[1] if c.address[0] == "tables" else c.address[0]
+                        for c in cells)
+    assert per_table == {
+        "T11": 72, "T1": 66, "T7": 48, "T5": 43, "T4": 30, "T10": 30, "T2": 19,
+        "T8": 19, "T9": 15, "T3": 13, "T6": 11,
+        "predictions": 4, "normality_screen": 2, "gate": 1, "casewise": 1,
+    }
 
 
 def test_golden_cells_built_once(bundle):
