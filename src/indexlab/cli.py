@@ -18,7 +18,7 @@ from ._version import __version__
 from .correlation import correlation_matrix
 from .dataset import DIMENSIONS, IDESI, SII, Dataset, bundled_table_a1, emit_dataset, parse_dataset
 from .descriptive import describe as describe_series
-from .descriptive import shapiro_wilk
+from .descriptive import _per_column, shapiro_wilk
 from .errors import ColumnLookupError, DatasetParseError, IndexLabError, ValidationError
 from .golden import diff_golden, render_diff
 from .index_engine import compute_composite, preset, preset_names
@@ -144,7 +144,7 @@ def normality(ds: Dataset, columns: tuple[str, ...]) -> None:
     names = _resolve_columns(ds, columns)
     _echo_tables(normality=_descriptives_table(
         names, {name: describe_series(ds.column(name)) for name in names},
-        {name: shapiro_wilk(ds.column(name)) for name in names}))
+        _per_column(names, lambda name: shapiro_wilk(ds.column(name)))))
 
 
 @cli.command()

@@ -27,13 +27,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
 from .base import check_array, unit_exponent
 from .distributions import PValue, normal_cdf, normal_quantile
-from .errors import DegenerateDataError, DomainError, InsufficientDataError
+from .errors import DegenerateDataError, DomainError, IndexLabError, InsufficientDataError
+
+_R = TypeVar("_R")
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,19 @@ def _moments(x: np.ndarray) -> tuple[DescriptiveStats, np.ndarray, float]:
         maximum=float(x[x.argmax()]),
     )
     return stats, scaled, ssq
+
+
+def _per_column(names: Iterable[str], statistic: Callable[[str], _R]) -> dict[str, _R]:
+    """``{name: statistic(name)}`` over column names, in their order. A
+    rejection is raised again as its own type, with the column's name in
+    front of its message: ``SII: shapiro_wilk needs non-constant data``."""
+    results = {}
+    for name in names:
+        try:
+            results[name] = statistic(name)
+        except IndexLabError as exc:
+            raise type(exc)(f"{name}: {exc}") from exc
+    return results
 
 
 def _poly(coeffs: Sequence[float], x: float) -> float:

@@ -33,10 +33,19 @@ of the keys gives, and the same for every sort algorithm. numpy promises to
 keep the bit generators' raw streams across versions (NEP 19), so replicate
 i depends only on (seed, n, i). The replicates are drawn in chunks of 256
 rows, so no permutation matrix is stored and scratch memory does not grow
-with the replicate count. Up to n = 256 the scorer first tabulates every
-squared difference (r_v[b] - r_v[a])^2 of every vector, at most 256^2 per
-vector, and then scores all vectors on a chunk with one gather from that
-table; past n = 256 each vector is gathered and differenced on its own. Both
+with the replicate count. A draw of R n keys is split across
+min(CPUs, R n // 2**17) workers, where CPUs counts those the process may
+run on: each worker scores one contiguous range of replicates from its own
+``PCG64(seed)``, advanced past the ranges before it, the calling thread the
+first range and a daemon thread each other. The numpy calls that do the
+work release the GIL. A split draw's chunks hold 2**15 // (workers n) rows,
+at least 1, so the workers together hold fewer keys than one 256-row chunk
+at n = 256. The counts behind each p-value are integers summed over the
+ranges, so the p-values do not depend on the CPU count, to the last bit.
+Up to n = 256 the scorer first tabulates every squared difference
+(r_v[b] - r_v[a])^2 of every vector, at most 256^2 per vector, and then
+scores all vectors on a chunk with one gather from that table; past
+n = 256 each vector is gathered and differenced on its own. Both
 sum the same terms in the same order, so every permuted d, and every
 p-value, is the same to the last bit. A replicate whose d is within 1e-12
 (relative) of the observed d is a tie and counts on both sides of the
@@ -46,6 +55,8 @@ permutations, (b + 1) / (R + 1), so it is never 0.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -61,8 +72,9 @@ DEFAULT_P_ENTER = 0.05
 DEFAULT_P_REMOVE = 0.10
 DEFAULT_REPLICATES = 10_000
 DEFAULT_SEED = 42
-# the most Durbin-Watson replicates one call accepts, a bound on its run time
-# (about 100 s at n = 29 on a 2-CPU x86-64 host)
+# the most Durbin-Watson replicates one call accepts, a bound on its run time:
+# at n = 29 on a 2-CPU x86-64 host, about 16 s for one vector and 19 s for
+# reproduce_all's three, and about twice that on one CPU
 MAX_REPLICATES = 10**8
 # the Durbin-Watson permutation scheme, as report provenance names it: the
 # argsort of the masked raw keys, which the low bits of the sorted keys give
@@ -77,6 +89,13 @@ COOKS_FLAG = 1.0
 # relative distance from the observed d within which a replicate is a tie
 _SCORE_CHUNK = 256
 _DW_TIE_RTOL = 1e-12
+# a draw of at least this many keys (R n) per worker is split across CPUs;
+# below it, the threads cost more than they save
+_SPLIT_KEYS = 2**17
+# the keys that the workers of a split draw hold at once, all chunks
+# together: larger chunks than one worker's 256 rows keep each thread off the
+# GIL longer, and the total stays within one 256 x 256 chunk
+_SPLIT_CHUNK_KEYS = 2**15
 
 
 @dataclass(frozen=True)
@@ -348,9 +367,10 @@ def _check_bootstrap(replicates: int, seed: int) -> None:
         raise ValidationError(f"seed must be non-negative, got {seed}")
 
 
-def _permutation_chunks(seed: int, n: int, replicates: int) -> Iterator[np.ndarray]:
-    """The bootstrap's permutations of range(n), as (m, n) index arrays of
-    up to ``_SCORE_CHUNK`` rows each, ``replicates`` rows in all.
+def _permutation_chunks(seed: int, n: int, replicates: int, start: int = 0,
+                        rows: int = _SCORE_CHUNK) -> Iterator[np.ndarray]:
+    """The bootstrap's permutations of range(n) from replicate ``start`` up
+    to ``replicates``, as (m, n) index arrays of up to ``rows`` rows each.
 
     Row i orders the raw 64-bit outputs i*n to (i+1)*n - 1 of
     ``PCG64(seed)`` as keys, each with its low bits overwritten by its column
@@ -359,20 +379,79 @@ def _permutation_chunks(seed: int, n: int, replicates: int) -> Iterator[np.ndarr
     the sorted keys are the column indices in that order: the argsort of the
     keys. A tie in the random high bits (probability below n**2 / 2**(65 - b)
     per row for b low bits) goes to the lower column. A run's rows are the
-    first rows of any longer run.
+    first rows of any longer run. A run from ``start`` > 0 jumps its
+    generator past the start * n outputs before it (``PCG64.advance``, in
+    O(log(start n)) steps), so its rows are rows start.. of a run from 0,
+    whatever the chunk size: each worker of a split draw reads its range so.
     """
     bitgen = np.random.PCG64(seed)
+    # a run from 0 needs nothing of the generator but its raw outputs
+    if start:
+        bitgen.advance(start * n)
     low_bits = np.uint64((1 << max(1, (n - 1).bit_length())) - 1)
     columns = np.arange(n, dtype=np.uint64)
-    for start in range(0, replicates, _SCORE_CHUNK):
-        rows = min(_SCORE_CHUNK, replicates - start)
-        keys = bitgen.random_raw(rows * n).reshape(rows, n)
+    for first in range(start, replicates, rows):
+        m = min(rows, replicates - first)
+        keys = bitgen.random_raw(m * n).reshape(m, n)
         keys &= ~low_bits
         keys |= columns
         keys.sort(axis=1)
         keys &= low_bits
         # every index is below 2**63: a signed view indexes without a cast
         yield keys.view(np.int64)
+
+
+def _available_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_Counts = tuple[np.ndarray, np.ndarray]
+
+
+def _on_workers(count: Callable[[int, threading.Event], _Counts], workers: int) -> list[_Counts]:
+    """``[count(w, halt) for w in range(workers)]``, with w = 0 on the
+    calling thread and every other w on a daemon thread of its own.
+
+    All threads are joined before this returns or raises. The first
+    exception raised by any count, on any thread, reaches the caller, and
+    ``halt`` is set so that the other counts can stop early: no partial
+    result is ever returned. The threads are daemons, so an interpreter that
+    exits on Ctrl-C does not wait for them.
+    """
+    results: list = [None] * workers
+    failures: list[BaseException] = []
+    halt = threading.Event()
+
+    def run(w: int) -> None:
+        try:
+            results[w] = count(w, halt)
+        except BaseException as exc:
+            failures.append(exc)
+            halt.set()
+
+    threads: list[threading.Thread] = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=run, args=(w,), daemon=True)
+            thread.start()
+            threads.append(thread)
+        results[0] = count(0, halt)
+        for thread in threads:
+            thread.join()
+    except BaseException:
+        # Ctrl-C or a failure on this thread: stop the others at their next
+        # chunk, and wait for them
+        halt.set()
+        for thread in threads:
+            thread.join()
+        raise
+    if failures:
+        raise failures[0]
+    return results
 
 
 def _step_sums(stack: Sequence[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
@@ -421,7 +500,11 @@ def _durbin_watson_many(fits: Sequence[LinearModelFit | Sequence[float]],
                         replicates: int, seed: int) -> list[DurbinWatsonResult]:
     """``durbin_watson`` of each of one or more residual vectors of one
     length, all scored on one draw of the permutations: each vector's result
-    equals that of its own call."""
+    equals that of its own call.
+
+    Each worker of the draw (see the module docstring) counts the
+    replicates of its range on either side of the observed d, and the counts
+    are summed."""
     # contiguous: the dot products of a strided view sum in another order
     stack = [np.ascontiguousarray(check_array(
         fit.residuals if isinstance(fit, LinearModelFit) else fit, name="fit"))
@@ -461,12 +544,24 @@ def _durbin_watson_many(fits: Sequence[LinearModelFit | Sequence[float]],
     upper = np.array([d + _DW_TIE_RTOL * d for d, _ in observed])[:, None]
 
     step_sums = _step_sums(stack)
-    at_or_above = np.zeros(len(stack), dtype=np.int64)
-    at_or_below = np.zeros(len(stack), dtype=np.int64)
-    for perms in _permutation_chunks(seed, n, replicates):
-        d_perm = step_sums(perms) / ss
-        at_or_above += np.count_nonzero(d_perm >= lower, axis=1)
-        at_or_below += np.count_nonzero(d_perm <= upper, axis=1)
+    workers = max(1, min(_available_cpus(), replicates * n // _SPLIT_KEYS))
+    rows = _SCORE_CHUNK if workers == 1 else max(1, _SPLIT_CHUNK_KEYS // (workers * n))
+    bounds = [replicates * w // workers for w in range(workers + 1)]
+
+    def count(w: int, halt: threading.Event) -> _Counts:
+        at_or_above = np.zeros(len(stack), dtype=np.int64)
+        at_or_below = np.zeros(len(stack), dtype=np.int64)
+        for perms in _permutation_chunks(seed, n, bounds[w + 1], start=bounds[w], rows=rows):
+            if halt.is_set():
+                break
+            d_perm = step_sums(perms) / ss
+            at_or_above += np.count_nonzero(d_perm >= lower, axis=1)
+            at_or_below += np.count_nonzero(d_perm <= upper, axis=1)
+        return at_or_above, at_or_below
+
+    counts = _on_workers(count, workers)
+    at_or_above = sum(above for above, _ in counts)
+    at_or_below = sum(below for _, below in counts)
     return [DurbinWatsonResult(
         d=d, autocorrelation=autocorrelation,
         p=PValue(min(1.0, 2.0 * (min(above, below) + 1) / (replicates + 1))))
@@ -488,7 +583,11 @@ def durbin_watson(fit: LinearModelFit | Sequence[float],
     of the squared differences of every pair of residuals, built once per
     call; above, the permuted residuals are differenced (see
     ``_step_sums``). The two give the same sums to the last bit. Replicate
-    i depends only on (seed, n, i).
+    i depends only on (seed, n, i). A draw of at least 2**17 keys (R n) per
+    worker is split into contiguous ranges of replicates, one per available
+    CPU, each drawn from its own advanced generator in chunks of
+    2**15 // (workers n) rows; the counts of the ranges are summed, so p is
+    the same on any number of CPUs.
 
     p = min(1, 2 (min(b_ge, b_le) + 1) / (R + 1)), where b_ge and b_le count
     replicates with d_perm >= d and d_perm <= d; the +1 counts the observed

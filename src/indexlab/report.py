@@ -43,6 +43,7 @@ from .descriptive import (
     NormalityResult,
     _moments,
     _outliers,
+    _per_column,
     _shapiro_wilk_ordered,
     shapiro_wilk,
 )
@@ -321,11 +322,16 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
     n <= 256. Each p-value equals that of its own ``durbin_watson`` call at the
     same seed and R, counts the observed order among the permutations,
     2 (b + 1) / (R + 1), and so is never 0. No permutation matrix is stored.
+    At the published n = 29 and R = 10,000 the draw is split across two
+    workers where two CPUs are available (see ``_durbin_watson_many``); the
+    counts of the workers' replicate ranges are summed, so the report is the
+    same to the byte on any number of CPUs.
     Provenance names the permutation scheme (``dw_permutation``). Each
     column is sorted once, for the descriptives, Shapiro-Wilk and the boxplot
     hinges, and one exact-sum pass over it gives both the descriptives and
-    the sum of squares that Shapiro-Wilk divides by. A
-    bad seed or replicate count is rejected before any stage runs.
+    the sum of squares that Shapiro-Wilk divides by; a column that
+    Shapiro-Wilk or the hinges reject is named in the error. A bad seed or
+    replicate count is rejected before any stage runs.
 
     ``dataset_sha256`` hashes ``emit_dataset`` of the sorted copy. A parsed
     dataset in canonical form carries its parsed text, and an exported one
@@ -341,17 +347,15 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
     ordered = {name: np.sort(values, kind="stable") for name, values in columns.items()}
     moments = {name: _moments(x) for name, x in ordered.items()}
     stats = {name: m[0] for name, m in moments.items()}
-    normality = {name: _shapiro_wilk_ordered(*m[1:]) for name, m in moments.items()}
+    normality = _per_column(columns, lambda name: _shapiro_wilk_ordered(*moments[name][1:]))
     normality_screen = {
         "columns": list(_SCHEMA),
         "w": [normality[name].w for name in _SCHEMA],
         "p": [normality[name].p.value for name in _SCHEMA],
     }
 
-    outlier_screen = {
-        name: [ds.countries[i] for i in _outliers(values, ordered[name])]
-        for name, values in columns.items()
-    }
+    outlier_screen = _per_column(columns, lambda name: [
+        ds.countries[i] for i in _outliers(columns[name], ordered[name])])
     # sorted and scaled copies of every column; the later stages do not need them
     del ordered, moments
 

@@ -196,6 +196,16 @@ def tiny_data_file(tmp_path_factory):
     return str(path)
 
 
+def test_normality_rejection_names_the_column(capsys, tmp_path):
+    table = bundled_table_a1()
+    scores = table.array(table.columns)
+    scores[:, table.columns.index("Society")] = 50.0
+    path = tmp_path / "constant_society.csv"
+    path.write_text(emit_dataset(Dataset(table.columns, table.countries, scores)))
+    assert main(["normality", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == "error: Society: shapiro_wilk needs non-constant data\n"
+
+
 def test_normality_at_tiny_scale(capsys, data_file, tiny_data_file):
     """W and its p do not depend on the unit; the mean and the standard
     deviation scale with it, exactly."""

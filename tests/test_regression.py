@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -341,6 +343,115 @@ def test_durbin_watson_scratch_memory():
     peak = _scorer_peak_bytes(3, 256, 10_000)
     assert peak < 5_000_000
     assert peak <= _scorer_peak_bytes(3, 256, 512) + 65_536
+
+
+@pytest.mark.parametrize("n", [29, 2900])
+def test_permutations_from_a_start_are_the_later_rows(n):
+    """A run from replicate k, in chunks of m rows, yields rows k.. of a run
+    from 0, whether or not k is a multiple of m."""
+    replicates = 600
+    rows = _permutation_rows(9, n, replicates)
+    for start, size in ((1, 256), (100, 7), (257, 256), (300, 64), (565, 565), (599, 5)):
+        chunks = list(_permutation_chunks(9, n, replicates, start=start, rows=size))
+        assert [len(chunk) for chunk in chunks[:-1]] == [size] * (len(chunks) - 1)
+        assert np.array_equal(np.concatenate(chunks), rows[start:]), (start, size)
+    assert list(_permutation_chunks(9, n, replicates, start=replicates, rows=7)) == []
+
+
+_ON_WORKERS = regression._on_workers
+
+
+def _use_cpus(monkeypatch, cpus: int, split_keys: int = 1) -> list[int]:
+    """Make the scorer see ``cpus`` CPUs and split every draw of at least
+    ``split_keys`` keys per worker; returns the list of the worker counts
+    of its later calls."""
+    monkeypatch.setattr(regression, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(regression, "_SPLIT_KEYS", split_keys)
+    seen = []
+
+    def recorded(count, workers):
+        seen.append(workers)
+        return _ON_WORKERS(count, workers)
+
+    monkeypatch.setattr(regression, "_on_workers", recorded)
+    return seen
+
+
+def test_worker_count_rule(monkeypatch):
+    """min(CPUs, R n // 2**17), at least 1: the published run splits on 2
+    CPUs; a batch-sized draw (n <= 120, R = 1,000) and a one-replicate run
+    stay on one."""
+    for cpus, n, replicates, workers in ((2, 29, 10_000, 2), (64, 29, 10_000, 2),
+                                         (1, 29, 10_000, 1), (2, 120, 1_000, 1),
+                                         (64, 2900, 1, 1), (3, 2900, 200, 3)):
+        seen = _use_cpus(monkeypatch, cpus, 2**17)
+        regression._durbin_watson_many(_seeded_residuals(1, n), replicates, 1)
+        assert seen == [workers], (cpus, n, replicates)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**130 + 3])
+@pytest.mark.parametrize("n", [3, 29, 256, 257, 2900])
+def test_split_draw_equals_one_worker(monkeypatch, n, seed):
+    """Every p-value of a draw split across 2, 3 or 4 workers equals that of
+    one worker, for n across the table edge and R below, at and not
+    divisible by the worker count."""
+    residuals = _seeded_residuals(2, n)
+    # whole numbers: many permuted sums tie with the observed one
+    residuals[-1] = np.round(residuals[-1])
+    threads = threading.active_count()
+    for replicates in (1, 2, 7, 4_501, 10_000):
+        if n == 2900 and replicates == 10_000 and seed != 42:
+            continue  # 29 million keys a call: one seed shows it
+        _use_cpus(monkeypatch, 1)
+        expected = regression._durbin_watson_many(residuals, replicates, seed)
+        for cpus in (2, 3, 4):
+            seen = _use_cpus(monkeypatch, cpus)
+            assert regression._durbin_watson_many(residuals, replicates, seed) == expected, \
+                (replicates, cpus)
+            assert seen == [min(cpus, replicates * n)]
+    assert threading.active_count() == threads
+
+
+def test_split_draw_under_fast_thread_switching(monkeypatch):
+    """More workers than CPUs, switching threads every microsecond: a lost
+    or doubled range would change the counts."""
+    workers = regression._available_cpus() + 2
+    residuals = _seeded_residuals(3, 29)
+    _use_cpus(monkeypatch, 1)
+    expected = regression._durbin_watson_many(residuals, 4_501, 8)
+    _use_cpus(monkeypatch, workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert regression._durbin_watson_many(residuals, 4_501, 8) == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("error", [RuntimeError("scorer failed"), KeyboardInterrupt()])
+@pytest.mark.parametrize("on_main", [False, True])
+def test_split_draw_failure_reaches_the_caller(monkeypatch, error, on_main):
+    """A failure on a worker thread, or on the calling thread that scores
+    range 0, reaches the caller, and no thread outlives the call."""
+    _use_cpus(monkeypatch, 3)
+    step_sums = regression._step_sums
+
+    def failing_step_sums(stack):
+        score = step_sums(stack)
+
+        def failing(perms):
+            if (threading.current_thread() is threading.main_thread()) == on_main:
+                raise error
+            return score(perms)
+        return failing
+
+    monkeypatch.setattr(regression, "_step_sums", failing_step_sums)
+    threads = threading.active_count()
+    with pytest.raises(type(error)) as caught:
+        regression._durbin_watson_many(_seeded_residuals(2, 29), 10_000, 1)
+    assert caught.value is error
+    assert threading.active_count() == threads
 
 
 def test_durbin_watson_scores_residuals_of_any_magnitude():

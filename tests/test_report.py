@@ -11,6 +11,8 @@ import pytest
 
 from indexlab import (
     Dataset,
+    DegenerateDataError,
+    InsufficientDataError,
     ReportBundle,
     ValidationError,
     emit,
@@ -310,6 +312,24 @@ def test_reproduce_all_at_tiny_scale(dataset):
         for model in ("H0", "H1"):
             a, b = (bundle.tables[table_id]["rows"][model] for bundle in (scaled, unit))
             assert (a["R2"], a["dw_p"]) == (b["R2"], b["dw_p"]), (table_id, model)
+
+
+def test_rejections_name_the_column(dataset):
+    """A column that Shapiro-Wilk or the boxplot hinges reject is named in
+    front of the message, and the error keeps its type."""
+    scores = dataset.array(dataset.columns)
+    constant = scores.copy()
+    constant[:, dataset.columns.index("Society")] = 50.0
+    cases = [
+        (Dataset(dataset.columns, dataset.countries, constant), DegenerateDataError,
+         "Society: shapiro_wilk needs non-constant data"),
+        (Dataset(dataset.columns, dataset.countries[:3], scores[:3]), InsufficientDataError,
+         "SII: hinges need at least 4 values, got 3"),
+    ]
+    for ds, error, message in cases:
+        with pytest.raises(error) as caught:
+            reproduce_all(ds, replicates=10)
+        assert str(caught.value) == message
 
 
 def test_each_statistic_computed_once_per_run(dataset, monkeypatch):
