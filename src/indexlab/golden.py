@@ -7,8 +7,10 @@ triangle row by row, a bound is written as printed ("<0.001"), and None
 marks a value the paper does not print. One walk turns them into golden
 cells, each an address path into the bundle dictionary, an expected value
 and a comparison op. A "<b" string gives "lt" (actual strictly below b); a
-float gives "abs" (|actual - expected| <= tolerance), at the tolerance of
-the nearest key above it; any other value gives "eq" (exact equality).
+float gives "abs" (|actual - expected| <= tolerance); any other value gives
+"eq" (exact equality). The paper prints every statistic to three decimals,
+so a float is checked within half a unit of that digit, 0.0005, save a
+Durbin-Watson bootstrap p ("dw_p"), a Monte Carlo estimate, within 0.10.
 Failures are data, not errors; diff_golden never raises on a mismatch.
 """
 from __future__ import annotations
@@ -19,23 +21,10 @@ from functools import lru_cache
 from .dataset import IDESI
 from .report import _SCHEMA, ReportBundle
 
-# tolerances for published values, by the precision they were printed at
-TOL_DESCRIPTIVE = 0.001
-TOL_R = 0.001
-TOL_R2 = 0.001
-TOL_COEF = 0.005
-TOL_T = 0.01
-TOL_P = 0.002
-TOL_SW_W = 0.005
-TOL_SW_P = 0.02
-TOL_DW = 0.005
+# half a unit of the printed third decimal; dw_p is a Monte Carlo estimate
+# published from another random generator
+HALF_UNIT = 0.0005
 TOL_DW_P = 0.10
-TOL_SS = 0.5
-TOL_F = 0.05
-TOL_PCA_LOADING = 0.005
-TOL_VARIANCE_PCT = 0.05
-TOL_KMO = 0.005
-TOL_BARTLETT = 0.5
 
 
 @dataclass(frozen=True)
@@ -184,21 +173,6 @@ _PUBLISHED = {
     ),
 }
 
-# a published float's tolerance, by the key nearest it in its table
-_TOLERANCES = {
-    **dict.fromkeys(("mean", "std_deviation", "minimum", "maximum"), TOL_DESCRIPTIVE),
-    "shapiro_wilk": TOL_SW_W, "shapiro_wilk_p": TOL_SW_P,
-    "R": TOL_R, "r": TOL_R, "R2": TOL_R2, "adjusted_R2": TOL_R2,
-    "autocorrelation": TOL_DW, "durbin_watson": TOL_DW, "dw_p": TOL_DW_P,
-    "ss_regression": TOL_SS, "mean_square": TOL_SS, "F": TOL_F,
-    **dict.fromkeys(("RMSE", "unstandardized", "standard_error", "standardized",
-                     "tolerance", "vif"), TOL_COEF),
-    "t": TOL_T, "p": TOL_P,
-    "loadings": TOL_PCA_LOADING, "variance_explained_pct": TOL_VARIANCE_PCT,
-    "kmo": TOL_KMO, "chi2": TOL_BARTLETT,
-}
-
-
 def _table_cells(address: tuple, published, key=None):
     """Walk published values into cells, carrying the nearest key."""
     if isinstance(published, dict):
@@ -210,7 +184,8 @@ def _table_cells(address: tuple, published, key=None):
     elif isinstance(published, str) and published.startswith("<"):
         yield GoldenCell(address, float(published[1:]), "lt")
     elif isinstance(published, float):
-        yield GoldenCell(address, published, "abs", _TOLERANCES[key])
+        tolerance = TOL_DW_P if key == "dw_p" else HALF_UNIT
+        yield GoldenCell(address, published, "abs", tolerance)
     elif published is not None:
         yield GoldenCell(address, published, "eq")
 
@@ -220,16 +195,16 @@ def golden_cells() -> tuple[GoldenCell, ...]:
     """The full embedded golden table, built once: every caller shares the
     one tuple of cells, so none may modify an expected value."""
     # normality of the second index variable is published in prose only; the
-    # screen lists the schema's columns in order, and its p is a Shapiro-Wilk
-    # p (TOL_SW_P), not the "p" of a table
+    # screen lists the schema's columns in order
     idesi = _SCHEMA.index(IDESI)
     return (
         *_table_cells(("tables",), _PUBLISHED),
-        GoldenCell(("normality_screen", "w", idesi), 0.945, "abs", TOL_SW_W),
-        GoldenCell(("normality_screen", "p", idesi), 0.135, "abs", TOL_SW_P),
+        GoldenCell(("normality_screen", "w", idesi), 0.945, "abs", HALF_UNIT),
+        GoldenCell(("normality_screen", "p", idesi), 0.135, "abs", HALF_UNIT),
         GoldenCell(("gate", "excluded"), ("Connectivity",), "eq"),
         GoldenCell(("casewise", "flagged_count"), 0, "eq"),
-        GoldenCell(("predictions", 0, "predicted"), 51.44, "abs", 0.01),
+        # printed in prose to two decimals
+        GoldenCell(("predictions", 0, "predicted"), 51.44, "abs", 0.005),
         GoldenCell(("predictions", 0, "published"), 51.084, "eq"),
         GoldenCell(("predictions", 0, "country"), "Hungary", "eq"),
         GoldenCell(("predictions", 0, "nearest_country"), "Portugal", "eq"),

@@ -55,6 +55,7 @@ from .regression import (
     DW_PERMUTATION,
     LinearModelFit,
     _check_bootstrap,
+    _check_rows,
     _durbin_watson_many,
     casewise_diagnostics,
     fit_ols,
@@ -330,8 +331,9 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
     column is sorted once, for the descriptives, Shapiro-Wilk and the boxplot
     hinges, and one exact-sum pass over it gives both the descriptives and
     the sum of squares that Shapiro-Wilk divides by; a column that
-    Shapiro-Wilk or the hinges reject is named in the error. A bad seed or
-    replicate count is rejected before any stage runs.
+    Shapiro-Wilk rejects is named in the error. A bad seed or
+    replicate count, or a table with too few rows for the five-predictor
+    model, is rejected before any stage runs.
 
     ``dataset_sha256`` hashes ``emit_dataset`` of the sorted copy. A parsed
     dataset in canonical form carries its parsed text, and an exported one
@@ -341,6 +343,8 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
     """
     _check_bootstrap(replicates, seed)
     validate_schema(dataset)
+    # the five-predictor model needs the most rows of any stage
+    _check_rows(len(dataset), len(DIMENSIONS))
     ds = dataset.sorted_by_name()
     columns = dict(zip(_SCHEMA, ds.array(_SCHEMA).T))
 
@@ -757,15 +761,22 @@ def figure_file_text(figure: dict) -> str:
 
 
 def write_figures(bundle: ReportBundle, out_dir) -> list[str]:
-    """Write fig3.dat, fig4.dat, fig5.dat into out_dir; returns the paths."""
+    """Write fig3.dat, fig4.dat, fig5.dat into out_dir; returns the paths.
+
+    A directory that cannot be made or a file that cannot be written raises
+    ValidationError, naming out_dir.
+    """
     from pathlib import Path
 
     target = Path(out_dir)
-    target.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
-    for figure_id in sorted(bundle.figures):
-        name = f"fig{figure_id[1:].lower()}.dat"
-        path = target / name
-        path.write_text(figure_file_text(bundle.figures[figure_id]))
-        written.append(str(path))
+    try:
+        target.mkdir(parents=True, exist_ok=True)
+        for figure_id in sorted(bundle.figures):
+            path = target / f"fig{figure_id[1:].lower()}.dat"
+            path.write_text(figure_file_text(bundle.figures[figure_id]))
+            written.append(str(path))
+    except OSError as error:
+        raise ValidationError(
+            f"cannot write figures to '{out_dir}': {error.strerror}") from error
     return written

@@ -66,7 +66,7 @@ def test_criterion_02_descriptives(golden_diff):
         expected_count=68,
     )
     record(2, "descriptive means, standard deviations, minima, and maxima "
-              "(within 0.001, 68 cells)", failures)
+              "(within 0.0005, 68 cells)", failures)
 
 
 def test_criterion_03_normality(golden_diff, bundle):
@@ -83,8 +83,8 @@ def test_criterion_03_normality(golden_diff, bundle):
     for name, w, p in zip(screen["columns"], screen["w"], screen["p"]):
         if not (0.0 < w <= 1.0 and 0.0 < p <= 1.0):
             failures.append(f"{name}: W {w}, p {p} out of range")
-    record(3, "Shapiro-Wilk W (within 0.005) and p (within 0.02) for every "
-              "published value; all 11 columns screened", failures)
+    record(3, "Shapiro-Wilk W and p (within 0.0005) for every published "
+              "value; all 11 columns screened", failures)
 
 
 def test_criterion_04_simple_regression(golden_diff):
@@ -110,7 +110,7 @@ def test_criterion_05_durbin_watson(golden_diff):
         and a[4] in ("durbin_watson", "autocorrelation", "dw_p"),
         expected_count=6,
     )
-    record(5, "Durbin-Watson d and autocorrelation (within 0.005), bootstrap "
+    record(5, "Durbin-Watson d and autocorrelation (within 0.0005), bootstrap "
               "p at 10,000 replicates (within 0.10)", failures)
 
 
@@ -123,7 +123,7 @@ def test_criterion_06_multiple_regression(golden_diff):
         expected_count=20,
     )
     record(6, "five-predictor coefficients, tolerance, and VIF "
-              "(within 0.005, 20 cells)", failures)
+              "(within 0.0005, 20 cells)", failures)
 
 
 def test_criterion_07_casewise(bundle, sorted_dataset):
@@ -189,7 +189,7 @@ def test_criterion_10_correlations(golden_diff):
         expected_count=132,
     )
     record(10, "every published correlation cell with matching significance "
-               "stars (within 0.001, 132 cells)", failures)
+               "stars (within 0.0005, 132 cells)", failures)
 
 
 def test_criterion_11_prediction(golden_diff, bundle):

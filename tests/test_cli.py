@@ -1,5 +1,6 @@
 """Command-line interface: output contracts and exit codes, in process."""
 import csv
+import errno
 import json
 import os
 import random
@@ -340,6 +341,22 @@ def test_reproduce_out_dir(capsys, tmp_path):
     assert sorted(os.listdir(out_dir)) == ["fig3.dat", "fig4.dat", "fig5.dat"]
     assert captured.err.count("wrote ") == 3
     assert captured.out.startswith("[provenance]")
+
+
+@pytest.mark.parametrize("case", ["under_a_file", "figure_is_a_directory"])
+def test_reproduce_out_dir_that_cannot_be_written_exits_1(capsys, tmp_path, case):
+    if case == "under_a_file":
+        (tmp_path / "afile").write_text("")
+        out_dir = tmp_path / "afile" / "sub"
+    else:
+        out_dir = tmp_path / "figs"
+        (out_dir / "fig3.dat").mkdir(parents=True)
+    assert main(["reproduce", "--replicates", "10", "--out-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err.splitlines() == [
+        f"error: cannot write figures to '{out_dir}': "
+        + os.strerror(errno.ENOTDIR if case == "under_a_file" else errno.EISDIR)]
 
 
 def test_reproduce_golden_diff_passes(capsys):

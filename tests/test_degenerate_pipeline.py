@@ -44,6 +44,8 @@ def _with(data: np.ndarray, column: int, values) -> np.ndarray:
 def _datasets() -> dict[str, np.ndarray]:
     base = _scores(1, 29)
     return {
+        "n1": _scores(7, 1),
+        "n2": _scores(8, 2),
         "n3": _scores(2, 3),
         "n4": _scores(3, 4),
         "n5": _scores(4, 5),
@@ -62,7 +64,11 @@ _DATASETS = _datasets()
 
 # the error each dataset ends in, or None for a full report
 _OUTCOMES = {
-    "n3": (InsufficientDataError, "hinges need at least 4 values, got 3"),
+    # every table under 7 rows fails with the five-predictor model's message,
+    # before any stage runs
+    "n1": (InsufficientDataError, "need at least 7 rows to fit 5 predictors"),
+    "n2": (InsufficientDataError, "need at least 7 rows to fit 5 predictors"),
+    "n3": (InsufficientDataError, "need at least 7 rows to fit 5 predictors"),
     "n4": (InsufficientDataError, "need at least 7 rows to fit 5 predictors"),
     "n5": (InsufficientDataError, "need at least 7 rows to fit 5 predictors"),
     "n8": None,

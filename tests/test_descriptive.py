@@ -142,6 +142,8 @@ def test_shapiro_wilk_w_capped():
 def test_tukey_hinges():
     assert tukey_hinges([1.0, 2.0, 3.0, 4.0, 5.0, 100.0]) == (2.0, 5.0)
     assert tukey_hinges([1.0, 2.0, 3.0, 4.0]) == (1.5, 3.5)
+    with pytest.raises(InsufficientDataError, match="hinges need at least 4 values, got 3"):
+        tukey_hinges([1.0, 2.0, 3.0])
 
 
 def test_boxplot_outliers():

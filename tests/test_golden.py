@@ -7,6 +7,7 @@ import pytest
 
 from indexlab import (
     bundled_table_a1,
+    golden,
     diff_golden,
     emit_dataset,
     golden_cells,
@@ -29,9 +30,8 @@ def test_tolerances_and_cells_per_table_are_pinned():
     """A widened, narrowed or moved tolerance changes these counts."""
     cells = golden_cells()
     assert Counter((c.op, c.tolerance) for c in cells) == {
-        ("abs", 0.001): 146, ("eq", 0.0): 94, ("abs", 0.005): 70, ("lt", 0.0): 22,
-        ("abs", 0.01): 14, ("abs", 0.002): 9, ("abs", 0.02): 7, ("abs", 0.5): 5,
-        ("abs", 0.1): 4, ("abs", 0.05): 3,
+        ("abs", 0.0005): 253, ("eq", 0.0): 94, ("lt", 0.0): 22, ("abs", 0.1): 4,
+        ("abs", 0.005): 1,
     }
     per_table = Counter(c.address[1] if c.address[0] == "tables" else c.address[0]
                         for c in cells)
@@ -40,6 +40,65 @@ def test_tolerances_and_cells_per_table_are_pinned():
         "T8": 19, "T9": 15, "T3": 13, "T6": 11,
         "predictions": 4, "normality_screen": 2, "gate": 1, "casewise": 1,
     }
+
+
+def _floats(published):
+    if isinstance(published, dict):
+        published = tuple(published.values())
+    if isinstance(published, tuple):
+        for value in published:
+            yield from _floats(value)
+    elif isinstance(published, float):
+        yield published
+
+
+def test_published_floats_have_at_most_three_decimals():
+    """HALF_UNIT is half a unit of the third decimal: a value printed to more
+    decimals would need a narrower bound."""
+    floats = list(_floats(golden._PUBLISHED))
+    assert len(floats) == 255
+    assert [v for v in floats if round(v, 3) != v] == []
+
+
+def test_a_cell_past_half_a_printed_unit_fails(bundle):
+    """T1's SII mean, published 57.534: 0.0004 off passes, 0.0006 off fails."""
+    address = ("tables", "T1", "rows", "mean", 0)
+    for offset, passes in ((0.0004, True), (-0.0004, True), (0.0006, False),
+                           (-0.0006, False)):
+        perturbed = copy.deepcopy(bundle)
+        perturbed.tables["T1"]["rows"]["mean"][0] = 57.534 + offset
+        failures = diff_golden(perturbed).failures()
+        assert [c.address for c in failures] == ([] if passes else [address]), offset
+
+
+# the tolerances before every float was checked at half a printed unit: by
+# the nearest key of a table cell, and by address for the explicit cells
+_OLD_TOLERANCE = {
+    **dict.fromkeys(("mean", "std_deviation", "minimum", "maximum", "R", "r", "R2",
+                     "adjusted_R2"), 0.001),
+    **dict.fromkeys(("shapiro_wilk", "autocorrelation", "durbin_watson", "RMSE",
+                     "unstandardized", "standard_error", "standardized", "tolerance",
+                     "vif", "loadings", "kmo"), 0.005),
+    "shapiro_wilk_p": 0.02, "dw_p": 0.10, "ss_regression": 0.5, "mean_square": 0.5,
+    "F": 0.05, "t": 0.01, "p": 0.002, "variance_explained_pct": 0.05, "chi2": 0.5,
+}
+_OLD_EXPLICIT_TOLERANCE = {
+    ("normality_screen", "w", 5): 0.005,
+    ("normality_screen", "p", 5): 0.02,
+    ("predictions", 0, "predicted"): 0.01,
+}
+
+
+def test_no_tolerance_is_wider_than_before():
+    narrowed = 0
+    for cell in golden_cells():
+        if cell.op != "abs":
+            continue
+        key = [k for k in cell.address if isinstance(k, str)][-1]
+        old = _OLD_EXPLICIT_TOLERANCE.get(cell.address) or _OLD_TOLERANCE[key]
+        assert cell.tolerance <= old, cell.address
+        narrowed += cell.tolerance < old
+    assert narrowed == 254
 
 
 def test_golden_cells_built_once(bundle):

@@ -284,6 +284,22 @@ def test_write_figures(bundle, tmp_path):
             assert handle.read() == figure_file_text(bundle.figures[fig_id])
 
 
+@pytest.mark.parametrize("case", ["under_a_file", "figure_is_a_directory"])
+def test_write_figures_error_names_the_directory(bundle, tmp_path, case):
+    """A directory that cannot be made, or a figure that cannot be written,
+    is a ValidationError naming out_dir, raised from the OSError."""
+    if case == "under_a_file":
+        (tmp_path / "afile").write_text("")
+        out_dir = tmp_path / "afile" / "sub"
+    else:
+        out_dir = tmp_path / "out"
+        (out_dir / "fig3.dat").mkdir(parents=True)
+    with pytest.raises(ValidationError, match="cannot write figures to") as caught:
+        write_figures(bundle, out_dir)
+    assert f"'{out_dir}'" in str(caught.value)
+    assert isinstance(caught.value.__cause__, OSError)
+
+
 def test_seed_changes_only_bootstrap_p(sorted_dataset):
     first = reproduce_all(sorted_dataset, seed=1, replicates=50).as_dict()
     second = reproduce_all(sorted_dataset, seed=2, replicates=50).as_dict()
@@ -315,8 +331,10 @@ def test_reproduce_all_at_tiny_scale(dataset):
 
 
 def test_rejections_name_the_column(dataset):
-    """A column that Shapiro-Wilk or the boxplot hinges reject is named in
-    front of the message, and the error keeps its type."""
+    """A column that Shapiro-Wilk rejects is named in front of the message,
+    and the error keeps its type. A table too short for the boxplot hinges is
+    rejected before any column stage, by the five-predictor model's row
+    count."""
     scores = dataset.array(dataset.columns)
     constant = scores.copy()
     constant[:, dataset.columns.index("Society")] = 50.0
@@ -324,7 +342,7 @@ def test_rejections_name_the_column(dataset):
         (Dataset(dataset.columns, dataset.countries, constant), DegenerateDataError,
          "Society: shapiro_wilk needs non-constant data"),
         (Dataset(dataset.columns, dataset.countries[:3], scores[:3]), InsufficientDataError,
-         "SII: hinges need at least 4 values, got 3"),
+         "need at least 7 rows to fit 5 predictors with an intercept, got 3"),
     ]
     for ds, error, message in cases:
         with pytest.raises(error) as caught:
