@@ -9,6 +9,7 @@ fixed so each component's largest-magnitude entry is positive.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -119,6 +120,8 @@ def principal_components(corr: CorrelationMatrix,
                          retention: float = KAISER_THRESHOLD) -> PcaResult:
     """PCA of a correlation matrix; KMO and Bartlett share its one
     eigendecomposition."""
+    if not (isinstance(retention, numbers.Real) and math.isfinite(retention)):
+        raise ValidationError(f"retention threshold must be a finite number, got {retention!r}")
     r = np.array(corr.r)
     p = r.shape[0]
     raw_eigenvalues, eigenvectors = eigen_symmetric(r)

@@ -31,22 +31,21 @@ the keys of a row are distinct. Each row is then sorted, and the low bits of
 the sorted keys are read back as the permutation: the order that an argsort
 of the keys gives, and the same for every sort algorithm. numpy promises to
 keep the bit generators' raw streams across versions (NEP 19), so replicate
-i depends only on (seed, n, i). The replicates are drawn in chunks of 256
-rows, so no permutation matrix is stored and scratch memory does not grow
-with the replicate count. A draw of R n keys is split across
-min(CPUs, R n // 2**17) workers, where CPUs counts those the process may
-run on: each worker scores one contiguous range of replicates from its own
-``PCG64(seed)``, advanced past the ranges before it, the calling thread the
-first range and a daemon thread each other. The numpy calls that do the
-work release the GIL. A split draw's chunks hold 2**15 // (workers n) rows,
-at least 1, so the workers together hold fewer keys than one 256-row chunk
-at n = 256. The counts behind each p-value are integers summed over the
-ranges, so the p-values do not depend on the CPU count, to the last bit.
-Up to n = 256 the scorer first tabulates every squared difference
-(r_v[b] - r_v[a])^2 of every vector, at most 256^2 per vector, and then
-scores all vectors on a chunk with one gather from that table; past
-n = 256 each vector is gathered and differenced on its own. Both
-sum the same terms in the same order, so every permuted d, and every
+i depends only on (seed, n, i). A draw of R n keys is split across
+min(CPUs, R n // 2**17) workers, at least 1, where CPUs counts those the
+process may run on: each worker scores one contiguous range of replicates
+from its own ``PCG64(seed)``, advanced past the ranges before it, the calling
+thread the first range and a daemon thread each other. The numpy calls that
+do the work release the GIL. Each worker draws its range in chunks of
+2**15 // (workers n) rows, at least 1: no permutation matrix is stored, and
+the workers together hold at most max(2**15, workers n) keys at once, so
+scratch memory grows neither with R nor, below n = 2**15 / workers, with n.
+The counts behind each p-value are integers summed over the ranges, so the
+p-values do not depend on the CPU count, to the last bit. Up to n = 256 the
+scorer first tabulates every squared difference (r_v[b] - r_v[a])^2 of every
+vector, at most 256^2 per vector, and then scores all vectors on a chunk
+with one gather from that table; past n = 256 each vector is gathered and
+differenced on its own. Both sum the same terms in the same order, so every permuted d, and every
 p-value, is the same to the last bit. A replicate whose d is within 1e-12
 (relative) of the observed d is a tie and counts on both sides of the
 two-tailed test, and the p-value counts the observed order among the
@@ -55,6 +54,7 @@ permutations, (b + 1) / (R + 1), so it is never 0.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -66,7 +66,8 @@ from .base import check_array, unit_exponent
 from .dataset import Dataset
 from .descriptive import _moments
 from .distributions import PValue, f_tail_p, t_two_tailed_p
-from .errors import InsufficientDataError, SingularDesignError, ValidationError
+from .errors import (DegenerateDataError, InsufficientDataError, SingularDesignError,
+                     ValidationError)
 
 DEFAULT_P_ENTER = 0.05
 DEFAULT_P_REMOVE = 0.10
@@ -83,19 +84,16 @@ DW_PERMUTATION = "pcg64-raw-keys-argsort"
 STD_RESIDUAL_FLAG = 3.0
 COOKS_FLAG = 1.0
 
-# Durbin-Watson bootstrap: replicates drawn and scored per vectorized pass,
-# also the largest n whose squared differences are tabulated (a table of at
-# most 256**2 entries per vector, no more than a chunk's gather), and the
-# relative distance from the observed d within which a replicate is a tie
-_SCORE_CHUNK = 256
+# Durbin-Watson bootstrap: the largest n whose squared differences are
+# tabulated (at most 256**2 entries per vector), and the relative distance
+# from the observed d within which a replicate is a tie
+_TABLE_MAX_N = 256
 _DW_TIE_RTOL = 1e-12
 # a draw of at least this many keys (R n) per worker is split across CPUs;
 # below it, the threads cost more than they save
 _SPLIT_KEYS = 2**17
-# the keys that the workers of a split draw hold at once, all chunks
-# together: larger chunks than one worker's 256 rows keep each thread off the
-# GIL longer, and the total stays within one 256 x 256 chunk
-_SPLIT_CHUNK_KEYS = 2**15
+# the keys that the workers of a draw hold at once, all chunks together
+_CHUNK_KEYS = 2**15
 
 
 @dataclass(frozen=True)
@@ -231,6 +229,8 @@ def _ols_arrays(x: np.ndarray, y: np.ndarray, response: str,
     """
     n, k = x.shape
     _check_rows(n, k)
+    if k and np.ptp(y) == 0.0:
+        raise DegenerateDataError(f"response {response!r} is constant: R^2 is undefined")
     e = unit_exponent(x, y)
     x = np.ldexp(np.ascontiguousarray(x), -e)
     y = np.ldexp(y, -e)
@@ -269,7 +269,8 @@ def _ols_arrays(x: np.ndarray, y: np.ndarray, response: str,
     ss_res = float(residuals @ residuals) if k else sst
     rmse = math.sqrt(ss_res / df_residual) if df_residual > 0 else 0.0
 
-    r_squared = max(0.0, 1.0 - ss_res / sst) if k and sst > 0.0 else 0.0
+    # a fit with predictors has sst > 0: its response is not constant
+    r_squared = max(0.0, 1.0 - ss_res / sst) if k else 0.0
     adjusted = 1.0 - (1.0 - r_squared) * (n - 1) / df_residual
 
     se_intercept = rmse * math.sqrt(1.0 / n + float(x_means @ s_inv @ x_means))
@@ -286,7 +287,7 @@ def _ols_arrays(x: np.ndarray, y: np.ndarray, response: str,
     # each predictor's standard deviation from the rank test's sums of squares
     s_y = math.sqrt(sst / (n - 1))
     s_x = np.sqrt(ss_cols / (n - 1))
-    betas = [None, *(slopes * s_x / s_y if s_y > 0.0 else np.zeros(k)).tolist()]
+    betas = [None, *(slopes * s_x / s_y).tolist()]
 
     # VIF_j = ss_j [(Xc'Xc)^-1]_jj (Marquardt 1970), the diagonal the slopes'
     # standard errors read; a lone predictor has tolerance 1 by definition
@@ -357,20 +358,30 @@ def _dw_statistic(residuals: np.ndarray) -> tuple[float, float]:
     return d, autocorrelation
 
 
-def _check_bootstrap(replicates: int, seed: int) -> None:
-    """Reject a replicate count or seed the bootstrap cannot run with."""
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int, if it is an integer of any type but bool."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _check_bootstrap(replicates: int, seed: int) -> tuple[int, int]:
+    """The replicate count and seed as Python ints, if the bootstrap can run with them."""
+    replicates, seed = _integer(replicates, "replicates"), _integer(seed, "seed")
     if replicates < 1:
         raise ValidationError(f"replicates must be at least 1, got {replicates}")
     if replicates > MAX_REPLICATES:
         raise ValidationError(f"replicates must be at most {MAX_REPLICATES}, got {replicates}")
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
+    return replicates, seed
 
 
 def _permutation_chunks(seed: int, n: int, replicates: int, start: int = 0,
-                        rows: int = _SCORE_CHUNK) -> Iterator[np.ndarray]:
+                        workers: int = 1) -> Iterator[np.ndarray]:
     """The bootstrap's permutations of range(n) from replicate ``start`` up
-    to ``replicates``, as (m, n) index arrays of up to ``rows`` rows each.
+    to ``replicates``, as (m, n) index arrays in the chunks of one of
+    ``workers`` workers (see the module docstring).
 
     Row i orders the raw 64-bit outputs i*n to (i+1)*n - 1 of
     ``PCG64(seed)`` as keys, each with its low bits overwritten by its column
@@ -384,10 +395,9 @@ def _permutation_chunks(seed: int, n: int, replicates: int, start: int = 0,
     O(log(start n)) steps), so its rows are rows start.. of a run from 0,
     whatever the chunk size: each worker of a split draw reads its range so.
     """
+    rows = max(1, _CHUNK_KEYS // (workers * n))
     bitgen = np.random.PCG64(seed)
-    # a run from 0 needs nothing of the generator but its raw outputs
-    if start:
-        bitgen.advance(start * n)
+    bitgen.advance(start * n)
     low_bits = np.uint64((1 << max(1, (n - 1).bit_length())) - 1)
     columns = np.arange(n, dtype=np.uint64)
     for first in range(start, replicates, rows):
@@ -459,16 +469,15 @@ def _step_sums(stack: Sequence[np.ndarray]) -> Callable[[np.ndarray], np.ndarray
     of permutations to the (k, m) sums of squared successive differences of
     each vector in each order.
 
-    Up to n = ``_SCORE_CHUNK`` it reads a table built once,
+    Up to n = ``_TABLE_MAX_N`` it reads a table built once,
     T[v, a << bits | b] = (r_v[b] - r_v[a])^2 with 2**bits >= n, and a
     chunk's n - 1 steps of every vector are one gather from it. The table
-    has at most k * 256**2 entries, no more than the gather of a chunk of
-    256 rows; past that bound (at n = 2,900 it would take 3 * 4096**2
-    doubles) each vector is gathered and differenced on its own. Both give
-    the same sums to the last bit.
+    has at most k * 256**2 entries; past that bound (at n = 2,900 it would
+    take 3 * 4096**2 doubles) each vector is gathered and differenced on its
+    own. Both give the same sums to the last bit.
     """
     n = stack[0].shape[0]
-    if n > _SCORE_CHUNK:
+    if n > _TABLE_MAX_N:
         # one vector at a time: a (k, m, n) gather would cost more than it saves
         def per_vector(perms: np.ndarray) -> np.ndarray:
             rows = []
@@ -513,7 +522,7 @@ def _durbin_watson_many(fits: Sequence[LinearModelFit | Sequence[float]],
         if residuals.shape[0] < 3:
             raise InsufficientDataError(
                 f"Durbin-Watson needs at least 3 residuals, got {residuals.shape[0]}")
-    _check_bootstrap(replicates, seed)
+    replicates, seed = _check_bootstrap(replicates, seed)
     n = stack[0].shape[0]
     if any(residuals.shape[0] != n for residuals in stack):
         raise ValidationError("Durbin-Watson residual vectors differ in length: "
@@ -522,20 +531,13 @@ def _durbin_watson_many(fits: Sequence[LinearModelFit | Sequence[float]],
     # by one factor, and a power of two scales each product exactly, so each
     # vector is brought to max|r| in [0.5, 1): no square or sum of squares
     # overflows, and none underflows unless its term is negligible in the sum
-    scales = [-unit_exponent(residuals) for residuals in stack]
-    stack = [np.ldexp(residuals, e) for residuals, e in zip(stack, scales)]
+    stack = [np.ldexp(residuals, -unit_exponent(residuals)) for residuals in stack]
     sums = [float(residuals @ residuals) for residuals in stack]
-    # before the all-zero check: an exact fit may leave exact zeros or rounding
-    # noise, and both are reported as an exact fit
-    for fit, ss, e in zip(fits, sums, scales):
-        if not isinstance(fit, LinearModelFit):
-            continue
-        # sst is that of fitted + residuals
-        response = np.add(fit.fitted, fit.residuals)
-        deviations = np.ldexp(response - response.mean(), e)
-        if ss <= n * np.finfo(float).eps * float(deviations @ deviations):
-            raise ValidationError("Durbin-Watson is undefined for residuals at rounding "
-                                  "level: the model fits the response exactly")
+    # before the all-zero check, so that an exact fit is named as one
+    if any(isinstance(fit, LinearModelFit) and 1.0 - fit.r_squared <= n * np.finfo(float).eps
+           for fit in fits):
+        raise ValidationError("Durbin-Watson is undefined for residuals at rounding "
+                              "level: the model fits the response exactly")
     if not all(sums):
         raise ValidationError("Durbin-Watson is undefined for all-zero residuals")
     observed = [_dw_statistic(residuals) for residuals in stack]
@@ -545,18 +547,18 @@ def _durbin_watson_many(fits: Sequence[LinearModelFit | Sequence[float]],
 
     step_sums = _step_sums(stack)
     workers = max(1, min(_available_cpus(), replicates * n // _SPLIT_KEYS))
-    rows = _SCORE_CHUNK if workers == 1 else max(1, _SPLIT_CHUNK_KEYS // (workers * n))
     bounds = [replicates * w // workers for w in range(workers + 1)]
 
     def count(w: int, halt: threading.Event) -> _Counts:
         at_or_above = np.zeros(len(stack), dtype=np.int64)
         at_or_below = np.zeros(len(stack), dtype=np.int64)
-        for perms in _permutation_chunks(seed, n, bounds[w + 1], start=bounds[w], rows=rows):
+        for perms in _permutation_chunks(seed, n, bounds[w + 1], bounds[w], workers):
             if halt.is_set():
                 break
             d_perm = step_sums(perms) / ss
             at_or_above += np.count_nonzero(d_perm >= lower, axis=1)
             at_or_below += np.count_nonzero(d_perm <= upper, axis=1)
+            del d_perm, perms  # so that no chunk's arrays outlive its pass
         return at_or_above, at_or_below
 
     counts = _on_workers(count, workers)
@@ -576,18 +578,11 @@ def durbin_watson(fit: LinearModelFit | Sequence[float],
 
     Accepts a fitted model or a raw residual sequence in row order. Each
     call draws its permutations from one ``PCG64(seed)`` raw stream (see
-    ``_permutation_chunks``) and stores no permutation matrix: it scores
-    ``_SCORE_CHUNK`` replicates at a time, each chunk one vectorized pass
-    over the permuted residuals divided by their sum of squares, which no
-    permutation changes. Up to n = 256 that pass is one gather from a table
-    of the squared differences of every pair of residuals, built once per
-    call; above, the permuted residuals are differenced (see
-    ``_step_sums``). The two give the same sums to the last bit. Replicate
-    i depends only on (seed, n, i). A draw of at least 2**17 keys (R n) per
-    worker is split into contiguous ranges of replicates, one per available
-    CPU, each drawn from its own advanced generator in chunks of
-    2**15 // (workers n) rows; the counts of the ranges are summed, so p is
-    the same on any number of CPUs.
+    ``_permutation_chunks``) and scores them a chunk at a time, on one or
+    more workers, as the module docstring sets out: each chunk is one
+    vectorized pass over the permuted residuals (see ``_step_sums``) divided
+    by their sum of squares, which no permutation changes. Replicate i
+    depends only on (seed, n, i), so p is the same on any number of CPUs.
 
     p = min(1, 2 (min(b_ge, b_le) + 1) / (R + 1)), where b_ge and b_le count
     replicates with d_perm >= d and d_perm <= d; the +1 counts the observed
@@ -595,11 +590,12 @@ def durbin_watson(fit: LinearModelFit | Sequence[float],
     |d_perm - d| <= 1e-12 d is a tie and counts on both sides, so a
     permutation whose d equals the observed d in exact arithmetic (the
     identity, the reversal) is counted the same whatever order its sums were
-    taken in. R must be between 1 and ``MAX_REPLICATES``. All-zero residuals,
-    and those of a fit with ss_res <= n * eps * sst (an exact fit), have no
-    d. The residuals are first scaled by the power of two that brings their
-    largest magnitude into [0.5, 1), which changes no d, so residuals of any
-    finite magnitude are scored as exactly as those near 1.
+    taken in. R must be an integer between 1 and ``MAX_REPLICATES``, and the
+    seed a non-negative integer. All-zero residuals, and those of a fit with
+    1 - R^2 <= n eps (an exact fit), have no d. The residuals are first
+    scaled by the power of two that brings their largest magnitude into
+    [0.5, 1), which changes no d, so residuals of any finite magnitude are
+    scored as exactly as those near 1.
     """
     return _durbin_watson_many([fit], replicates, seed)[0]
 

@@ -324,9 +324,9 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
     same seed and R, counts the observed order among the permutations,
     2 (b + 1) / (R + 1), and so is never 0. No permutation matrix is stored.
     At the published n = 29 and R = 10,000 the draw is split across two
-    workers where two CPUs are available (see ``_durbin_watson_many``); the
-    counts of the workers' replicate ranges are summed, so the report is the
-    same to the byte on any number of CPUs.
+    workers where two CPUs are available, by the rule that the ``regression``
+    module docstring states; the counts of the workers' replicate ranges are
+    summed, so the report is the same to the byte on any number of CPUs.
     Provenance names the permutation scheme (``dw_permutation``). Each
     column is sorted once, for the descriptives, Shapiro-Wilk and the boxplot
     hinges, and one exact-sum pass over it gives both the descriptives and
@@ -341,7 +341,7 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
     (see ``Dataset``), so no row is rendered here. Any other dataset's rows
     are rendered once, here.
     """
-    _check_bootstrap(replicates, seed)
+    replicates, seed = _check_bootstrap(replicates, seed)
     validate_schema(dataset)
     # the five-predictor model needs the most rows of any stage
     _check_rows(len(dataset), len(DIMENSIONS))

@@ -441,6 +441,21 @@ def test_bad_bootstrap_options_exit_1(capsys, monkeypatch, data_file, command, o
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_regress_on_a_constant_response_exits_1(capsys, tmp_path):
+    table = bundled_table_a1()
+    scores = table.array(table.columns)
+    scores[:, table.columns.index("SII")] = 47.3
+    path = tmp_path / "constant.csv"
+    path.write_text(emit_dataset(Dataset(table.columns, table.countries, scores)))
+    assert main(["regress", "--input", str(path), "--response", "SII",
+                 "--predictor", "I-DESI", "--replicates", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert "response 'SII' is constant" in lines[0]
+
+
 def test_huge_seed_runs(capsys, data_file):
     seed = str(2**200)
     assert main(["reproduce", "--format", "json", "--seed", seed, "--replicates", "5"]) == 0

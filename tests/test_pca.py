@@ -170,6 +170,15 @@ def test_retention_threshold(sorted_dataset):
     assert none_kept.loadings == ((), (), (), (), ())
 
 
+@pytest.mark.parametrize("retention", [math.nan, math.inf, -math.inf, "1", None])
+def test_retention_threshold_must_be_a_finite_number(sorted_dataset, retention):
+    # a NaN threshold would keep no component, and silently
+    with pytest.raises(ValidationError, match="retention threshold must be a finite number"):
+        run_pca(sorted_dataset, DIMENSIONS, retention=retention)
+    with pytest.raises(ValidationError, match="retention threshold must be a finite number"):
+        principal_components(correlation_matrix(sorted_dataset, DIMENSIONS), retention)
+
+
 def test_correlation_kmo_and_pca_power_of_two_sweep(dataset):
     """Scaling every score by 2**k leaves r, p, KMO, the eigenvalues and the
     loadings unchanged, to the last bit, for every k at which each scaled

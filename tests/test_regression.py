@@ -11,6 +11,7 @@ import pytest
 
 from indexlab import (
     Dataset,
+    DegenerateDataError,
     IndexLabError,
     InsufficientDataError,
     SingularDesignError,
@@ -149,6 +150,18 @@ def test_durbin_watson_input_errors(monkeypatch):
             durbin_watson([1.0, -1.0, 0.5], replicates=replicates, seed=1)
     with pytest.raises(ValidationError, match="seed must be non-negative"):
         durbin_watson([1.0, -1.0, 0.5], replicates=10, seed=-1)
+    for bad in (2.5, True, np.True_, "10", None):
+        with pytest.raises(ValidationError, match="replicates must be an integer"):
+            durbin_watson([1.0, -1.0, 0.5], replicates=bad, seed=1)
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            durbin_watson([1.0, -1.0, 0.5], replicates=10, seed=bad)
+
+
+def test_durbin_watson_takes_integers_of_any_type():
+    residuals = [1.0, -1.0, 0.5, 2.0]
+    expected = durbin_watson(residuals, replicates=99, seed=7)
+    for integer in (np.int64, np.uint16, np.int8):
+        assert durbin_watson(residuals, replicates=integer(99), seed=integer(7)) == expected
 
 
 def test_durbin_watson_on_raw_residuals():
@@ -173,6 +186,11 @@ def _permutation_rows(seed: int, n: int, replicates: int) -> np.ndarray:
     return np.concatenate(list(_permutation_chunks(seed, n, replicates)))
 
 
+def _chunk_rows(n: int, workers: int = 1) -> int:
+    """The rows of one worker's chunk: 2**15 keys shared by all workers."""
+    return max(1, 2**15 // (workers * n))
+
+
 def _reference_dw_p(residuals, replicates: int, seed: int) -> float:
     """The bootstrap as a per-replicate loop: one generator per replicate,
     each permutation scored on its own with the tie rule and the +1 rule."""
@@ -191,8 +209,10 @@ def _reference_dw_p(residuals, replicates: int, seed: int) -> float:
 @pytest.mark.parametrize("seed", [0, 7, 42])
 def test_durbin_watson_matches_per_replicate_loop(n, seed):
     residuals = np.random.default_rng([n, seed]).normal(0.0, 3.0, n)
-    # R around the scoring chunk size checks the chunk edges
-    for replicates in (1, 7, 255, 256, 257, 2000):
+    # R around one worker's chunk checks the chunk edges (218/219 at n = 150);
+    # 2,000 at n = 150 is split where two CPUs are available
+    rows = _chunk_rows(n)
+    for replicates in (1, 7, rows - 1, rows, rows + 1, 2000):
         dw = durbin_watson(residuals, replicates=replicates, seed=seed)
         assert dw.p.value == _reference_dw_p(residuals, replicates, seed), replicates
 
@@ -204,7 +224,8 @@ def test_permutations_equal_per_replicate_generators(seed):
     for n in (3, 29, 256, 257):
         rows = _permutation_rows(seed, n, 600)
         assert rows.shape == (600, n)
-        for i in (0, 1, 255, 256, 511, 512, 599):
+        edges = [i for m in (_chunk_rows(n), 2 * _chunk_rows(n)) for i in (m - 1, m) if i < 600]
+        for i in (0, 1, *edges, 599):
             assert rows[i].tolist() == _reference_permutation(seed, n, i), (n, i)
     assert _permutation_rows(seed, 2900, 1)[0].tolist() == _reference_permutation(seed, 2900, 0)
 
@@ -215,6 +236,9 @@ class _TiedStream:
 
     def __init__(self, seed):
         pass
+
+    def advance(self, delta):
+        return self
 
     def random_raw(self, size):
         return np.full(size, 0xAAAA_AAAA_AAAA_AAAA, dtype=np.uint64)
@@ -235,21 +259,24 @@ def test_permutations_pinned():
 
 
 def test_permutations_are_prefixes_of_longer_runs():
-    for n in (3, 29, 257):
-        longer = _permutation_rows(5, n, 1000)
-        for replicates in (255, 256, 257):
+    # one worker's chunks hold 2**15 // n rows: 10,922 at n = 3, 1,129 at
+    # n = 29 and 127 at n = 257
+    for n, rows in ((3, 10_922), (29, 1_129), (257, 127)):
+        longer = _permutation_rows(5, n, 2 * rows + 1)
+        for replicates in (rows - 1, rows, rows + 1, 2 * rows + 1):
             chunks = list(_permutation_chunks(5, n, replicates))
-            assert [len(chunk) for chunk in chunks[:-1]] == [256] * (len(chunks) - 1)
+            assert [len(chunk) for chunk in chunks[:-1]] == [rows] * (len(chunks) - 1)
             assert np.array_equal(np.concatenate(chunks), longer[:replicates]), (n, replicates)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**130 + 3])
 def test_permutations_equal_argsort_of_masked_keys(seed):
     # low-bit widths at and around powers of two (n = 4, 8/9, 32/33), and R
-    # on both sides of the chunk edge
+    # on both sides of one worker's chunk edge
     for n in (3, 4, 5, 8, 9, 29, 32, 33, 120, 2900):
         low_bits = np.uint64((1 << max(1, (n - 1).bit_length())) - 1)
-        for replicates in (1, 255, 256, 257, 1000):
+        rows = _chunk_rows(n)
+        for replicates in (1, rows - 1, rows, rows + 1, 1000):
             keys = np.random.PCG64(seed).random_raw(replicates * n).reshape(replicates, n)
             keys = (keys & ~low_bits) | np.arange(n, dtype=np.uint64)
             assert np.array_equal(_permutation_rows(seed, n, replicates),
@@ -293,7 +320,7 @@ def _per_vector_durbin_watson_many(vectors, replicates: int, seed: int):
 
 
 # the table's row widths around powers of two, and n on both sides of the
-# chunk size that bounds the table
+# table bound
 _TABLE_EDGES = [3, 4, 5, 8, 29, 31, 32, 33, 120, 255, 256, 257, 300]
 
 
@@ -334,28 +361,38 @@ def _scorer_peak_bytes(k: int, n: int, replicates: int) -> int:
 
 
 def test_durbin_watson_scratch_memory():
-    # past the chunk size no table is built: one at n = 2,900 would hold
+    # past the table bound no table is built: one at n = 2,900 would hold
     # 4096**2 doubles (134 MB) per vector; the gather peaks near 0.1 MB
     assert _scorer_peak_bytes(1, 2900, 1) < 1_000_000
-    # at the largest n with a table, three vectors peak near 4.2 MB: the
-    # table and one chunk's gather from it, 1.6 MB each; the peak does not
-    # grow with R
+    # at the largest n with a table, three vectors peak near 2.4 MB: the
+    # table, 1.6 MB, and the workers' gathers from it, 2**15 keys in all;
+    # the peak does not grow with R
     peak = _scorer_peak_bytes(3, 256, 10_000)
     assert peak < 5_000_000
     assert peak <= _scorer_peak_bytes(3, 256, 512) + 65_536
 
 
+@pytest.mark.parametrize("n", [3, 29, 300, 1000, 2900])
+def test_durbin_watson_one_worker_scratch_memory(monkeypatch, n):
+    """One worker's chunks hold 2**15 keys, whatever n, so three vectors
+    scored over three chunks and a row peak at or below 1.5 MB."""
+    monkeypatch.setattr(regression, "_available_cpus", lambda: 1)
+    peak = _scorer_peak_bytes(3, n, 3 * _chunk_rows(n) + 1)
+    assert peak <= 1_500_000, peak
+
+
 @pytest.mark.parametrize("n", [29, 2900])
 def test_permutations_from_a_start_are_the_later_rows(n):
-    """A run from replicate k, in chunks of m rows, yields rows k.. of a run
-    from 0, whether or not k is a multiple of m."""
+    """A run from replicate k, in the chunks of one of w workers, yields rows
+    k.. of a run from 0, whether or not k is a multiple of the chunk."""
     replicates = 600
     rows = _permutation_rows(9, n, replicates)
-    for start, size in ((1, 256), (100, 7), (257, 256), (300, 64), (565, 565), (599, 5)):
-        chunks = list(_permutation_chunks(9, n, replicates, start=start, rows=size))
+    for start, workers in ((1, 1), (100, 2), (257, 3), (300, 16), (565, 64), (599, 1)):
+        size = _chunk_rows(n, workers)
+        chunks = list(_permutation_chunks(9, n, replicates, start, workers))
         assert [len(chunk) for chunk in chunks[:-1]] == [size] * (len(chunks) - 1)
-        assert np.array_equal(np.concatenate(chunks), rows[start:]), (start, size)
-    assert list(_permutation_chunks(9, n, replicates, start=replicates, rows=7)) == []
+        assert np.array_equal(np.concatenate(chunks), rows[start:]), (start, workers)
+    assert list(_permutation_chunks(9, n, replicates, replicates, 3)) == []
 
 
 _ON_WORKERS = regression._on_workers
@@ -517,7 +554,7 @@ def test_permutations_position_uniform_past_the_table():
     (a chi-square test over all 300 x 300 cells; rows and columns each sum
     to R, so df = 299**2)."""
     n, replicates = 300, 30_000
-    assert n > regression._SCORE_CHUNK
+    assert n > regression._TABLE_MAX_N
     counts = np.zeros(n * n, dtype=np.int64)
     offsets = np.arange(n) * n
     for chunk in _permutation_chunks(23, n, replicates):
@@ -1074,6 +1111,24 @@ def test_predict_mapping(simple_fit, sorted_dataset):
         predict(simple_fit, {IDESI: 42.0, "bogus": 1.0})
     with pytest.raises(ValidationError, match="missing"):
         predict(simple_fit, {})
+
+
+@pytest.mark.parametrize("value", [50.0, 47.3])
+def test_constant_response_is_degenerate(value):
+    """A fit with predictors of a constant response has no R^2, F or p: it
+    is rejected, naming the response, where it would report F = inf and
+    p = 0 at R^2 = 0, or residuals of rounding noise. The intercept-only
+    model still fits it, with RMSE 0."""
+    rng = np.random.default_rng(4)
+    ds = _column_dataset({"y": np.full(20, value), "a": np.round(rng.uniform(10.0, 90.0, 20), 1),
+                          "b": np.round(rng.uniform(10.0, 90.0, 20), 1)})
+    for predictors in (["a"], ["a", "b"]):
+        with pytest.raises(DegenerateDataError, match="response 'y' is constant"):
+            fit_ols(ds, "y", predictors)
+    with pytest.raises(DegenerateDataError, match="response 'y' is constant"):
+        stepwise_fit(ds, "y", ["a", "b"])
+    h0 = null_model(ds, "y")
+    assert h0.intercept == value and h0.rmse == 0.0 and h0.r_squared == 0.0
 
 
 def test_fit_errors(sorted_dataset):

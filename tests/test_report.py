@@ -52,8 +52,11 @@ def test_validate_schema_rejects_renamed_column(dataset):
         reproduce_all(broken, replicates=10)
 
 
-@pytest.mark.parametrize("kwargs", [{"replicates": 0}, {"replicates": 10**15}, {"seed": -1}],
-                         ids=["replicates=0", "replicates=10**15", "seed=-1"])
+@pytest.mark.parametrize("kwargs", [{"replicates": 0}, {"replicates": 10**15}, {"seed": -1},
+                                    {"replicates": True}, {"replicates": 2.5}, {"seed": 1.5},
+                                    {"seed": "42"}],
+                         ids=["replicates=0", "replicates=10**15", "seed=-1", "replicates=True",
+                              "replicates=2.5", "seed=1.5", "seed='42'"])
 def test_bad_bootstrap_arguments_rejected_before_any_stage(dataset, monkeypatch, kwargs):
     def no_stage(*args):
         raise AssertionError("a stage ran")
@@ -61,6 +64,16 @@ def test_bad_bootstrap_arguments_rejected_before_any_stage(dataset, monkeypatch,
     monkeypatch.setattr(report, "validate_schema", no_stage)
     with pytest.raises(ValidationError, match="replicates must be|seed must be"):
         reproduce_all(dataset, **kwargs)
+
+
+def test_numpy_integer_bootstrap_arguments_give_the_same_report(dataset):
+    """A numpy integer seed or replicate count is the Python int it equals:
+    provenance records that int, and every format emits the same bytes."""
+    expected = reproduce_all(dataset, seed=42, replicates=50)
+    bundle = reproduce_all(dataset, seed=np.int64(42), replicates=np.uint16(50))
+    assert [type(bundle.provenance[key]) for key in ("seed", "replicates")] == [int, int]
+    for fmt in ("markdown", "json", "csv"):
+        assert emit(bundle, fmt) == emit(expected, fmt), fmt
 
 
 def test_gate_excludes_connectivity_only(bundle):
