@@ -6,6 +6,8 @@ Shapiro-Wilk normality, simple/multiple/stepwise least squares with
 Durbin-Watson and collinearity diagnostics, principal component analysis,
 correlation matrices, and a golden-diff harness against the published tables.
 """
+from types import ModuleType as _ModuleType
+
 from ._version import __version__
 from .correlation import (
     CorrelationMatrix,
@@ -88,80 +90,7 @@ from .report import (
     write_figures,
 )
 
-__all__ = [
-    "__version__",
-    "AnovaBlock",
-    "CasewiseDiagnostics",
-    "CellResult",
-    "ColumnLookupError",
-    "CorrelationMatrix",
-    "CorrelationResult",
-    "Dataset",
-    "DatasetParseError",
-    "DefinitionError",
-    "DegenerateDataError",
-    "DescriptiveStats",
-    "DIMENSIONS",
-    "DomainError",
-    "DurbinWatsonResult",
-    "GoldenCell",
-    "GoldenDiff",
-    "HypothesisTestResult",
-    "IDESI",
-    "IndexComponent",
-    "IndexDefinition",
-    "IndexLabError",
-    "IndexScore",
-    "InsufficientDataError",
-    "LinearModelFit",
-    "NormalityResult",
-    "PcaResult",
-    "PILLARS",
-    "PValue",
-    "ReportBundle",
-    "SII",
-    "SingularDesignError",
-    "StepwiseStep",
-    "ValidationError",
-    "bartlett_sphericity",
-    "boxplot_outliers",
-    "bundled_table_a1",
-    "casewise_diagnostics",
-    "chi2_tail_p",
-    "compute_composite",
-    "correlation_matrix",
-    "describe",
-    "diff_golden",
-    "durbin_watson",
-    "emit",
-    "emit_dataset",
-    "eigen_symmetric",
-    "f_tail_p",
-    "figure_file_text",
-    "fit_ols",
-    "golden_cells",
-    "kmo",
-    "normal_cdf",
-    "normal_quantile",
-    "null_model",
-    "parse_dataset",
-    "parse_definition",
-    "pearson",
-    "predict",
-    "predict_country",
-    "principal_components",
-    "preset",
-    "preset_names",
-    "regularized_beta",
-    "regularized_gamma_q",
-    "render_diff",
-    "reproduce_all",
-    "run_pca",
-    "shapiro_wilk",
-    "significance_stars",
-    "stepwise_fit",
-    "t_two_tailed_p",
-    "tukey_hinges",
-    "validate_schema",
-    "write_figures",
-]
+# every name imported above, and none of the submodules those imports bind
+__all__ = ["__version__", *sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType))]

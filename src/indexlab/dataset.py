@@ -28,6 +28,19 @@ from .errors import ColumnLookupError, DatasetParseError, ValidationError
 SCORE_MIN = 0.0
 SCORE_MAX = 100.0
 
+
+def _check_score(value) -> float:
+    """``value`` as a float, if it is a real number, not a bool, in
+    [SCORE_MIN, SCORE_MAX] (so not NaN); otherwise a ValidationError naming it."""
+    # bool is an int subclass; strings and None must not be coerced
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValidationError(f"score {value!r} is not a real number")
+    score = float(value)
+    if not SCORE_MIN <= score <= SCORE_MAX:
+        raise ValidationError(f"score {value!r} outside [{SCORE_MIN:g}, {SCORE_MAX:g}]")
+    return score
+
+
 SII = "SII"
 IDESI = "I-DESI"
 PILLARS = (

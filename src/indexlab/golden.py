@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .dataset import IDESI
-from .report import _SCHEMA, ReportBundle
+from .report import (_ANOVA_KEYS, _COEFFICIENT_KEYS, _COLLINEARITY_KEYS, _SCHEMA,
+                     _SUMMARY_KEYS, ReportBundle)
 
 # half a unit of the printed third decimal; dw_p is a Monte Carlo estimate
 # published from another random generator
@@ -67,16 +68,14 @@ class GoldenDiff:
 
 def _summary(h1: tuple, anova: tuple) -> dict:
     """A model-summary table (Tables 2 and 8): H0/H1 rows, then the ANOVA line."""
-    keys = ("R", "R2", "adjusted_R2", "RMSE", "autocorrelation", "durbin_watson", "dw_p")
     h0 = (0.000, 0.000, 0.000, 12.202, -0.165, 2.214, 0.559)
-    return {"rows": {"H0": dict(zip(keys, h0)), "H1": dict(zip(keys, h1))},
-            "anova": dict(zip(("ss_regression", "df", "mean_square", "F", "p"), anova))}
+    return {"rows": {"H0": dict(zip(_SUMMARY_KEYS, h0)), "H1": dict(zip(_SUMMARY_KEYS, h1))},
+            "anova": dict(zip(_ANOVA_KEYS, anova))}
 
 
 def _coef(*values) -> dict:
     """One coefficient row in column order; one without collinearity stops at p."""
-    keys = ("unstandardized", "standard_error", "standardized", "t", "p", "tolerance", "vif")
-    return dict(zip(keys, values))
+    return dict(zip(_COEFFICIENT_KEYS + _COLLINEARITY_KEYS, values))
 
 
 def _starred(*rows: str) -> dict:

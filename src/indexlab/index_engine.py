@@ -38,21 +38,19 @@ class IndexDefinition:
         names = [c.name for c in self.components]
         if len(set(names)) != len(names):
             raise DefinitionError(f"index {self.name!r} has duplicate component names")
-        total = 0.0
         for c in self.components:
-            if not c.weight > 0.0:
-                raise DefinitionError(
-                    f"component {c.name!r} of {self.name!r} has non-positive weight"
-                )
+            if not 0.0 < c.weight < math.inf:  # NaN fails too
+                raise DefinitionError(f"component {c.name!r} of {self.name!r} has weight "
+                                      f"{c.weight!r}, not a positive finite number")
             if c.sub is not None:
                 for inner in c.sub.components:
                     if inner.sub is not None:
                         raise DefinitionError(
                             f"component {inner.name!r} nests deeper than 2 levels"
                         )
-            total += c.weight
-        if total <= 0.0:
-            raise DefinitionError(f"index {self.name!r} has zero total weight")
+        # finite weights can still overflow in the sum normalized_weights divides by
+        if not math.isfinite(sum(c.weight for c in self.components)):
+            raise DefinitionError(f"index {self.name!r} has a non-finite total weight")
 
     @cached_property
     def normalized_weights(self) -> dict[str, float]:

@@ -63,7 +63,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .base import check_array, unit_exponent
-from .dataset import Dataset
+from .dataset import Dataset, _check_score
 from .descriptive import _moments
 from .distributions import PValue, f_tail_p, t_two_tailed_p
 from .errors import (DegenerateDataError, InsufficientDataError, SingularDesignError,
@@ -576,13 +576,9 @@ def durbin_watson(fit: LinearModelFit | Sequence[float],
                   seed: int = DEFAULT_SEED) -> DurbinWatsonResult:
     """Durbin-Watson d with lag-1 autocorrelation and a permutation-bootstrap p.
 
-    Accepts a fitted model or a raw residual sequence in row order. Each
-    call draws its permutations from one ``PCG64(seed)`` raw stream (see
-    ``_permutation_chunks``) and scores them a chunk at a time, on one or
-    more workers, as the module docstring sets out: each chunk is one
-    vectorized pass over the permuted residuals (see ``_step_sums``) divided
-    by their sum of squares, which no permutation changes. Replicate i
-    depends only on (seed, n, i), so p is the same on any number of CPUs.
+    Accepts a fitted model or a raw residual sequence in row order. The
+    permutations are drawn from the seed and scored as the module docstring
+    sets out, so p is the same on any number of CPUs.
 
     p = min(1, 2 (min(b_ge, b_le) + 1) / (R + 1)), where b_ge and b_le count
     replicates with d_perm >= d and d_perm <= d; the +1 counts the observed
@@ -709,7 +705,8 @@ def stepwise_fit(dataset: Dataset, response: str,
 
 
 def predict(fit: LinearModelFit, x: Mapping[str, float]) -> float:
-    """Evaluate the fitted linear model at the supplied predictor values."""
+    """Evaluate the fitted linear model at the supplied predictor values,
+    each a score: a real number, not a bool, in [0, 100]."""
     unknown = sorted(set(x) - set(fit.predictors))
     if unknown:
         raise ValidationError(f"unknown predictors: {', '.join(unknown)}")
@@ -718,5 +715,5 @@ def predict(fit: LinearModelFit, x: Mapping[str, float]) -> float:
         raise ValidationError(f"missing predictor values: {', '.join(missing)}")
     value = fit.coefficients[0]
     for name, coef in zip(fit.predictors, fit.coefficients[1:]):
-        value += coef * float(x[name])
+        value += coef * _check_score(x[name])
     return value

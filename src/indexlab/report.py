@@ -35,6 +35,7 @@ from .dataset import (
     PILLARS,
     SII,
     Dataset,
+    _check_score,
     bundled_table_a1,
     emit_dataset,
 )
@@ -83,26 +84,19 @@ FORMATS = ("csv", "markdown", "json")
 
 @dataclass(frozen=True)
 class ReportBundle:
-    tables: dict = field(default_factory=dict)
-    figures: dict = field(default_factory=dict)
-    predictions: list = field(default_factory=list)
+    """Every section of a report, declared in the order JSON writes them."""
     provenance: dict = field(default_factory=dict)
+    tables: dict = field(default_factory=dict)
     normality_screen: dict = field(default_factory=dict)
     outlier_screen: dict = field(default_factory=dict)
     gate: dict = field(default_factory=dict)
     casewise: dict = field(default_factory=dict)
+    predictions: list = field(default_factory=list)
+    figures: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "provenance": self.provenance,
-            "tables": self.tables,
-            "normality_screen": self.normality_screen,
-            "outlier_screen": self.outlier_screen,
-            "gate": self.gate,
-            "casewise": self.casewise,
-            "predictions": self.predictions,
-            "figures": self.figures,
-        }
+        # a shallow copy: dataclasses.asdict would deep-copy every figure
+        return dict(vars(self))
 
 
 def validate_schema(dataset: Dataset) -> None:
@@ -122,32 +116,24 @@ def validate_schema(dataset: Dataset) -> None:
 
 def _descriptives_table(columns: Sequence[str], stats: dict[str, DescriptiveStats],
                         normality: dict[str, NormalityResult] | None = None) -> dict:
-    rows: dict[str, list] = {
-        "valid": [stats[c].valid for c in columns],
-        "missing": [stats[c].missing for c in columns],
-        "mean": [stats[c].mean for c in columns],
-        "std_deviation": [stats[c].std_deviation for c in columns],
-    }
-    if normality is not None:
-        rows["shapiro_wilk"] = [normality[c].w for c in columns]
-        rows["shapiro_wilk_p"] = [normality[c].p.value for c in columns]
-    rows["minimum"] = [stats[c].minimum for c in columns]
-    rows["maximum"] = [stats[c].maximum for c in columns]
+    """One row per key of ``_DESCRIPTIVE_LABELS``: the Shapiro-Wilk rows,
+    when normality is given, read each NormalityResult, and every other row
+    the DescriptiveStats field of its key."""
+    rows: dict[str, list] = {}
+    for key in _DESCRIPTIVE_LABELS:
+        if not key.startswith("shapiro_wilk"):
+            rows[key] = [getattr(stats[c], key) for c in columns]
+        elif normality is not None:
+            rows[key] = [normality[c].w if key == "shapiro_wilk" else normality[c].p.value
+                         for c in columns]
     return {"kind": "descriptives", "columns": list(columns), "rows": rows}
 
 
 def _model_summary_table(h0: LinearModelFit, h1: LinearModelFit,
                          dw0, dw1, label: str) -> dict:
     def row(fit: LinearModelFit, dw) -> dict:
-        return {
-            "R": fit.r,
-            "R2": fit.r_squared,
-            "adjusted_R2": fit.adjusted_r_squared,
-            "RMSE": fit.rmse,
-            "autocorrelation": dw.autocorrelation,
-            "durbin_watson": dw.d,
-            "dw_p": dw.p.value,
-        }
+        return dict(zip(_SUMMARY_KEYS, (fit.r, fit.r_squared, fit.adjusted_r_squared, fit.rmse,
+                                        dw.autocorrelation, dw.d, dw.p.value)))
 
     # the H1 fit has no ANOVA block when selection kept no predictor
     anova = h1.anova
@@ -155,13 +141,8 @@ def _model_summary_table(h0: LinearModelFit, h1: LinearModelFit,
         "kind": "model_summary",
         "label": label,
         "rows": {"H0": row(h0, dw0), "H1": row(h1, dw1)},
-        "anova": None if anova is None else {
-            "ss_regression": anova.ss_regression,
-            "df": anova.df,
-            "mean_square": anova.mean_square,
-            "F": anova.f,
-            "p": anova.p.value,
-        },
+        "anova": None if anova is None else dict(zip(_ANOVA_KEYS, (
+            anova.ss_regression, anova.df, anova.mean_square, anova.f, anova.p.value))),
     }
 
 
@@ -169,23 +150,15 @@ def _coefficients_table(h0: LinearModelFit, h1: LinearModelFit,
                         label: str, with_collinearity: bool = False) -> dict:
     def rows(fit: LinearModelFit) -> tuple[dict, list[str]]:
         labels = ["(Intercept)", *fit.predictors]
-        out: dict[str, dict] = {}
-        for i, name in enumerate(labels):
-            out[name] = {
-                "unstandardized": fit.coefficients[i],
-                "standard_error": fit.standard_errors[i],
-                "standardized": fit.standardized_betas[i],
-                "t": fit.t_values[i],
-                "p": fit.p_values[i].value,
-            }
-        return out, labels
+        values = zip(fit.coefficients, fit.standard_errors, fit.standardized_betas,
+                     fit.t_values, [p.value for p in fit.p_values])
+        return {name: dict(zip(_COEFFICIENT_KEYS, v)) for name, v in zip(labels, values)}, labels
 
     h0_rows, h0_order = rows(h0)
     h1_rows, h1_order = rows(h1)
     if with_collinearity:
-        for name, tolerance, vif in zip(h1.predictors, h1.tolerance, h1.vif):
-            h1_rows[name]["tolerance"] = tolerance
-            h1_rows[name]["vif"] = vif
+        for name, *values in zip(h1.predictors, h1.tolerance, h1.vif):
+            h1_rows[name].update(zip(_COLLINEARITY_KEYS, values))
     return {
         "kind": "coefficients",
         "label": label,
@@ -261,8 +234,7 @@ def _prediction_record(model: str, fit: LinearModelFit, score: float,
                        dataset: Dataset) -> dict:
     """Prediction for one input score, annotated with the published value when
     the published computation exists for that query."""
-    if not 0.0 <= score <= 100.0:
-        raise ValidationError(f"score {score!r} outside [0, 100]")
+    score = _check_score(score)
     predictor = fit.predictors[0]
     predicted = predict(fit, {predictor: score})
     nearest, nearest_score = _nearest_country(dataset, predicted)
@@ -315,24 +287,15 @@ def reproduce_all(dataset: Dataset, seed: int = DEFAULT_SEED, *,
                   replicates: int = DEFAULT_REPLICATES) -> ReportBundle:
     """Run the published analysis pipeline and collect every table and figure.
 
-    The three Durbin-Watson bootstraps (H0, the simple model and the
-    stepwise model) share one draw of R permutations from the seed's raw
-    PCG64 stream: the three fits are made first, then one scorer walks the
-    permutations once and scores the three residual vectors on every chunk
-    of them, with one gather from a table of their squared differences while
-    n <= 256. Each p-value equals that of its own ``durbin_watson`` call at the
-    same seed and R, counts the observed order among the permutations,
-    2 (b + 1) / (R + 1), and so is never 0. No permutation matrix is stored.
-    At the published n = 29 and R = 10,000 the draw is split across two
-    workers where two CPUs are available, by the rule that the ``regression``
-    module docstring states; the counts of the workers' replicate ranges are
-    summed, so the report is the same to the byte on any number of CPUs.
-    Provenance names the permutation scheme (``dw_permutation``). Each
-    column is sorted once, for the descriptives, Shapiro-Wilk and the boxplot
-    hinges, and one exact-sum pass over it gives both the descriptives and
-    the sum of squares that Shapiro-Wilk divides by; a column that
-    Shapiro-Wilk rejects is named in the error. A bad seed or
-    replicate count, or a table with too few rows for the five-predictor
+    The three Durbin-Watson bootstraps (H0, the simple model and the stepwise
+    model) share one draw of R permutations, as the ``regression`` module
+    docstring sets out; each p-value equals that of its own ``durbin_watson``
+    call at the same seed and R, and provenance names the permutation scheme
+    (``dw_permutation``). Each column is sorted once, for the descriptives,
+    Shapiro-Wilk and the boxplot hinges, and one exact-sum pass over it gives
+    both the descriptives and the sum of squares that Shapiro-Wilk divides
+    by; a column that Shapiro-Wilk rejects is named in the error. A bad seed
+    or replicate count, or a table with too few rows for the five-predictor
     model, is rejected before any stage runs.
 
     ``dataset_sha256`` hashes ``emit_dataset`` of the sorted copy. A parsed
@@ -471,6 +434,12 @@ def _fmt_p(p: float) -> str:
     return f"{p:.3f}"
 
 
+def _p_text(p: float) -> str:
+    """p as prose writes it: "p<0.001" or "p=0.123"."""
+    text = _fmt_p(p)
+    return "p" + text if text.startswith("<") else "p=" + text
+
+
 class _Column(NamedTuple):
     """A grid column: its CSV key, its markdown label and the format of its
     markdown cells (str for cells that arrive as text)."""
@@ -518,10 +487,15 @@ _SUMMARY_COLUMNS = (
     _Column("autocorrelation", "Auto-correlation"),
     _Column("durbin_watson", "Statistic"), _Column("dw_p", "p"),
 )
+_SUMMARY_KEYS = tuple(c.key for c in _SUMMARY_COLUMNS[1:])
+# the ANOVA line's keys in the table dict, in order, with their CSV keys
+_ANOVA_CSV_KEYS = {"ss_regression": "anova_ss", "df": "anova_df",
+                   "mean_square": "anova_mean_square", "F": "anova_F", "p": "anova_p"}
+_ANOVA_KEYS = tuple(_ANOVA_CSV_KEYS)
 
 
 def _model_summary_layout(table: dict) -> _Grid:
-    rows = [[model, *[table["rows"][model][c.key] for c in _SUMMARY_COLUMNS[1:]]]
+    rows = [[model, *[table["rows"][model][key] for key in _SUMMARY_KEYS]]
             for model in ("H0", "H1")]
     anova = table["anova"]
     if anova is None:  # the H1 fit kept no predictor
@@ -529,9 +503,8 @@ def _model_summary_layout(table: dict) -> _Grid:
     return _Grid(_SUMMARY_COLUMNS, rows, [
         f"ANOVA: regression sum of squares={_fmt(anova['ss_regression'])}, "
         f"df={anova['df']}, mean square={_fmt(anova['mean_square'])}, "
-        f"F={_fmt(anova['F'])}, p{'<0.001' if anova['p'] < 0.001 else '=' + _fmt(anova['p'])}"
-    ], [["anova_ss", "anova_df", "anova_mean_square", "anova_F", "anova_p"],
-        [anova[k] for k in ("ss_regression", "df", "mean_square", "F", "p")]])
+        f"F={_fmt(anova['F'])}, {_p_text(anova['p'])}"
+    ], [list(_ANOVA_CSV_KEYS.values()), [anova[key] for key in _ANOVA_KEYS]])
 
 
 _COEFFICIENT_COLUMNS = (
@@ -540,6 +513,8 @@ _COEFFICIENT_COLUMNS = (
     _Column("standardized", "Standardized"), _Column("t", "t"), _Column("p", "p", _fmt_p),
 )
 _COLLINEARITY_COLUMNS = (_Column("tolerance", "Tolerance"), _Column("vif", "VIF"))
+_COEFFICIENT_KEYS = tuple(c.key for c in _COEFFICIENT_COLUMNS[2:])
+_COLLINEARITY_KEYS = tuple(c.key for c in _COLLINEARITY_COLUMNS)
 
 
 def _coefficients_layout(table: dict) -> _Grid:
@@ -584,8 +559,7 @@ def _pca_layout(table: dict) -> _Grid:
     notes = [
         f"Note: {table['note']} Extraction method: PCA.",
         f"KMO={_fmt(table['kmo'])}; Bartlett's test of sphericity: "
-        f"chi-square={_fmt(bartlett['chi2'])}, df={bartlett['df']}, "
-        f"p{'<0.001' if bartlett['p'] < 0.001 else '=' + _fmt(bartlett['p'])}; "
+        f"chi-square={_fmt(bartlett['chi2'])}, df={bartlett['df']}, {_p_text(bartlett['p'])}; "
         f"variance explained by component 1: {_fmt(table['variance_explained_pct'][0])}%",
     ]
     csv_rows = [

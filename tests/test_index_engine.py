@@ -169,3 +169,12 @@ def test_parse_definition_errors():
         parse_definition("alpha, heavy\n", name="bad")
     with pytest.raises(DefinitionError, match="empty component name"):
         parse_definition(", 5\n", name="bad")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a, inf\nb, 1", "component 'a' of 'x' has weight inf, not a positive finite number"),
+    ("a, 1e308\nb, 1e308", "index 'x' has a non-finite total weight"),
+])
+def test_parse_definition_rejects_weights_that_overflow(text, message):
+    with pytest.raises(DefinitionError, match=message):
+        parse_definition(text, "x")

@@ -1,6 +1,7 @@
 """The public surface: the README's example runs, and the package exports
 exactly the names it defines."""
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,12 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from indexlab import *", namespace)
     assert set(indexlab.__all__) <= set(namespace)
+
+
+def test_exports_hold_no_module_and_no_private_name():
+    assert not [name for name in indexlab.__all__
+                if isinstance(getattr(indexlab, name), types.ModuleType)]
+    assert [name for name in indexlab.__all__ if name.startswith("_")] == ["__version__"]
 
 
 @pytest.mark.parametrize("name", ["OLS", "StepwiseOLS", "CountryRecord", "NotFittedError",

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -1111,6 +1112,12 @@ def test_predict_mapping(simple_fit, sorted_dataset):
         predict(simple_fit, {IDESI: 42.0, "bogus": 1.0})
     with pytest.raises(ValidationError, match="missing"):
         predict(simple_fit, {})
+
+
+@pytest.mark.parametrize("score", ["42", math.nan, math.inf, True, None, [42.0], -1.0, 142.0])
+def test_predict_rejects_a_score_that_is_not_a_real_number_in_range(simple_fit, score):
+    with pytest.raises(ValidationError, match=f"score {re.escape(repr(score))} "):
+        predict(simple_fit, {IDESI: score})
 
 
 @pytest.mark.parametrize("value", [50.0, 47.3])

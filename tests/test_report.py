@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,12 @@ def test_predict_country_validation():
         predict_country("simple", 142.0)
     with pytest.raises(ValidationError, match="outside"):
         predict_country("simple", -1.0)
+
+
+@pytest.mark.parametrize("score", ["42", None, [42.0], True])
+def test_predict_country_rejects_a_score_that_is_not_a_real_number_in_range(score):
+    with pytest.raises(ValidationError, match=f"score {re.escape(repr(score))} "):
+        predict_country("simple", score)
 
 
 def test_cross_table_consistency(bundle):
