@@ -39,7 +39,13 @@ class IndexDefinition:
         if len(set(names)) != len(names):
             raise DefinitionError(f"index {self.name!r} has duplicate component names")
         for c in self.components:
-            if not 0.0 < c.weight < math.inf:  # NaN fails too
+            try:
+                # NaN fails the comparison, a string or None raises TypeError,
+                # and an int past the float range raises OverflowError in float()
+                finite = 0.0 < c.weight < math.inf and float(c.weight) < math.inf
+            except (TypeError, OverflowError):
+                finite = False
+            if not finite:
                 raise DefinitionError(f"component {c.name!r} of {self.name!r} has weight "
                                       f"{c.weight!r}, not a positive finite number")
             if c.sub is not None:
@@ -49,7 +55,7 @@ class IndexDefinition:
                             f"component {inner.name!r} nests deeper than 2 levels"
                         )
         # finite weights can still overflow in the sum normalized_weights divides by
-        if not math.isfinite(sum(c.weight for c in self.components)):
+        if not math.isfinite(sum(float(c.weight) for c in self.components)):
             raise DefinitionError(f"index {self.name!r} has a non-finite total weight")
 
     @cached_property

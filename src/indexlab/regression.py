@@ -37,9 +37,15 @@ process may run on: each worker scores one contiguous range of replicates
 from its own ``PCG64(seed)``, advanced past the ranges before it, the calling
 thread the first range and a daemon thread each other. The numpy calls that
 do the work release the GIL. Each worker draws its range in chunks of
-2**15 // (workers n) rows, at least 1: no permutation matrix is stored, and
-the workers together hold at most max(2**15, workers n) keys at once, so
-scratch memory grows neither with R nor, below n = 2**15 / workers, with n.
+2**15 // (workers n) rows, at least 1, and the workers together hold at most
+max(2**15, workers n) keys at once, so scratch memory grows neither with R
+nor, below n = 2**15 / workers, with n. The draw depends on the seed and n
+only, so the last draw with n <= 256 and R n <= 2**20 is kept, one byte per
+index (at most 1 MiB, read-only), and a later call with its seed and n and
+at most its R scores the first R kept rows, in the same chunks, on the same
+workers: every p-value of such a hit is the same to the last bit as that of
+a fresh draw. A draw is kept only once every worker has finished it; each
+other draw streams as above and leaves the kept one in place.
 The counts behind each p-value are integers summed over the ranges, so the
 p-values do not depend on the CPU count, to the last bit. Up to n = 256 the
 scorer first tabulates every squared difference (r_v[b] - r_v[a])^2 of every
@@ -94,6 +100,11 @@ _DW_TIE_RTOL = 1e-12
 _SPLIT_KEYS = 2**17
 # the keys that the workers of a draw hold at once, all chunks together
 _CHUNK_KEYS = 2**15
+# the largest draw (R n) kept for the next call with its seed and n
+_KEEP_KEYS = 2**20
+# the last kept draw, ((seed, n), its read-only (R, n) uint8 permutations):
+# set by one assignment, so a concurrent call reads the old draw or the new
+_kept_draw: tuple[tuple[int, int], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -377,6 +388,11 @@ def _check_bootstrap(replicates: int, seed: int) -> tuple[int, int]:
     return replicates, seed
 
 
+def _chunk_rows(n: int, workers: int) -> int:
+    """The rows of one of ``workers`` workers' chunks of permutations of range(n)."""
+    return max(1, _CHUNK_KEYS // (workers * n))
+
+
 def _permutation_chunks(seed: int, n: int, replicates: int, start: int = 0,
                         workers: int = 1) -> Iterator[np.ndarray]:
     """The bootstrap's permutations of range(n) from replicate ``start`` up
@@ -395,7 +411,7 @@ def _permutation_chunks(seed: int, n: int, replicates: int, start: int = 0,
     O(log(start n)) steps), so its rows are rows start.. of a run from 0,
     whatever the chunk size: each worker of a split draw reads its range so.
     """
-    rows = max(1, _CHUNK_KEYS // (workers * n))
+    rows = _chunk_rows(n, workers)
     bitgen = np.random.PCG64(seed)
     bitgen.advance(start * n)
     low_bits = np.uint64((1 << max(1, (n - 1).bit_length())) - 1)
@@ -514,6 +530,7 @@ def _durbin_watson_many(fits: Sequence[LinearModelFit | Sequence[float]],
     Each worker of the draw (see the module docstring) counts the
     replicates of its range on either side of the observed d, and the counts
     are summed."""
+    global _kept_draw
     # contiguous: the dot products of a strided view sum in another order
     stack = [np.ascontiguousarray(check_array(
         fit.residuals if isinstance(fit, LinearModelFit) else fit, name="fit"))
@@ -549,10 +566,29 @@ def _durbin_watson_many(fits: Sequence[LinearModelFit | Sequence[float]],
     workers = max(1, min(_available_cpus(), replicates * n // _SPLIT_KEYS))
     bounds = [replicates * w // workers for w in range(workers + 1)]
 
+    kept = _kept_draw
+    if kept is not None and kept[0] == (seed, n) and kept[1].shape[0] >= replicates:
+        stored, rows, draw = kept[1], _chunk_rows(n, workers), None
+
+        def chunks(w: int) -> Iterator[np.ndarray]:
+            for first in range(bounds[w], bounds[w + 1], rows):
+                yield stored[first:min(first + rows, bounds[w + 1])].astype(np.int64)
+    else:
+        draw = (np.empty((replicates, n), dtype=np.uint8)
+                if n <= _TABLE_MAX_N and replicates * n <= _KEEP_KEYS else None)
+
+        def chunks(w: int) -> Iterator[np.ndarray]:
+            first = bounds[w]
+            for perms in _permutation_chunks(seed, n, bounds[w + 1], first, workers):
+                if draw is not None:
+                    draw[first:first + perms.shape[0]] = perms
+                    first += perms.shape[0]
+                yield perms
+
     def count(w: int, halt: threading.Event) -> _Counts:
         at_or_above = np.zeros(len(stack), dtype=np.int64)
         at_or_below = np.zeros(len(stack), dtype=np.int64)
-        for perms in _permutation_chunks(seed, n, bounds[w + 1], bounds[w], workers):
+        for perms in chunks(w):
             if halt.is_set():
                 break
             d_perm = step_sums(perms) / ss
@@ -562,6 +598,10 @@ def _durbin_watson_many(fits: Sequence[LinearModelFit | Sequence[float]],
         return at_or_above, at_or_below
 
     counts = _on_workers(count, workers)
+    if draw is not None:
+        # every worker has finished its range: a failed draw never gets here
+        draw.flags.writeable = False
+        _kept_draw = ((seed, n), draw)
     at_or_above = sum(above for above, _ in counts)
     at_or_below = sum(below for _, below in counts)
     return [DurbinWatsonResult(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import _criteria
-from indexlab import Dataset, bundled_table_a1, diff_golden, reproduce_all
+from indexlab import Dataset, bundled_table_a1, diff_golden, regression, reproduce_all
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -12,6 +12,17 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_line("acceptance criteria")
     for _, line in sorted(_criteria.RESULTS):
         terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def fresh_draw():
+    """Empty the kept Durbin-Watson draw before each test, so that a test
+    that compares two draws, or measures one, scores real draws and not one
+    draw read twice; and after it, so that no draw a test kept reaches a
+    session fixture."""
+    regression._kept_draw = None
+    yield
+    regression._kept_draw = None
 
 
 @pytest.fixture(scope="session")

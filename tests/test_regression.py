@@ -21,9 +21,11 @@ from indexlab import (
     chi2_tail_p,
     describe,
     durbin_watson,
+    emit,
     fit_ols,
     null_model,
     predict,
+    reproduce_all,
     stepwise_fit,
 )
 from indexlab.dataset import DIMENSIONS, IDESI, SII
@@ -151,6 +153,8 @@ def test_durbin_watson_input_errors(monkeypatch):
             durbin_watson([1.0, -1.0, 0.5], replicates=replicates, seed=1)
     with pytest.raises(ValidationError, match="seed must be non-negative"):
         durbin_watson([1.0, -1.0, 0.5], replicates=10, seed=-1)
+    with pytest.raises(InsufficientDataError, match="at least 3 residuals, got 2"):
+        durbin_watson([1.0, 2.0])
     for bad in (2.5, True, np.True_, "10", None):
         with pytest.raises(ValidationError, match="replicates must be an integer"):
             durbin_watson([1.0, -1.0, 0.5], replicates=bad, seed=1)
@@ -490,6 +494,110 @@ def test_split_draw_failure_reaches_the_caller(monkeypatch, error, on_main):
         regression._durbin_watson_many(_seeded_residuals(2, 29), 10_000, 1)
     assert caught.value is error
     assert threading.active_count() == threads
+
+
+_PERMUTATION_CHUNKS = regression._permutation_chunks
+
+
+def _count_draws(monkeypatch) -> list[int]:
+    """Record the start of every range of permutations the scorer draws."""
+    draws = []
+
+    def counted(seed, n, replicates, start=0, workers=1):
+        draws.append(start)
+        return _PERMUTATION_CHUNKS(seed, n, replicates, start, workers)
+
+    monkeypatch.setattr(regression, "_permutation_chunks", counted)
+    return draws
+
+
+def test_kept_draw_scores_as_a_fresh_draw(monkeypatch, dataset):
+    """The published run at seed 42 and R = 10,000 gives the same report on a
+    miss and on a hit, at a smaller R as a fresh draw at that R, and with the
+    draw kept on 1 CPU and scored on 2, or the reverse."""
+    def report(replicates: int) -> str:
+        return emit(reproduce_all(dataset, seed=42, replicates=replicates), "json")
+
+    draws = _count_draws(monkeypatch)
+    smaller = report(4_501)
+    full = report(10_000)  # more rows than are kept: drawn again, and kept
+    key, kept = regression._kept_draw
+    assert key == (42, 29) and kept.shape == (10_000, 29) and kept.dtype == np.uint8
+    assert draws
+    draws.clear()
+    assert report(10_000) == full
+    assert report(4_501) == smaller
+    assert regression._kept_draw[1] is kept
+    assert draws == []
+    for draw_cpus, score_cpus in ((1, 2), (2, 1)):
+        regression._kept_draw = None
+        draws.clear()
+        monkeypatch.setattr(regression, "_available_cpus", lambda: draw_cpus)
+        assert report(10_000) == full
+        assert len(draws) == draw_cpus
+        monkeypatch.setattr(regression, "_available_cpus", lambda: score_cpus)
+        assert report(10_000) == full
+        assert report(4_501) == smaller
+        assert len(draws) == draw_cpus
+
+
+def test_kept_draw_is_read_only_and_keyed_by_seed_and_n():
+    """A call at another seed or n draws afresh and keeps its own draw:
+    read-only, and equal to the streamed rows."""
+    for seed, n in ((3, 29), (4, 29), (4, 28)):
+        residuals = _seeded_residuals(2, n)
+        assert regression._durbin_watson_many(residuals, 100, seed) \
+            == _per_vector_durbin_watson_many(residuals, 100, seed), (seed, n)
+        key, kept = regression._kept_draw
+        assert key == (seed, n) and np.array_equal(kept, _permutation_rows(seed, n, 100))
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0, 0] = 1
+
+
+def test_draws_past_the_bounds_are_not_kept():
+    """A draw past the table bound (n = 257) or of more than 2**20 keys
+    streams and leaves the kept draw as it was; one of 2**20 keys is kept."""
+    regression._durbin_watson_many(_seeded_residuals(1, 29), 100, 3)
+    kept = regression._kept_draw
+    for n, replicates in ((257, 100), (256, 4_097), (29, 2**20 // 29 + 1)):
+        residuals = _seeded_residuals(1, n)
+        assert regression._durbin_watson_many(residuals, replicates, 3) \
+            == _per_vector_durbin_watson_many(residuals, replicates, 3), (n, replicates)
+        assert regression._kept_draw is kept, (n, replicates)
+    regression._durbin_watson_many(_seeded_residuals(1, 256), 4_096, 3)
+    assert regression._kept_draw[0] == (3, 256)
+    assert np.array_equal(regression._kept_draw[1], _permutation_rows(3, 256, 4_096))
+
+
+@pytest.mark.parametrize("error", [RuntimeError("scorer failed"), KeyboardInterrupt()])
+def test_failed_draw_is_not_kept(monkeypatch, error):
+    """A draw that fails part way, on any worker, is not kept: the next
+    call draws again and gives the p-values of an undisturbed draw."""
+    residuals = _seeded_residuals(2, 29)
+    expected = regression._durbin_watson_many(residuals, 10_000, 1)
+    regression._kept_draw = None
+    _use_cpus(monkeypatch, 3)
+    step_sums = regression._step_sums
+    scored = itertools.count()
+
+    def failing_step_sums(stack):
+        score = step_sums(stack)
+
+        def failing(perms):
+            if next(scored) == 4:
+                raise error
+            return score(perms)
+        return failing
+
+    monkeypatch.setattr(regression, "_step_sums", failing_step_sums)
+    with pytest.raises(type(error)):
+        regression._durbin_watson_many(residuals, 10_000, 1)
+    assert regression._kept_draw is None
+    draws = _count_draws(monkeypatch)
+    assert regression._durbin_watson_many(residuals, 10_000, 1) == expected
+    assert len(draws) == 3
+    assert regression._kept_draw[0] == (1, 29)
 
 
 def test_durbin_watson_scores_residuals_of_any_magnitude():
