@@ -42,7 +42,7 @@ class IndexDefinition:
             try:
                 # NaN fails the comparison, a string or None raises TypeError,
                 # and an int past the float range raises OverflowError in float()
-                finite = 0.0 < c.weight < math.inf and float(c.weight) < math.inf
+                finite = 0.0 < c.weight and float(c.weight) < math.inf
             except (TypeError, OverflowError):
                 finite = False
             if not finite:

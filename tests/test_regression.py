@@ -355,8 +355,7 @@ def test_step_sums_equal_per_vector_differences(n):
         assert np.array_equal(step_sums(perms), np.stack(expected))
 
 
-def _scorer_peak_bytes(k: int, n: int, replicates: int) -> int:
-    residuals = _seeded_residuals(k, n)
+def _peak_bytes(residuals: list[np.ndarray], replicates: int) -> int:
     tracemalloc.start()
     try:
         regression._durbin_watson_many(residuals, replicates, 1)
@@ -365,16 +364,30 @@ def _scorer_peak_bytes(k: int, n: int, replicates: int) -> int:
         tracemalloc.stop()
 
 
-def test_durbin_watson_scratch_memory():
+_KEEP_KEYS = regression._KEEP_KEYS
+
+
+def _scorer_peak_bytes(monkeypatch, k: int, n: int, replicates: int) -> int:
+    """The peak of a streamed draw alone: no draw is kept before the call,
+    and keeping is off for it."""
+    monkeypatch.setattr(regression, "_kept_draw", None)
+    monkeypatch.setattr(regression, "_KEEP_KEYS", 0)
+    try:
+        return _peak_bytes(_seeded_residuals(k, n), replicates)
+    finally:
+        monkeypatch.setattr(regression, "_KEEP_KEYS", _KEEP_KEYS)
+
+
+def test_durbin_watson_scratch_memory(monkeypatch):
     # past the table bound no table is built: one at n = 2,900 would hold
     # 4096**2 doubles (134 MB) per vector; the gather peaks near 0.1 MB
-    assert _scorer_peak_bytes(1, 2900, 1) < 1_000_000
+    assert _scorer_peak_bytes(monkeypatch, 1, 2900, 1) < 1_000_000
     # at the largest n with a table, three vectors peak near 2.4 MB: the
     # table, 1.6 MB, and the workers' gathers from it, 2**15 keys in all;
     # the peak does not grow with R
-    peak = _scorer_peak_bytes(3, 256, 10_000)
+    peak = _scorer_peak_bytes(monkeypatch, 3, 256, 10_000)
     assert peak < 5_000_000
-    assert peak <= _scorer_peak_bytes(3, 256, 512) + 65_536
+    assert peak <= _scorer_peak_bytes(monkeypatch, 3, 256, 512) + 65_536
 
 
 @pytest.mark.parametrize("n", [3, 29, 300, 1000, 2900])
@@ -382,8 +395,21 @@ def test_durbin_watson_one_worker_scratch_memory(monkeypatch, n):
     """One worker's chunks hold 2**15 keys, whatever n, so three vectors
     scored over three chunks and a row peak at or below 1.5 MB."""
     monkeypatch.setattr(regression, "_available_cpus", lambda: 1)
-    peak = _scorer_peak_bytes(3, n, 3 * _chunk_rows(n) + 1)
+    peak = _scorer_peak_bytes(monkeypatch, 3, n, 3 * _chunk_rows(n) + 1)
     assert peak <= 1_500_000, peak
+
+
+@pytest.mark.parametrize("n, replicates", [(29, 10_000), (256, 4_096)])
+def test_kept_draw_memory(monkeypatch, n, replicates):
+    """A kept draw costs its R n bytes above a streamed draw, and a hit on
+    it peaks no higher than a streamed draw."""
+    monkeypatch.setattr(regression, "_available_cpus", lambda: 1)
+    streamed = _scorer_peak_bytes(monkeypatch, 3, n, replicates)
+    residuals = _seeded_residuals(3, n)
+    miss = _peak_bytes(residuals, replicates)
+    assert regression._kept_draw[1].shape == (replicates, n)
+    assert miss <= streamed + replicates * n + 4_096, (miss, streamed)
+    assert _peak_bytes(residuals, replicates) <= streamed, streamed
 
 
 @pytest.mark.parametrize("n", [29, 2900])
@@ -405,10 +431,12 @@ _ON_WORKERS = regression._on_workers
 
 def _use_cpus(monkeypatch, cpus: int, split_keys: int = 1) -> list[int]:
     """Make the scorer see ``cpus`` CPUs and split every draw of at least
-    ``split_keys`` keys per worker; returns the list of the worker counts
-    of its later calls."""
+    ``split_keys`` keys per worker, and empty the kept draw, so that the
+    next call draws; returns the list of the worker counts of its later
+    calls."""
     monkeypatch.setattr(regression, "_available_cpus", lambda: cpus)
     monkeypatch.setattr(regression, "_SPLIT_KEYS", split_keys)
+    monkeypatch.setattr(regression, "_kept_draw", None)
     seen = []
 
     def recorded(count, workers):
@@ -466,6 +494,7 @@ def test_split_draw_under_fast_thread_switching(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
+            regression._kept_draw = None
             assert regression._durbin_watson_many(residuals, 4_501, 8) == expected
     finally:
         sys.setswitchinterval(interval)
@@ -576,7 +605,6 @@ def test_failed_draw_is_not_kept(monkeypatch, error):
     call draws again and gives the p-values of an undisturbed draw."""
     residuals = _seeded_residuals(2, 29)
     expected = regression._durbin_watson_many(residuals, 10_000, 1)
-    regression._kept_draw = None
     _use_cpus(monkeypatch, 3)
     step_sums = regression._step_sums
     scored = itertools.count()
