@@ -9,10 +9,22 @@ import numpy as np
 from .errors import ValidationError
 
 
+# the numpy dtype kinds that numpy casts to float but that hold no real numbers
+_NOT_REAL = {"U": "text", "S": "bytes", "b": "bools", "c": "complex numbers"}
+
+
 def check_array(x: Any, *, name: str) -> np.ndarray:
-    """Coerce to a finite 1-d float array."""
+    """Coerce real numbers to a finite 1-d float array. Text, bytes, bools
+    and complex numbers are refused, though numpy reads "1" and True as 1.0."""
     try:
-        arr = np.asarray(x, dtype=float)
+        arr = np.asarray(x)
+        # an object array (ints past int64, or mixed types) is read value by value
+        kinds = ({np.asarray(v).dtype.kind for v in arr.flat} if arr.dtype == object
+                 else {arr.dtype.kind})
+        refused = " and ".join(_NOT_REAL[kind] for kind in _NOT_REAL if kind in kinds)
+        if refused:
+            raise ValidationError(f"{name} is not numeric: it holds {refused}")
+        arr = arr.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} is not numeric: {exc}") from exc
     if arr.ndim != 1:

@@ -239,8 +239,9 @@ def _names_and_values(header: list[str], body: list[list[str]]
     keep their parsed text when every distinct cell is the ``repr`` of its
     value, which is what the writer writes for a float, and every name is
     stripped already and holds no character the writer would quote.
-    Anything else goes through the row-by-row loop, which raises on the
-    first bad row or cell with its line number and column.
+    Any other body has a row with the wrong number of cells, a blank name or
+    a cell that ``float`` rejects, and the row-by-row loop raises on the
+    first of them with its line number and column.
     """
     names = [row[0].strip() for row in body]
     if all(names) and all(len(row) == len(header) for row in body):
@@ -258,27 +259,24 @@ def _names_and_values(header: list[str], body: list[list[str]]
                 text = tuple(",".join(row) + "\n" for row in body)
             return names, list(map(number.__getitem__, cells)), text
     columns = header[1:]
-    names, values = [], []
     for lineno, row in enumerate(body, start=2):
         if len(row) != len(header):
             raise ValidationError(
                 f"row {lineno}: expected {len(header)} cells, got {len(row)}"
             )
-        name = row[0].strip()
-        if not name:
+        if not row[0].strip():
             raise ValidationError(f"row {lineno}: empty country name")
-        names.append(name)
         for col, cell in zip(columns, row[1:]):
             cell = cell.strip()
             if not cell:
                 raise ValidationError(f"row {lineno}: missing value in column {col!r}")
             try:
-                values.append(float(cell))
+                float(cell)
             except ValueError:
                 raise DatasetParseError(
                     f"row {lineno}, column {col!r}: not a number: {cell!r}"
                 ) from None
-    return names, values, None
+    raise AssertionError("the fast path rejected a body with no bad row")
 
 
 def _csv_lines(rows: Iterable[Sequence]) -> list[str]:

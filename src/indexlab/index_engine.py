@@ -40,9 +40,11 @@ class IndexDefinition:
             raise DefinitionError(f"index {self.name!r} has duplicate component names")
         for c in self.components:
             try:
-                # NaN fails the comparison, a string or None raises TypeError,
-                # and an int past the float range raises OverflowError in float()
-                finite = 0.0 < c.weight and float(c.weight) < math.inf
+                # a bool is no weight, NaN fails the comparison, a string or
+                # None raises TypeError, and an int past the float range
+                # raises OverflowError in float()
+                finite = (not isinstance(c.weight, (bool, np.bool_))
+                          and 0.0 < c.weight and float(c.weight) < math.inf)
             except (TypeError, OverflowError):
                 finite = False
             if not finite:

@@ -120,7 +120,9 @@ def principal_components(corr: CorrelationMatrix,
                          retention: float = KAISER_THRESHOLD) -> PcaResult:
     """PCA of a correlation matrix; KMO and Bartlett share its one
     eigendecomposition."""
-    if not (isinstance(retention, numbers.Real) and math.isfinite(retention)):
+    # bool is an int subclass, and True would be the threshold 1
+    if isinstance(retention, bool) or not (isinstance(retention, numbers.Real)
+                                           and math.isfinite(retention)):
         raise ValidationError(f"retention threshold must be a finite number, got {retention!r}")
     r = np.array(corr.r)
     p = r.shape[0]

@@ -31,38 +31,29 @@ the keys of a row are distinct. Each row is then sorted, and the low bits of
 the sorted keys are read back as the permutation: the order that an argsort
 of the keys gives, and the same for every sort algorithm. numpy promises to
 keep the bit generators' raw streams across versions (NEP 19), so replicate
-i depends only on (seed, n, i). A draw of R n keys is split across
-min(CPUs, R n // 2**17) workers, at least 1, where CPUs counts those the
-process may run on: each worker scores one contiguous range of replicates
-from its own ``PCG64(seed)``, advanced past the ranges before it, the calling
-thread the first range and a daemon thread each other. The numpy calls that
-do the work release the GIL. Each worker draws its range in chunks of
-2**15 // (workers n) rows, at least 1, and the workers together hold at most
-max(2**15, workers n) keys at once, so scratch memory grows neither with R
-nor, below n = 2**15 / workers, with n. The draw depends on the seed and n
-only, so the last draw with n <= 256 and R n <= 2**20 is kept, one byte per
-index (at most 1 MiB, read-only), and a later call with its seed and n and
-at most its R scores the first R kept rows, in the same chunks, on the same
-workers: every p-value of such a hit is the same to the last bit as that of
-a fresh draw. A draw is kept only once every worker has finished it; each
-other draw streams as above and leaves the kept one in place.
-The counts behind each p-value are integers summed over the ranges, so the
-p-values do not depend on the CPU count, to the last bit. Up to n = 256 the
-scorer first tabulates every squared difference (r_v[b] - r_v[a])^2 of every
+i depends only on (seed, n, i). The calling thread draws and scores the
+replicates in chunks of 2**15 // n rows, at least 1, so scratch memory grows
+neither with R nor, below n = 2**15, with n. The draw depends on the seed
+and n only, so the last draw with n <= 256 and R n <= 2**20 is kept, one
+byte per index (at most 1 MiB, read-only), and a later call with its seed
+and n and at most its R scores the first R kept rows, in the same chunks:
+every p-value of such a hit is the same to the last bit as that of a fresh
+draw. A draw is kept only once it has been scored to its end; each other
+draw streams as above and leaves the kept one in place. The counts behind
+each p-value are integers summed over the chunks. Up to n = 256 the scorer
+first tabulates every squared difference (r_v[b] - r_v[a])^2 of every
 vector, at most 256^2 per vector, and then scores all vectors on a chunk
 with one gather from that table; past n = 256 each vector is gathered and
-differenced on its own. Both sum the same terms in the same order, so every permuted d, and every
-p-value, is the same to the last bit. A replicate whose d is within 1e-12
-(relative) of the observed d is a tie and counts on both sides of the
-two-tailed test, and the p-value counts the observed order among the
-permutations, (b + 1) / (R + 1), so it is never 0.
+differenced on its own. Both sum the same terms in the same order, so every
+permuted d, and every p-value, is the same to the last bit. A replicate
+whose d is within 1e-12 (relative) of the observed d is a tie and counts on
+both sides of the two-tailed test, and the p-value counts the observed order
+among the permutations, (b + 1) / (R + 1), so it is never 0.
 """
 from __future__ import annotations
 
 import math
 import operator
-import os
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -80,8 +71,9 @@ DEFAULT_P_REMOVE = 0.10
 DEFAULT_REPLICATES = 10_000
 DEFAULT_SEED = 42
 # the most Durbin-Watson replicates one call accepts, a bound on its run time:
-# at n = 29 on a 2-CPU x86-64 host, about 16 s for one vector and 19 s for
-# reproduce_all's three, and about twice that on one CPU
+# at n = 29 on one thread of a shared x86-64 host, R = 10**6 took 0.28-0.56 s
+# for one vector and 0.64-0.76 s for reproduce_all's three, so this bound is
+# about 30-55 s and 65-75 s
 MAX_REPLICATES = 10**8
 # the Durbin-Watson permutation scheme, as report provenance names it: the
 # argsort of the masked raw keys, which the low bits of the sorted keys give
@@ -95,10 +87,7 @@ COOKS_FLAG = 1.0
 # from the observed d within which a replicate is a tie
 _TABLE_MAX_N = 256
 _DW_TIE_RTOL = 1e-12
-# a draw of at least this many keys (R n) per worker is split across CPUs;
-# below it, the threads cost more than they save
-_SPLIT_KEYS = 2**17
-# the keys that the workers of a draw hold at once, all chunks together
+# the keys of one chunk of a draw
 _CHUNK_KEYS = 2**15
 # the largest draw (R n) kept for the next call with its seed and n
 _KEEP_KEYS = 2**20
@@ -388,16 +377,14 @@ def _check_bootstrap(replicates: int, seed: int) -> tuple[int, int]:
     return replicates, seed
 
 
-def _chunk_rows(n: int, workers: int) -> int:
-    """The rows of one of ``workers`` workers' chunks of permutations of range(n)."""
-    return max(1, _CHUNK_KEYS // (workers * n))
+def _chunk_rows(n: int) -> int:
+    """The rows of one chunk of permutations of range(n)."""
+    return max(1, _CHUNK_KEYS // n)
 
 
-def _permutation_chunks(seed: int, n: int, replicates: int, start: int = 0,
-                        workers: int = 1) -> Iterator[np.ndarray]:
-    """The bootstrap's permutations of range(n) from replicate ``start`` up
-    to ``replicates``, as (m, n) index arrays in the chunks of one of
-    ``workers`` workers (see the module docstring).
+def _permutation_chunks(seed: int, n: int, replicates: int) -> Iterator[np.ndarray]:
+    """The bootstrap's first ``replicates`` permutations of range(n), as
+    (m, n) index arrays of ``_chunk_rows(n)`` rows, the last one shorter.
 
     Row i orders the raw 64-bit outputs i*n to (i+1)*n - 1 of
     ``PCG64(seed)`` as keys, each with its low bits overwritten by its column
@@ -406,17 +393,13 @@ def _permutation_chunks(seed: int, n: int, replicates: int, start: int = 0,
     the sorted keys are the column indices in that order: the argsort of the
     keys. A tie in the random high bits (probability below n**2 / 2**(65 - b)
     per row for b low bits) goes to the lower column. A run's rows are the
-    first rows of any longer run. A run from ``start`` > 0 jumps its
-    generator past the start * n outputs before it (``PCG64.advance``, in
-    O(log(start n)) steps), so its rows are rows start.. of a run from 0,
-    whatever the chunk size: each worker of a split draw reads its range so.
+    first rows of any longer run.
     """
-    rows = _chunk_rows(n, workers)
+    rows = _chunk_rows(n)
     bitgen = np.random.PCG64(seed)
-    bitgen.advance(start * n)
     low_bits = np.uint64((1 << max(1, (n - 1).bit_length())) - 1)
     columns = np.arange(n, dtype=np.uint64)
-    for first in range(start, replicates, rows):
+    for first in range(0, replicates, rows):
         m = min(rows, replicates - first)
         keys = bitgen.random_raw(m * n).reshape(m, n)
         keys &= ~low_bits
@@ -425,59 +408,6 @@ def _permutation_chunks(seed: int, n: int, replicates: int, start: int = 0,
         keys &= low_bits
         # every index is below 2**63: a signed view indexes without a cast
         yield keys.view(np.int64)
-
-
-def _available_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the
-    platform has one, else the machine's CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-_Counts = tuple[np.ndarray, np.ndarray]
-
-
-def _on_workers(count: Callable[[int, threading.Event], _Counts], workers: int) -> list[_Counts]:
-    """``[count(w, halt) for w in range(workers)]``, with w = 0 on the
-    calling thread and every other w on a daemon thread of its own.
-
-    All threads are joined before this returns or raises. The first
-    exception raised by any count, on any thread, reaches the caller, and
-    ``halt`` is set so that the other counts can stop early: no partial
-    result is ever returned. The threads are daemons, so an interpreter that
-    exits on Ctrl-C does not wait for them.
-    """
-    results: list = [None] * workers
-    failures: list[BaseException] = []
-    halt = threading.Event()
-
-    def run(w: int) -> None:
-        try:
-            results[w] = count(w, halt)
-        except BaseException as exc:
-            failures.append(exc)
-            halt.set()
-
-    threads: list[threading.Thread] = []
-    try:
-        for w in range(1, workers):
-            thread = threading.Thread(target=run, args=(w,), daemon=True)
-            thread.start()
-            threads.append(thread)
-        results[0] = count(0, halt)
-        for thread in threads:
-            thread.join()
-    except BaseException:
-        # Ctrl-C or a failure on this thread: stop the others at their next
-        # chunk, and wait for them
-        halt.set()
-        for thread in threads:
-            thread.join()
-        raise
-    if failures:
-        raise failures[0]
-    return results
 
 
 def _step_sums(stack: Sequence[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
@@ -527,9 +457,9 @@ def _durbin_watson_many(fits: Sequence[LinearModelFit | Sequence[float]],
     length, all scored on one draw of the permutations: each vector's result
     equals that of its own call.
 
-    Each worker of the draw (see the module docstring) counts the
-    replicates of its range on either side of the observed d, and the counts
-    are summed."""
+    The chunks of the draw (see the module docstring) are scored in turn,
+    and each vector's replicates on either side of its observed d are
+    counted."""
     global _kept_draw
     # contiguous: the dot products of a strided view sum in another order
     stack = [np.ascontiguousarray(check_array(
@@ -563,47 +493,31 @@ def _durbin_watson_many(fits: Sequence[LinearModelFit | Sequence[float]],
     upper = np.array([d + _DW_TIE_RTOL * d for d, _ in observed])[:, None]
 
     step_sums = _step_sums(stack)
-    workers = max(1, min(_available_cpus(), replicates * n // _SPLIT_KEYS))
-    bounds = [replicates * w // workers for w in range(workers + 1)]
-
     kept = _kept_draw
     if kept is not None and kept[0] == (seed, n) and kept[1].shape[0] >= replicates:
-        stored, rows, draw = kept[1], _chunk_rows(n, workers), None
-
-        def chunks(w: int) -> Iterator[np.ndarray]:
-            for first in range(bounds[w], bounds[w + 1], rows):
-                yield stored[first:min(first + rows, bounds[w + 1])].astype(np.int64)
+        stored, rows, draw = kept[1][:replicates], _chunk_rows(n), None
+        chunks = (stored[first:first + rows].astype(np.int64)
+                  for first in range(0, replicates, rows))
     else:
+        chunks = _permutation_chunks(seed, n, replicates)
         draw = (np.empty((replicates, n), dtype=np.uint8)
                 if n <= _TABLE_MAX_N and replicates * n <= _KEEP_KEYS else None)
 
-        def chunks(w: int) -> Iterator[np.ndarray]:
-            first = bounds[w]
-            for perms in _permutation_chunks(seed, n, bounds[w + 1], first, workers):
-                if draw is not None:
-                    draw[first:first + perms.shape[0]] = perms
-                    first += perms.shape[0]
-                yield perms
-
-    def count(w: int, halt: threading.Event) -> _Counts:
-        at_or_above = np.zeros(len(stack), dtype=np.int64)
-        at_or_below = np.zeros(len(stack), dtype=np.int64)
-        for perms in chunks(w):
-            if halt.is_set():
-                break
-            d_perm = step_sums(perms) / ss
-            at_or_above += np.count_nonzero(d_perm >= lower, axis=1)
-            at_or_below += np.count_nonzero(d_perm <= upper, axis=1)
-            del d_perm, perms  # so that no chunk's arrays outlive its pass
-        return at_or_above, at_or_below
-
-    counts = _on_workers(count, workers)
+    at_or_above = np.zeros(len(stack), dtype=np.int64)
+    at_or_below = np.zeros(len(stack), dtype=np.int64)
+    filled = 0
+    for perms in chunks:
+        if draw is not None:
+            draw[filled:filled + perms.shape[0]] = perms
+            filled += perms.shape[0]
+        d_perm = step_sums(perms) / ss
+        at_or_above += np.count_nonzero(d_perm >= lower, axis=1)
+        at_or_below += np.count_nonzero(d_perm <= upper, axis=1)
+        del d_perm, perms  # so that no chunk's arrays outlive its pass
     if draw is not None:
-        # every worker has finished its range: a failed draw never gets here
+        # the whole draw is scored: a failed draw never gets here
         draw.flags.writeable = False
         _kept_draw = ((seed, n), draw)
-    at_or_above = sum(above for above, _ in counts)
-    at_or_below = sum(below for _, below in counts)
     return [DurbinWatsonResult(
         d=d, autocorrelation=autocorrelation,
         p=PValue(min(1.0, 2.0 * (min(above, below) + 1) / (replicates + 1))))
@@ -618,7 +532,7 @@ def durbin_watson(fit: LinearModelFit | Sequence[float],
 
     Accepts a fitted model or a raw residual sequence in row order. The
     permutations are drawn from the seed and scored as the module docstring
-    sets out, so p is the same on any number of CPUs.
+    sets out, so p depends only on the residuals, R and the seed.
 
     p = min(1, 2 (min(b_ge, b_le) + 1) / (R + 1)), where b_ge and b_le count
     replicates with d_perm >= d and d_perm <= d; the +1 counts the observed

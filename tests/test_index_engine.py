@@ -141,12 +141,14 @@ def test_definition_validation():
         IndexDefinition(name="empty", components=())
     with pytest.raises(DefinitionError, match="weight"):
         IndexDefinition(name="neg", components=(IndexComponent("a", -1.0),))
-    # no number, or an int past the float range, alone or in the total
-    for weight in ("1", None, 10**400):
+    # no number, a bool, or an int past the float range, alone or in the total
+    for weight in ("1", None, True, np.True_, 10**400):
         with pytest.raises(DefinitionError, match="component 'a' of 'x' has weight "):
             IndexDefinition("x", (IndexComponent("a", weight),))
     with pytest.raises(DefinitionError, match="index 'x' has a non-finite total weight"):
         IndexDefinition("x", (IndexComponent("a", 10**308), IndexComponent("b", 10**308)))
+    with pytest.raises(DefinitionError, match="component 'a' of 'x' has weight True"):
+        IndexDefinition("x", (IndexComponent("a", True), IndexComponent("b", np.True_)))
     with pytest.raises(DefinitionError, match="duplicate"):
         IndexDefinition(name="dup", components=(
             IndexComponent("a", 1.0), IndexComponent("a", 2.0)))

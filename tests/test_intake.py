@@ -1,7 +1,9 @@
-"""Non-finite input to a sample-taking statistic or a tail probability ends
-in an IndexLabError subclass, never in a number."""
+"""Non-finite input to a sample-taking statistic or a tail probability, and
+a sample of text, bytes, bools or complex numbers, ends in an IndexLabError
+subclass, never in a number."""
 import math
 
+import numpy as np
 import pytest
 
 from indexlab import (
@@ -40,11 +42,27 @@ _TAIL_CALLS = {
     "chi2-statistic": (lambda v: chi2_tail_p(v, 4), "non-negative, got nan"),
     "chi2-df": (lambda v: chi2_tail_p(1.0, v), "df >= 1"),
 }
+# a sample numpy would read as numbers, though it holds none -> what the error names
+_NOT_REAL = {
+    "text": (tuple(str(v) for v in _SAMPLE), "text"),
+    "bytes": (tuple(str(v).encode() for v in _SAMPLE), "bytes"),
+    "bools": (tuple(v > 3.0 for v in _SAMPLE), "bools"),
+    "numpy-bools": (np.array(_SAMPLE) > 3.0, "bools"),
+    "complex": (np.array(_SAMPLE) + 0j, "complex numbers"),
+    # an int past int64 makes an object array, read value by value
+    "huge-int-and-text": ((2**70, "1") + _SAMPLE[2:], "text"),
+    "huge-int-and-bool": ((2**70, np.True_) + _SAMPLE[2:], "bools"),
+}
 _CASES = [
     pytest.param(call, (_SAMPLE[0], bad) + _SAMPLE[2:], ValidationError,
                  f"{arg} contains non-finite", id=f"{name}-{bad}")
     for name, (call, arg) in _SAMPLE_CALLS.items()
     for bad in (math.nan, math.inf, -math.inf)
+] + [
+    pytest.param(call, sample, ValidationError, f"{arg} is not numeric: it holds {what}",
+                 id=f"{name}-{kind}")
+    for name, (call, arg) in _SAMPLE_CALLS.items()
+    for kind, (sample, what) in _NOT_REAL.items()
 ] + [
     pytest.param(call, math.nan, DomainError, guard, id=name)
     for name, (call, guard) in _TAIL_CALLS.items()
@@ -58,3 +76,14 @@ _CASES = [
 def test_non_finite_input_is_rejected(call, value, error, match):
     with pytest.raises(error, match=match):
         call(value)
+
+
+@pytest.mark.parametrize("name", _SAMPLE_CALLS)
+def test_real_numbers_of_any_type_are_read_as_floats(name):
+    """Ints past int64, and numpy ints and floats, are scored as their float
+    values are."""
+    call, _ = _SAMPLE_CALLS[name]
+    floats = tuple(v * 2.0**70 for v in _SAMPLE)
+    assert call(tuple(int(v) for v in floats)) == call(floats)
+    assert call(tuple(np.float32(v) for v in _SAMPLE)) == call(_SAMPLE)
+    assert call(np.array(_SAMPLE).astype(np.int64)) == call(tuple(float(int(v)) for v in _SAMPLE))

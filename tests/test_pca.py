@@ -170,7 +170,7 @@ def test_retention_threshold(sorted_dataset):
     assert none_kept.loadings == ((), (), (), (), ())
 
 
-@pytest.mark.parametrize("retention", [math.nan, math.inf, -math.inf, "1", None])
+@pytest.mark.parametrize("retention", [math.nan, math.inf, -math.inf, "1", None, True, np.True_])
 def test_retention_threshold_must_be_a_finite_number(sorted_dataset, retention):
     # a NaN threshold would keep no component, and silently
     with pytest.raises(ValidationError, match="retention threshold must be a finite number"):

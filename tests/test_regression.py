@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import math
 import re
-import sys
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -191,9 +190,9 @@ def _permutation_rows(seed: int, n: int, replicates: int) -> np.ndarray:
     return np.concatenate(list(_permutation_chunks(seed, n, replicates)))
 
 
-def _chunk_rows(n: int, workers: int = 1) -> int:
-    """The rows of one worker's chunk: 2**15 keys shared by all workers."""
-    return max(1, 2**15 // (workers * n))
+def _chunk_rows(n: int) -> int:
+    """The rows of one chunk: 2**15 keys."""
+    return max(1, 2**15 // n)
 
 
 def _reference_dw_p(residuals, replicates: int, seed: int) -> float:
@@ -214,8 +213,7 @@ def _reference_dw_p(residuals, replicates: int, seed: int) -> float:
 @pytest.mark.parametrize("seed", [0, 7, 42])
 def test_durbin_watson_matches_per_replicate_loop(n, seed):
     residuals = np.random.default_rng([n, seed]).normal(0.0, 3.0, n)
-    # R around one worker's chunk checks the chunk edges (218/219 at n = 150);
-    # 2,000 at n = 150 is split where two CPUs are available
+    # R around one chunk checks the chunk edges (218/219 at n = 150)
     rows = _chunk_rows(n)
     for replicates in (1, 7, rows - 1, rows, rows + 1, 2000):
         dw = durbin_watson(residuals, replicates=replicates, seed=seed)
@@ -242,9 +240,6 @@ class _TiedStream:
     def __init__(self, seed):
         pass
 
-    def advance(self, delta):
-        return self
-
     def random_raw(self, size):
         return np.full(size, 0xAAAA_AAAA_AAAA_AAAA, dtype=np.uint64)
 
@@ -264,7 +259,7 @@ def test_permutations_pinned():
 
 
 def test_permutations_are_prefixes_of_longer_runs():
-    # one worker's chunks hold 2**15 // n rows: 10,922 at n = 3, 1,129 at
+    # a chunk holds 2**15 // n rows: 10,922 at n = 3, 1,129 at
     # n = 29 and 127 at n = 257
     for n, rows in ((3, 10_922), (29, 1_129), (257, 127)):
         longer = _permutation_rows(5, n, 2 * rows + 1)
@@ -277,7 +272,7 @@ def test_permutations_are_prefixes_of_longer_runs():
 @pytest.mark.parametrize("seed", [0, 7, 2**130 + 3])
 def test_permutations_equal_argsort_of_masked_keys(seed):
     # low-bit widths at and around powers of two (n = 4, 8/9, 32/33), and R
-    # on both sides of one worker's chunk edge
+    # on both sides of a chunk edge
     for n in (3, 4, 5, 8, 9, 29, 32, 33, 120, 2900):
         low_bits = np.uint64((1 << max(1, (n - 1).bit_length())) - 1)
         rows = _chunk_rows(n)
@@ -383,7 +378,7 @@ def test_durbin_watson_scratch_memory(monkeypatch):
     # 4096**2 doubles (134 MB) per vector; the gather peaks near 0.1 MB
     assert _scorer_peak_bytes(monkeypatch, 1, 2900, 1) < 1_000_000
     # at the largest n with a table, three vectors peak near 2.4 MB: the
-    # table, 1.6 MB, and the workers' gathers from it, 2**15 keys in all;
+    # table, 1.6 MB, and the gathers from it, 2**15 keys a chunk;
     # the peak does not grow with R
     peak = _scorer_peak_bytes(monkeypatch, 3, 256, 10_000)
     assert peak < 5_000_000
@@ -392,9 +387,8 @@ def test_durbin_watson_scratch_memory(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 29, 300, 1000, 2900])
 def test_durbin_watson_one_worker_scratch_memory(monkeypatch, n):
-    """One worker's chunks hold 2**15 keys, whatever n, so three vectors
-    scored over three chunks and a row peak at or below 1.5 MB."""
-    monkeypatch.setattr(regression, "_available_cpus", lambda: 1)
+    """A chunk holds 2**15 keys, whatever n, so three vectors scored over
+    three chunks and a row peak at or below 1.5 MB."""
     peak = _scorer_peak_bytes(monkeypatch, 3, n, 3 * _chunk_rows(n) + 1)
     assert peak <= 1_500_000, peak
 
@@ -403,7 +397,6 @@ def test_durbin_watson_one_worker_scratch_memory(monkeypatch, n):
 def test_kept_draw_memory(monkeypatch, n, replicates):
     """A kept draw costs its R n bytes above a streamed draw, and a hit on
     it peaks no higher than a streamed draw."""
-    monkeypatch.setattr(regression, "_available_cpus", lambda: 1)
     streamed = _scorer_peak_bytes(monkeypatch, 3, n, replicates)
     residuals = _seeded_residuals(3, n)
     miss = _peak_bytes(residuals, replicates)
@@ -412,129 +405,16 @@ def test_kept_draw_memory(monkeypatch, n, replicates):
     assert _peak_bytes(residuals, replicates) <= streamed, streamed
 
 
-@pytest.mark.parametrize("n", [29, 2900])
-def test_permutations_from_a_start_are_the_later_rows(n):
-    """A run from replicate k, in the chunks of one of w workers, yields rows
-    k.. of a run from 0, whether or not k is a multiple of the chunk."""
-    replicates = 600
-    rows = _permutation_rows(9, n, replicates)
-    for start, workers in ((1, 1), (100, 2), (257, 3), (300, 16), (565, 64), (599, 1)):
-        size = _chunk_rows(n, workers)
-        chunks = list(_permutation_chunks(9, n, replicates, start, workers))
-        assert [len(chunk) for chunk in chunks[:-1]] == [size] * (len(chunks) - 1)
-        assert np.array_equal(np.concatenate(chunks), rows[start:]), (start, workers)
-    assert list(_permutation_chunks(9, n, replicates, replicates, 3)) == []
-
-
-_ON_WORKERS = regression._on_workers
-
-
-def _use_cpus(monkeypatch, cpus: int, split_keys: int = 1) -> list[int]:
-    """Make the scorer see ``cpus`` CPUs and split every draw of at least
-    ``split_keys`` keys per worker, and empty the kept draw, so that the
-    next call draws; returns the list of the worker counts of its later
-    calls."""
-    monkeypatch.setattr(regression, "_available_cpus", lambda: cpus)
-    monkeypatch.setattr(regression, "_SPLIT_KEYS", split_keys)
-    monkeypatch.setattr(regression, "_kept_draw", None)
-    seen = []
-
-    def recorded(count, workers):
-        seen.append(workers)
-        return _ON_WORKERS(count, workers)
-
-    monkeypatch.setattr(regression, "_on_workers", recorded)
-    return seen
-
-
-def test_worker_count_rule(monkeypatch):
-    """min(CPUs, R n // 2**17), at least 1: the published run splits on 2
-    CPUs; a batch-sized draw (n <= 120, R = 1,000) and a one-replicate run
-    stay on one."""
-    for cpus, n, replicates, workers in ((2, 29, 10_000, 2), (64, 29, 10_000, 2),
-                                         (1, 29, 10_000, 1), (2, 120, 1_000, 1),
-                                         (64, 2900, 1, 1), (3, 2900, 200, 3)):
-        seen = _use_cpus(monkeypatch, cpus, 2**17)
-        regression._durbin_watson_many(_seeded_residuals(1, n), replicates, 1)
-        assert seen == [workers], (cpus, n, replicates)
-
-
-@pytest.mark.parametrize("seed", [0, 42, 2**130 + 3])
-@pytest.mark.parametrize("n", [3, 29, 256, 257, 2900])
-def test_split_draw_equals_one_worker(monkeypatch, n, seed):
-    """Every p-value of a draw split across 2, 3 or 4 workers equals that of
-    one worker, for n across the table edge and R below, at and not
-    divisible by the worker count."""
-    residuals = _seeded_residuals(2, n)
-    # whole numbers: many permuted sums tie with the observed one
-    residuals[-1] = np.round(residuals[-1])
-    threads = threading.active_count()
-    for replicates in (1, 2, 7, 4_501, 10_000):
-        if n == 2900 and replicates == 10_000 and seed != 42:
-            continue  # 29 million keys a call: one seed shows it
-        _use_cpus(monkeypatch, 1)
-        expected = regression._durbin_watson_many(residuals, replicates, seed)
-        for cpus in (2, 3, 4):
-            seen = _use_cpus(monkeypatch, cpus)
-            assert regression._durbin_watson_many(residuals, replicates, seed) == expected, \
-                (replicates, cpus)
-            assert seen == [min(cpus, replicates * n)]
-    assert threading.active_count() == threads
-
-
-def test_split_draw_under_fast_thread_switching(monkeypatch):
-    """More workers than CPUs, switching threads every microsecond: a lost
-    or doubled range would change the counts."""
-    workers = regression._available_cpus() + 2
-    residuals = _seeded_residuals(3, 29)
-    _use_cpus(monkeypatch, 1)
-    expected = regression._durbin_watson_many(residuals, 4_501, 8)
-    _use_cpus(monkeypatch, workers)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(3):
-            regression._kept_draw = None
-            assert regression._durbin_watson_many(residuals, 4_501, 8) == expected
-    finally:
-        sys.setswitchinterval(interval)
-
-
-@pytest.mark.parametrize("error", [RuntimeError("scorer failed"), KeyboardInterrupt()])
-@pytest.mark.parametrize("on_main", [False, True])
-def test_split_draw_failure_reaches_the_caller(monkeypatch, error, on_main):
-    """A failure on a worker thread, or on the calling thread that scores
-    range 0, reaches the caller, and no thread outlives the call."""
-    _use_cpus(monkeypatch, 3)
-    step_sums = regression._step_sums
-
-    def failing_step_sums(stack):
-        score = step_sums(stack)
-
-        def failing(perms):
-            if (threading.current_thread() is threading.main_thread()) == on_main:
-                raise error
-            return score(perms)
-        return failing
-
-    monkeypatch.setattr(regression, "_step_sums", failing_step_sums)
-    threads = threading.active_count()
-    with pytest.raises(type(error)) as caught:
-        regression._durbin_watson_many(_seeded_residuals(2, 29), 10_000, 1)
-    assert caught.value is error
-    assert threading.active_count() == threads
-
-
 _PERMUTATION_CHUNKS = regression._permutation_chunks
 
 
 def _count_draws(monkeypatch) -> list[int]:
-    """Record the start of every range of permutations the scorer draws."""
+    """Record the replicate count of every draw the scorer starts."""
     draws = []
 
-    def counted(seed, n, replicates, start=0, workers=1):
-        draws.append(start)
-        return _PERMUTATION_CHUNKS(seed, n, replicates, start, workers)
+    def counted(seed, n, replicates):
+        draws.append(replicates)
+        return _PERMUTATION_CHUNKS(seed, n, replicates)
 
     monkeypatch.setattr(regression, "_permutation_chunks", counted)
     return draws
@@ -542,8 +422,7 @@ def _count_draws(monkeypatch) -> list[int]:
 
 def test_kept_draw_scores_as_a_fresh_draw(monkeypatch, dataset):
     """The published run at seed 42 and R = 10,000 gives the same report on a
-    miss and on a hit, at a smaller R as a fresh draw at that R, and with the
-    draw kept on 1 CPU and scored on 2, or the reverse."""
+    miss and on a hit, and at a smaller R as a fresh draw at that R."""
     def report(replicates: int) -> str:
         return emit(reproduce_all(dataset, seed=42, replicates=replicates), "json")
 
@@ -558,16 +437,6 @@ def test_kept_draw_scores_as_a_fresh_draw(monkeypatch, dataset):
     assert report(4_501) == smaller
     assert regression._kept_draw[1] is kept
     assert draws == []
-    for draw_cpus, score_cpus in ((1, 2), (2, 1)):
-        regression._kept_draw = None
-        draws.clear()
-        monkeypatch.setattr(regression, "_available_cpus", lambda: draw_cpus)
-        assert report(10_000) == full
-        assert len(draws) == draw_cpus
-        monkeypatch.setattr(regression, "_available_cpus", lambda: score_cpus)
-        assert report(10_000) == full
-        assert report(4_501) == smaller
-        assert len(draws) == draw_cpus
 
 
 def test_kept_draw_is_read_only_and_keyed_by_seed_and_n():
@@ -601,11 +470,11 @@ def test_draws_past_the_bounds_are_not_kept():
 
 @pytest.mark.parametrize("error", [RuntimeError("scorer failed"), KeyboardInterrupt()])
 def test_failed_draw_is_not_kept(monkeypatch, error):
-    """A draw that fails part way, on any worker, is not kept: the next
-    call draws again and gives the p-values of an undisturbed draw."""
+    """A draw that fails part way reaches the caller and is not kept: the
+    next call draws again and gives the p-values of an undisturbed draw."""
     residuals = _seeded_residuals(2, 29)
     expected = regression._durbin_watson_many(residuals, 10_000, 1)
-    _use_cpus(monkeypatch, 3)
+    regression._kept_draw = None
     step_sums = regression._step_sums
     scored = itertools.count()
 
@@ -619,13 +488,23 @@ def test_failed_draw_is_not_kept(monkeypatch, error):
         return failing
 
     monkeypatch.setattr(regression, "_step_sums", failing_step_sums)
-    with pytest.raises(type(error)):
+    with pytest.raises(type(error)) as caught:
         regression._durbin_watson_many(residuals, 10_000, 1)
+    assert caught.value is error
     assert regression._kept_draw is None
     draws = _count_draws(monkeypatch)
     assert regression._durbin_watson_many(residuals, 10_000, 1) == expected
-    assert len(draws) == 3
+    assert draws == [10_000]
     assert regression._kept_draw[0] == (1, 29)
+
+
+def test_published_run_starts_no_thread(monkeypatch, dataset):
+    """The bootstrap draws and scores every chunk on the calling thread."""
+    def refuse(thread):
+        raise AssertionError(f"a thread was started: {thread!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    reproduce_all(dataset, seed=42, replicates=10_000)
 
 
 def test_durbin_watson_scores_residuals_of_any_magnitude():
