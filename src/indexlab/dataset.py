@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import numbers
 from functools import lru_cache
 from importlib import resources
 from types import SimpleNamespace
@@ -23,6 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .base import real
 from .errors import ColumnLookupError, DatasetParseError, ValidationError
 
 SCORE_MIN = 0.0
@@ -30,12 +30,10 @@ SCORE_MAX = 100.0
 
 
 def _check_score(value) -> float:
-    """``value`` as a float, if it is a real number, not a bool, in
-    [SCORE_MIN, SCORE_MAX] (so not NaN); otherwise a ValidationError naming it."""
-    # bool is an int subclass; strings and None must not be coerced
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+    """``value`` as a float if it is a caller's number in [0, 100], else a ValidationError."""
+    score = real(value)
+    if score is None:
         raise ValidationError(f"score {value!r} is not a real number")
-    score = float(value)
     if not SCORE_MIN <= score <= SCORE_MAX:
         raise ValidationError(f"score {value!r} outside [{SCORE_MIN:g}, {SCORE_MAX:g}]")
     return score
@@ -171,8 +169,8 @@ def _non_blank_strings(names: tuple) -> bool:
 def _score_array(columns: tuple[str, ...], countries: tuple[str, ...],
                  scores: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
     """(n, p) float copy of the scores. An integer or float array is copied
-    as it is; anything else is checked cell by cell, so that a string, None,
-    bool or sequence is named with its country and column, not coerced."""
+    as it is; any other is read cell by cell by ``base.real``, so that a
+    string, None, bool or sequence is named with its country and column."""
     shape = (len(countries), len(columns))
     wrong_shape = f"scores must have shape {shape} (countries x columns)"
     if isinstance(scores, np.ndarray) and scores.dtype.kind in "fiu":
@@ -185,14 +183,12 @@ def _score_array(columns: tuple[str, ...], countries: tuple[str, ...],
         raise ValidationError(wrong_shape) from None
     if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
         raise ValidationError(wrong_shape)
-    for name, row in zip(countries, rows):
-        for col, value in zip(columns, row):
-            # bool is an int subclass; strings and None must not be coerced
-            if not isinstance(value, numbers.Real) or isinstance(value, (bool, np.bool_)):
-                raise ValidationError(
-                    f"value {value!r} for {name!r}, column {col!r} is not a real number"
-                )
-    return np.array(rows, dtype=float).reshape(shape)
+    cells = [real(value) for row in rows for value in row]
+    if None in cells:
+        i, j = divmod(cells.index(None), shape[1])
+        raise ValidationError(f"value {rows[i][j]!r} for {countries[i]!r}, "
+                              f"column {columns[j]!r} is not a real number")
+    return np.array(cells, dtype=float).reshape(shape)
 
 
 def parse_dataset(csv_text: str) -> Dataset:

@@ -9,13 +9,11 @@ score may be given directly or derived from its sub-indicator scores.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
 
-import numpy as np
-
+from .base import FLOAT_TYPES, real
 from .dataset import SCORE_MAX, SCORE_MIN
 from .errors import DefinitionError, ValidationError
 
@@ -39,33 +37,24 @@ class IndexDefinition:
         if len(set(names)) != len(names):
             raise DefinitionError(f"index {self.name!r} has duplicate component names")
         for c in self.components:
-            try:
-                # a bool is no weight, NaN fails the comparison, a string or
-                # None raises TypeError, and an int past the float range
-                # raises OverflowError in float()
-                finite = (not isinstance(c.weight, (bool, np.bool_))
-                          and 0.0 < c.weight and float(c.weight) < math.inf)
-            except (TypeError, OverflowError):
-                finite = False
-            if not finite:
+            # NaN fails the comparison, and an int past the float range reads as inf
+            weight = real(c.weight)
+            if weight is None or not 0.0 < weight < math.inf:
                 raise DefinitionError(f"component {c.name!r} of {self.name!r} has weight "
                                       f"{c.weight!r}, not a positive finite number")
-            if c.sub is not None:
-                for inner in c.sub.components:
-                    if inner.sub is not None:
-                        raise DefinitionError(
-                            f"component {inner.name!r} nests deeper than 2 levels"
-                        )
+            for inner in c.sub.components if c.sub is not None else ():
+                if inner.sub is not None:
+                    raise DefinitionError(f"component {inner.name!r} nests deeper than 2 levels")
         # finite weights can still overflow in the sum normalized_weights divides by
-        if not math.isfinite(sum(float(c.weight) for c in self.components)):
+        if not math.isfinite(sum(real(c.weight) for c in self.components)):
             raise DefinitionError(f"index {self.name!r} has a non-finite total weight")
 
     @cached_property
     def normalized_weights(self) -> dict[str, float]:
         """Component weights scaled to sum to 1, computed once per definition;
         every caller shares the one dict, so none may modify it."""
-        total = sum(c.weight for c in self.components)
-        return {c.name: c.weight / total for c in self.components}
+        total = sum(real(c.weight) for c in self.components)
+        return {c.name: real(c.weight) / total for c in self.components}
 
     @cached_property
     def _plan(self) -> tuple[tuple[str, float, IndexComponent], ...]:
@@ -81,25 +70,20 @@ class IndexScore:
     contributions: dict[str, float] = field(default_factory=dict)
 
 
-_FLOAT_TYPES = (float, np.float64)
-
-
 def compute_composite(definition: IndexDefinition, scores: Mapping[str, float]) -> IndexScore:
     """Renormalized weighted sum of component scores, with per-component contributions.
 
     A component's score is read from ``scores`` by its name; only a missing
     name is derived from the component's sub-indicators. Each score must be
-    a real number in [0, 100]; a bool, a string, None or a sequence is a
-    ``ValidationError`` that names its component."""
+    a number (see ``base``) in [0, 100]; a bool, a string, None or a
+    sequence is a ``ValidationError`` that names its component."""
     contributions: dict[str, float] = {}
     for name, weight, component in definition._plan:
         if name in scores:
             value = scores[name]
-            # float and np.float64 skip the type check; bool is an int
-            # subclass, and strings, None and sequences must not be coerced
-            if type(value) not in _FLOAT_TYPES and (
-                    not isinstance(value, numbers.Real) or isinstance(value, (bool, np.bool_))):
-                raise ValidationError(f"score for {name!r} is {value!r}, not a real number")
+            # float and np.float64 skip the rule of base.real
+            if type(value) not in FLOAT_TYPES and (value := real(value)) is None:
+                raise ValidationError(f"score for {name!r} is {scores[name]!r}, not a real number")
             value = float(value)
             if not SCORE_MIN <= value <= SCORE_MAX:
                 raise ValidationError(f"score for {name!r} is {value!r}, outside [0, 100]")

@@ -9,12 +9,12 @@ fixed so each component's largest-magnitude entry is positive.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .base import real
 from .correlation import CorrelationMatrix, correlation_matrix
 from .dataset import Dataset
 from .distributions import PValue, chi2_tail_p
@@ -88,10 +88,10 @@ def _kmo(r: np.ndarray, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> fl
     return sum_r2 / (sum_r2 + sum_q2)
 
 
-def bartlett_sphericity(corr: CorrelationMatrix, n: int) -> HypothesisTestResult:
-    """Bartlett's test that the correlation matrix is the identity."""
+def bartlett_sphericity(corr: CorrelationMatrix) -> HypothesisTestResult:
+    """Bartlett's test that the correlation matrix of ``corr.n`` rows is the identity."""
     eigenvalues, _ = eigen_symmetric(np.array(corr.r))
-    return _bartlett(eigenvalues, n)
+    return _bartlett(eigenvalues, corr.n)
 
 
 def _bartlett(eigenvalues: np.ndarray, n: int) -> HypothesisTestResult:
@@ -120,9 +120,8 @@ def principal_components(corr: CorrelationMatrix,
                          retention: float = KAISER_THRESHOLD) -> PcaResult:
     """PCA of a correlation matrix; KMO and Bartlett share its one
     eigendecomposition."""
-    # bool is an int subclass, and True would be the threshold 1
-    if isinstance(retention, bool) or not (isinstance(retention, numbers.Real)
-                                           and math.isfinite(retention)):
+    threshold = real(retention)
+    if threshold is None or not math.isfinite(threshold):
         raise ValidationError(f"retention threshold must be a finite number, got {retention!r}")
     r = np.array(corr.r)
     p = r.shape[0]
@@ -130,7 +129,7 @@ def principal_components(corr: CorrelationMatrix,
     if float(np.min(raw_eigenvalues)) < -1e-8:
         raise DomainError("correlation matrix is not positive semidefinite")
     eigenvalues = np.maximum(raw_eigenvalues, 0.0)
-    retained = int(np.sum(eigenvalues >= retention))
+    retained = int(np.sum(eigenvalues >= threshold))
 
     loadings = eigenvectors[:, :retained] * np.sqrt(eigenvalues[:retained])
     anchors = loadings[np.argmax(np.abs(loadings), axis=0), np.arange(retained)]

@@ -53,13 +53,12 @@ among the permutations, (b + 1) / (R + 1), so it is never 0.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .base import check_array, unit_exponent
+from .base import check_array, integer, unit_exponent
 from .dataset import Dataset, _check_score
 from .descriptive import _moments
 from .distributions import PValue, f_tail_p, t_two_tailed_p
@@ -358,16 +357,9 @@ def _dw_statistic(residuals: np.ndarray) -> tuple[float, float]:
     return d, autocorrelation
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as a Python int, if it is an integer of any type but bool."""
-    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
-
-
 def _check_bootstrap(replicates: int, seed: int) -> tuple[int, int]:
     """The replicate count and seed as Python ints, if the bootstrap can run with them."""
-    replicates, seed = _integer(replicates, "replicates"), _integer(seed, "seed")
+    replicates, seed = integer(replicates, "replicates"), integer(seed, "seed")
     if replicates < 1:
         raise ValidationError(f"replicates must be at least 1, got {replicates}")
     if replicates > MAX_REPLICATES:
@@ -660,7 +652,7 @@ def stepwise_fit(dataset: Dataset, response: str,
 
 def predict(fit: LinearModelFit, x: Mapping[str, float]) -> float:
     """Evaluate the fitted linear model at the supplied predictor values,
-    each a score: a real number, not a bool, in [0, 100]."""
+    each a score: a number (see ``base``) in [0, 100]."""
     unknown = sorted(set(x) - set(fit.predictors))
     if unknown:
         raise ValidationError(f"unknown predictors: {', '.join(unknown)}")

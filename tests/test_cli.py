@@ -141,6 +141,18 @@ def test_index_compute_matches_published(capsys, data_file, preset_name, toleran
         assert abs(difference) <= tolerance
 
 
+def test_index_compute_without_the_published_column(capsys, tmp_path):
+    ds = bundled_table_a1()
+    columns = [c for c in ds.columns if c != "I-DESI"]
+    path = tmp_path / "no_idesi.csv"
+    path.write_text(emit_dataset(Dataset(columns, ds.countries, ds.array(columns))))
+    assert main(["index", "compute", "--preset", "idesi-2020", "--input", str(path)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "country,computed,published,difference"
+    assert len(lines) == 30
+    assert all(line.endswith(",,") for line in lines[1:])
+
+
 def _sections(text: str) -> dict[str, list[list[str]]]:
     """The CSV emitter's output as its rows under each ``[section]`` header."""
     sections = {}

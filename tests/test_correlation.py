@@ -8,6 +8,7 @@ from indexlab import (
     DegenerateDataError,
     InsufficientDataError,
     PValue,
+    ValidationError,
     correlation_matrix,
     pearson,
     significance_stars,
@@ -62,6 +63,8 @@ def test_pearson_errors():
     # of squares is not zero; the series is still constant
     with pytest.raises(DegenerateDataError):
         pearson([1.0, 2.0, 3.0], [0.1, 0.1, 0.1])
+    with pytest.raises(ValidationError, match="length mismatch: 3 vs 4"):
+        pearson([1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
 
 
 def test_pearson_power_of_two_sweep():
@@ -181,6 +184,11 @@ def test_correlation_matrix_degenerate_designs(degenerate_designs):
     correlation_matrix(degenerate_designs["linear_combination"], names)
     with pytest.raises(DegenerateDataError, match="p2"):
         correlation_matrix(degenerate_designs["constant"], names)
+
+
+def test_correlation_matrix_needs_two_variables(dataset):
+    with pytest.raises(ValidationError, match="needs at least 2 variables"):
+        correlation_matrix(dataset, (SII,))
 
 
 def test_correlation_matrix_needs_three_rows():

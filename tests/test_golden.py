@@ -162,6 +162,16 @@ def test_missing_table_fails_its_cells_without_raising(bundle):
     assert all(cell.actual is None for cell in failures)
 
 
+def test_a_cell_holding_text_or_past_its_bound_fails_with_its_detail(bundle):
+    perturbed = copy.deepcopy(bundle)
+    perturbed.tables["T1"]["rows"]["mean"][0] = "57.534"
+    perturbed.tables["T2"]["anova"]["p"] = 0.5
+    assert render_diff(diff_golden(perturbed)).splitlines()[:-1] == [
+        "FAIL  tables/T1/rows/mean/0: expected 57.534 +/- 0.0005, got 57.534",
+        "FAIL  tables/T2/anova/p: expected < 0.001, got 0.5",
+    ]
+
+
 def test_row_deleted_dataset_fails_many_cells():
     ds = bundled_table_a1()
     lines = emit_dataset(ds).splitlines(keepends=True)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -136,6 +137,26 @@ def test_compute_composite_rejects_non_numeric_scores():
         assert compute_composite(definition, {**good, "Connectivity": fine}).value == 50.0
 
 
+@pytest.mark.parametrize("weights, scores", [
+    ((2, 1), (50, 60)),
+    ((np.int64(2), np.int64(1)), (np.int64(50), np.int64(60))),
+    ((np.float32(2), np.float32(1)), (np.float32(50), np.float32(60))),
+    ((np.float32(0.1), np.float32(0.3)), (np.float32(33.3), np.float32(66.7))),
+    ((Fraction(2), Fraction(1)), (Fraction(50), Fraction(60))),
+    ((Fraction(1, 3), Fraction(2, 7)), (Fraction(100, 3), Fraction(200, 7))),
+], ids=["int", "int64", "float32", "float32-fractional", "Fraction", "Fraction-fractional"])
+def test_weights_and_scores_of_any_type_give_the_composite_of_their_floats(weights, scores):
+    """Each weight and score is read as its float64 value, so a float32
+    weight does not keep the composite at float32 precision."""
+    def composite(weights, scores):
+        definition = IndexDefinition("x", tuple(map(IndexComponent, "ab", weights)))
+        assert all(type(w) is float for w in definition.normalized_weights.values())
+        return compute_composite(definition, dict(zip("ab", scores)))
+
+    assert composite(weights, scores) == composite(list(map(float, weights)),
+                                                   list(map(float, scores)))
+
+
 def test_definition_validation():
     with pytest.raises(DefinitionError, match="has no components"):
         IndexDefinition(name="empty", components=())
@@ -177,6 +198,13 @@ def test_parse_definition_errors():
         parse_definition("alpha, heavy\n", name="bad")
     with pytest.raises(DefinitionError, match="empty component name"):
         parse_definition(", 5\n", name="bad")
+    with pytest.raises(DefinitionError, match="line 2: sub-component before any component"):
+        parse_definition("\n  a1, 5\nalpha, 1\n", name="bad")
+
+
+def test_parse_definition_skips_blank_lines():
+    assert (parse_definition("alpha, 2\n\n \t\nbeta, 1\n  b1, 50\n\n  b2, 50\n", "demo")
+            == parse_definition("alpha, 2\nbeta, 1\n  b1, 50\n  b2, 50\n", "demo"))
 
 
 @pytest.mark.parametrize("text, message", [

@@ -52,7 +52,7 @@ def test_run_pca_published(sorted_dataset):
     # forms decompose the same matrix again and agree exactly
     corr = correlation_matrix(sorted_dataset, DIMENSIONS)
     assert result.kmo == kmo(corr)
-    assert result.bartlett == bartlett_sphericity(corr, corr.n)
+    assert result.bartlett == bartlett_sphericity(corr)
     assert principal_components(corr) == result
 
 
@@ -74,6 +74,8 @@ def test_eigen_symmetric_validation():
         eigen_symmetric(np.zeros((2, 3)))
     with pytest.raises(ValidationError):
         eigen_symmetric(np.array([[1.0, 0.5], [0.2, 1.0]]))
+    with pytest.raises(ValidationError, match="matrix is empty"):
+        eigen_symmetric(np.zeros((0, 0)))
 
 
 def test_eigen_symmetric_rejects_non_finite():
@@ -135,7 +137,7 @@ def test_kmo_needs_two_variables():
 def test_bartlett_identity_matrix():
     matrix = _matrix(("a", "b", "c"), (
         (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
-    result = bartlett_sphericity(matrix, n=30)
+    result = bartlett_sphericity(matrix)
     assert result.statistic == 0.0
     assert result.df == 3
     assert result.p.value == 1.0
@@ -146,17 +148,23 @@ def test_bartlett_df_rule():
         variables = tuple(f"v{i}" for i in range(p))
         identity = tuple(
             tuple(1.0 if i == j else 0.0 for j in range(p)) for i in range(p))
-        result = bartlett_sphericity(_matrix(variables, identity, n=40), n=40)
+        result = bartlett_sphericity(_matrix(variables, identity, n=40))
         assert result.df == p * (p - 1) // 2
 
 
 def test_bartlett_errors():
-    matrix = _matrix(("a", "b"), ((1.0, 0.5), (0.5, 1.0)))
+    matrix = _matrix(("a", "b"), ((1.0, 0.5), (0.5, 1.0)), n=2)
     with pytest.raises(ValidationError, match="n > p"):
-        bartlett_sphericity(matrix, n=2)
-    indefinite = _matrix(("a", "b"), ((1.0, 2.0), (2.0, 1.0)))
+        bartlett_sphericity(matrix)
+    indefinite = _matrix(("a", "b"), ((1.0, 2.0), (2.0, 1.0)), n=20)
     with pytest.raises(DomainError):
-        bartlett_sphericity(indefinite, n=20)
+        bartlett_sphericity(indefinite)
+
+
+def test_principal_components_rejects_a_matrix_that_is_not_positive_semidefinite():
+    indefinite = _matrix(("a", "b"), ((1.0, 2.0), (2.0, 1.0)))
+    with pytest.raises(DomainError, match="not positive semidefinite"):
+        principal_components(indefinite)
 
 
 def test_retention_threshold(sorted_dataset):
