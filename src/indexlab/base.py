@@ -3,8 +3,11 @@
 A caller's number (a weight, a score, a threshold, each value of a sample)
 is a ``numbers.Real`` that is not a ``bool`` or ``numpy.bool_``, read with
 ``float()``; an int past the float range reads as the infinity of its sign,
-so each caller's own finite or range check refuses it. A caller's integer
-(a seed or a replicate count) has ``__index__`` and is not a bool."""
+so each caller's own finite or range check refuses it. The cells of a
+matrix (``pca.eigen_symmetric``'s) are read as a sample's values are, and
+the arguments of the tail functions in ``distributions`` by ``real``. A
+caller's integer (a seed or a replicate count) has ``__index__`` and is not
+a bool."""
 from __future__ import annotations
 
 import math
@@ -39,25 +42,32 @@ def integer(value, name: str) -> int:
     return operator.index(value)
 
 
-def check_array(x: Any, *, name: str) -> np.ndarray:
-    """A sample of a caller's numbers as a finite 1-d float array. Any sample
-    but an int or float array or a sequence of floats is read value by value
-    by ``real``: numpy reads "1" and True as 1.0, and an int past int64 as an object."""
+def check_array(x: Any, *, name: str, ndim: int = 1) -> np.ndarray:
+    """A sample (or, with ``ndim=2``, a matrix) of a caller's numbers as a
+    finite float array. Any input but an int or float array or a sequence of
+    floats is read value by value, row by row, by ``real``: numpy reads "1"
+    and True as 1.0, None as NaN, and an int past int64 as an object."""
     try:
         arr = np.asarray(x)
     except (TypeError, ValueError) as exc:  # e.g. a ragged list
         raise ValidationError(f"{name} is not numeric: {exc}") from exc
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be 1-dimensional, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise ValidationError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
+    if isinstance(x, np.ndarray):
+        cells = x.reshape(-1)
+    else:  # a nested sequence's values, row by row
+        cells = x
+        for _ in range(ndim - 1):
+            cells = [v for row in cells for v in row]
     # the set of a list's value types costs about 1/35 of reading each value
     if not (arr.dtype.kind in "fiu" and (isinstance(x, np.ndarray)
-                                         or set(map(type, x)).issubset(FLOAT_TYPES))):
-        values = [real(v) for v in x]
+                                         or set(map(type, cells)).issubset(FLOAT_TYPES))):
+        values = [real(v) for v in cells]
         refused = " and ".join(sorted({_NOT_REAL.get(np.asarray(v).dtype.kind, type(v).__name__)
-                                       for v, value in zip(x, values) if value is None}))
+                                       for v, value in zip(cells, values) if value is None}))
         if refused:
             raise ValidationError(f"{name} is not numeric: it holds {refused}")
-        arr = np.array(values, dtype=float)
+        arr = np.array(values, dtype=float).reshape(arr.shape)
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite values")
     return arr.astype(float, copy=False)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import real
+from .base import check_array, real
 from .correlation import CorrelationMatrix, correlation_matrix
 from .dataset import Dataset
 from .distributions import PValue, chi2_tail_p
@@ -43,14 +43,13 @@ class PcaResult:
 
 
 def eigen_symmetric(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvectors of a symmetric matrix."""
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    """Eigenvalues (descending) and orthonormal eigenvectors of a symmetric
+    matrix, whose cells are read as ``base.check_array`` reads a sample's."""
+    a = check_array(matrix, name="matrix", ndim=2)
+    if a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ValidationError("matrix is empty")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("matrix contains non-finite values")
     if float(np.max(np.abs(a - a.T))) > 1e-10:
         raise ValidationError("matrix is not symmetric within 1e-10")
     try:
@@ -67,7 +66,7 @@ def kmo(corr: CorrelationMatrix) -> float:
     Anti-image partial correlations come from the inverse correlation matrix
     scaled to unit diagonal and negated off the diagonal.
     """
-    r = np.array(corr.r)
+    r = check_array(corr.r, name="matrix", ndim=2)
     return _kmo(r, *eigen_symmetric(r))
 
 
@@ -90,7 +89,7 @@ def _kmo(r: np.ndarray, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> fl
 
 def bartlett_sphericity(corr: CorrelationMatrix) -> HypothesisTestResult:
     """Bartlett's test that the correlation matrix of ``corr.n`` rows is the identity."""
-    eigenvalues, _ = eigen_symmetric(np.array(corr.r))
+    eigenvalues, _ = eigen_symmetric(corr.r)
     return _bartlett(eigenvalues, corr.n)
 
 
@@ -123,7 +122,7 @@ def principal_components(corr: CorrelationMatrix,
     threshold = real(retention)
     if threshold is None or not math.isfinite(threshold):
         raise ValidationError(f"retention threshold must be a finite number, got {retention!r}")
-    r = np.array(corr.r)
+    r = check_array(corr.r, name="matrix", ndim=2)
     p = r.shape[0]
     raw_eigenvalues, eigenvectors = eigen_symmetric(r)
     if float(np.min(raw_eigenvalues)) < -1e-8:

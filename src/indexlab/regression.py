@@ -33,25 +33,26 @@ of the keys gives, and the same for every sort algorithm. numpy promises to
 keep the bit generators' raw streams across versions (NEP 19), so replicate
 i depends only on (seed, n, i). The calling thread draws and scores the
 replicates in chunks of 2**15 // n rows, at least 1, so scratch memory grows
-neither with R nor, below n = 2**15, with n. The draw depends on the seed
-and n only, so the last draw with n <= 256 and R n <= 2**20 is kept, one
-byte per index (at most 1 MiB, read-only), and a later call with its seed
-and n and at most its R scores the first R kept rows, in the same chunks:
-every p-value of such a hit is the same to the last bit as that of a fresh
-draw. A draw is kept only once it has been scored to its end; each other
-draw streams as above and leaves the kept one in place. The counts behind
-each p-value are integers summed over the chunks. Up to n = 256 the scorer
-first tabulates every squared difference (r_v[b] - r_v[a])^2 of every
-vector, at most 256^2 per vector, and then scores all vectors on a chunk
-with one gather from that table; past n = 256 each vector is gathered and
-differenced on its own. Both sum the same terms in the same order, so every
-permuted d, and every p-value, is the same to the last bit. A replicate
-whose d is within 1e-12 (relative) of the observed d is a tie and counts on
-both sides of the two-tailed test, and the p-value counts the observed order
-among the permutations, (b + 1) / (R + 1), so it is never 0.
+neither with R nor, below n = 2**15, with n. A draw with n <= 256 and
+R n <= 2**20 is drawn whole first and kept by ``_kept_draw``, a one-entry
+cache keyed by (seed, n, R), as one read-only byte per index (at most
+1 MiB); it is then scored from that array in the same chunks, so a later
+call with its key draws nothing, and every p-value is the same to the last
+bit as that of a streamed draw. Each other draw streams as above and leaves
+the kept one in place. The counts behind each p-value are integers summed
+over the chunks. Up to n = 256 the scorer first tabulates every squared
+difference (r_v[b] - r_v[a])^2 of every vector, at most 256^2 per vector,
+and then scores all vectors on a chunk with one gather from that table;
+past n = 256 each vector is gathered and differenced on its own. Both sum
+the same terms in the same order, so every permuted d, and every p-value,
+is the same to the last bit. A replicate whose d is within 1e-12
+(relative) of the observed d is a tie and counts on both sides of the
+two-tailed test, and the p-value counts the observed order among the
+permutations, (b + 1) / (R + 1), so it is never 0.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
@@ -88,11 +89,8 @@ _TABLE_MAX_N = 256
 _DW_TIE_RTOL = 1e-12
 # the keys of one chunk of a draw
 _CHUNK_KEYS = 2**15
-# the largest draw (R n) kept for the next call with its seed and n
+# the largest draw (R n) kept for the next call with its seed, n and R
 _KEEP_KEYS = 2**20
-# the last kept draw, ((seed, n), its read-only (R, n) uint8 permutations):
-# set by one assignment, so a concurrent call reads the old draw or the new
-_kept_draw: tuple[tuple[int, int], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -402,6 +400,19 @@ def _permutation_chunks(seed: int, n: int, replicates: int) -> Iterator[np.ndarr
         yield keys.view(np.int64)
 
 
+@functools.lru_cache(maxsize=1)
+def _kept_draw(seed: int, n: int, replicates: int) -> np.ndarray:
+    """The draw of ``_permutation_chunks`` whole, as a read-only (R, n)
+    uint8 array: every index is below ``_TABLE_MAX_N``. Only the last draw
+    is kept, and a draw that fails part way is not."""
+    draw = np.empty((replicates, n), dtype=np.uint8)
+    rows = _chunk_rows(n)
+    for first, perms in zip(range(0, replicates, rows), _permutation_chunks(seed, n, replicates)):
+        draw[first:first + rows] = perms
+    draw.flags.writeable = False
+    return draw
+
+
 def _step_sums(stack: Sequence[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
     """For k residual vectors of length n, the function from an (m, n) chunk
     of permutations to the (k, m) sums of squared successive differences of
@@ -452,7 +463,6 @@ def _durbin_watson_many(fits: Sequence[LinearModelFit | Sequence[float]],
     The chunks of the draw (see the module docstring) are scored in turn,
     and each vector's replicates on either side of its observed d are
     counted."""
-    global _kept_draw
     # contiguous: the dot products of a strided view sum in another order
     stack = [np.ascontiguousarray(check_array(
         fit.residuals if isinstance(fit, LinearModelFit) else fit, name="fit"))
@@ -485,31 +495,19 @@ def _durbin_watson_many(fits: Sequence[LinearModelFit | Sequence[float]],
     upper = np.array([d + _DW_TIE_RTOL * d for d, _ in observed])[:, None]
 
     step_sums = _step_sums(stack)
-    kept = _kept_draw
-    if kept is not None and kept[0] == (seed, n) and kept[1].shape[0] >= replicates:
-        stored, rows, draw = kept[1][:replicates], _chunk_rows(n), None
-        chunks = (stored[first:first + rows].astype(np.int64)
+    if n <= _TABLE_MAX_N and replicates * n <= _KEEP_KEYS:
+        kept, rows = _kept_draw(seed, n, replicates), _chunk_rows(n)
+        chunks = (kept[first:first + rows].astype(np.int64)
                   for first in range(0, replicates, rows))
     else:
         chunks = _permutation_chunks(seed, n, replicates)
-        draw = (np.empty((replicates, n), dtype=np.uint8)
-                if n <= _TABLE_MAX_N and replicates * n <= _KEEP_KEYS else None)
-
     at_or_above = np.zeros(len(stack), dtype=np.int64)
     at_or_below = np.zeros(len(stack), dtype=np.int64)
-    filled = 0
     for perms in chunks:
-        if draw is not None:
-            draw[filled:filled + perms.shape[0]] = perms
-            filled += perms.shape[0]
         d_perm = step_sums(perms) / ss
         at_or_above += np.count_nonzero(d_perm >= lower, axis=1)
         at_or_below += np.count_nonzero(d_perm <= upper, axis=1)
         del d_perm, perms  # so that no chunk's arrays outlive its pass
-    if draw is not None:
-        # the whole draw is scored: a failed draw never gets here
-        draw.flags.writeable = False
-        _kept_draw = ((seed, n), draw)
     return [DurbinWatsonResult(
         d=d, autocorrelation=autocorrelation,
         p=PValue(min(1.0, 2.0 * (min(above, below) + 1) / (replicates + 1))))

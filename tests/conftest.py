@@ -20,9 +20,9 @@ def fresh_draw():
     that compares two draws, or measures one, scores real draws and not one
     draw read twice; and after it, so that no draw a test kept reaches a
     session fixture."""
-    regression._kept_draw = None
+    regression._kept_draw.cache_clear()
     yield
-    regression._kept_draw = None
+    regression._kept_draw.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -51,6 +51,7 @@ def test_t_two_tailed_reference():
     assert t_two_tailed_p(math.inf, 10).value == 0.0
     assert chi2_tail_p(math.inf, 4).value == 0.0
     assert f_tail_p(math.inf, 2, 10).value == 0.0
+    assert regularized_gamma_q(2.0, math.inf) == 0.0
     assert t_two_tailed_p(-3.0, 12).value == t_two_tailed_p(3.0, 12).value
 
 

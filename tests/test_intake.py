@@ -1,14 +1,16 @@
 """Non-finite input to a sample-taking statistic or a tail probability, a
-sample of text, bytes, bools or complex numbers, and a number a caller
-passes in that is none (see ``indexlab.base``), ends in an IndexLabError
-subclass, never in a number or a bare exception."""
+sample or matrix of text, bytes, bools or complex numbers, and a number a
+caller passes in that is none (see ``indexlab.base``), ends in an
+IndexLabError subclass, never in a number or a bare exception."""
 import math
+import warnings
 from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from indexlab import (
+    CorrelationMatrix,
     Dataset,
     DefinitionError,
     DomainError,
@@ -22,13 +24,17 @@ from indexlab import (
     correlation_matrix,
     describe,
     durbin_watson,
+    eigen_symmetric,
     f_tail_p,
     fit_ols,
+    kmo,
     pearson,
     predict,
     predict_country,
     preset,
     principal_components,
+    regularized_beta,
+    regularized_gamma_q,
     shapiro_wilk,
     t_two_tailed_p,
     tukey_hinges,
@@ -47,16 +53,25 @@ _SAMPLE_CALLS = {
     "pearson-y": (lambda s: pearson(_SAMPLE, s), "y"),
     "durbin_watson": (lambda s: durbin_watson(s, replicates=100), "fit"),
 }
-# tail function -> (call on a NaN, or on an infinite df, the guard its error comes from)
+# tail function argument -> (call on it, its name, the guard that refuses a
+# NaN, and, for a df or a shape, an infinity: see _FINITE_TAIL_ARGUMENTS)
 _TAIL_CALLS = {
-    "t-statistic": (lambda v: t_two_tailed_p(v, 10), "t statistic is NaN"),
-    "t-df": (lambda v: t_two_tailed_p(2.0, v), "df >= 1"),
-    "f-statistic": (lambda v: f_tail_p(v, 2, 10), "non-negative, got nan"),
-    "f-df1": (lambda v: f_tail_p(1.0, v, 10), "df1, df2 >= 1"),
-    "f-df2": (lambda v: f_tail_p(1.0, 2, v), "df1, df2 >= 1"),
-    "chi2-statistic": (lambda v: chi2_tail_p(v, 4), "non-negative, got nan"),
-    "chi2-df": (lambda v: chi2_tail_p(1.0, v), "df >= 1"),
+    "t-statistic": (lambda v: t_two_tailed_p(v, 10), "t", "t statistic is NaN"),
+    "t-df": (lambda v: t_two_tailed_p(2.0, v), "df", "df >= 1"),
+    "f-statistic": (lambda v: f_tail_p(v, 2, 10), "f", "non-negative, got nan"),
+    "f-df1": (lambda v: f_tail_p(1.0, v, 10), "df1", "df1, df2 >= 1"),
+    "f-df2": (lambda v: f_tail_p(1.0, 2, v), "df2", "df1, df2 >= 1"),
+    "chi2-statistic": (lambda v: chi2_tail_p(v, 4), "x", "non-negative, got nan"),
+    "chi2-df": (lambda v: chi2_tail_p(1.0, v), "df", "df >= 1"),
+    "beta-x": (lambda v: regularized_beta(v, 2.0, 3.0), "x", "argument x is NaN"),
+    "beta-a": (lambda v: regularized_beta(0.5, v, 2), "a", "parameter a must be positive and finite"),
+    "beta-b": (lambda v: regularized_beta(0.5, 2, v), "b", "parameter b must be positive and finite"),
+    "gamma-a": (lambda v: regularized_gamma_q(v, 2.0), "a", "shape a must be positive and finite"),
+    "gamma-x": (lambda v: regularized_gamma_q(2.0, v), "x", "x must be non-negative, got nan"),
 }
+# the arguments that must be finite; an int past the float range reads as
+# infinite, so it is refused by the same guard
+_FINITE_TAIL_ARGUMENTS = ("t-df", "f-df1", "f-df2", "chi2-df", "beta-a", "beta-b", "gamma-a")
 # a sample numpy would read as numbers, though it holds none -> what the error names
 _NOT_REAL = {
     "text": (tuple(str(v) for v in _SAMPLE), "text"),
@@ -69,6 +84,7 @@ _NOT_REAL = {
     "huge-int-and-bool": ((2**70, np.True_) + _SAMPLE[2:], "bools"),
     # numpy reads these lists as float64, so each value is read in turn
     "bool-among-floats": ([True, 2.0, 3.0], "bools"),
+    "text-among-floats": ([2.0, "x", 3.0], "text"),
     "bool-among-numbers": ((1, 2.5, False), "bools"),
     "numpy-bool-among-floats": ([2.0, np.True_, 3.0], "bools"),
     # numpy would read these as floats or as NaN, yet they are no numbers
@@ -79,6 +95,15 @@ _NOT_REAL = {
 _NOT_A_SAMPLE = {
     "ragged": ([[1.0, 2.0], [3.0]], "is not numeric"),
     "2-d": ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], "must be 1-dimensional, got shape \\(2, 3\\)"),
+}
+_NOT_NUMBERS = {
+    "huge-int": 10**400,
+    "negative-huge-int": -10**400,
+    "Decimal": Decimal("50"),
+    "bool": True,
+    "numpy-bool": np.True_,
+    "text": "50",
+    "None": None,
 }
 _CASES = [
     pytest.param(call, (_SAMPLE[0], bad) + _SAMPLE[2:], ValidationError,
@@ -95,11 +120,21 @@ _CASES = [
     for name, (call, arg) in _SAMPLE_CALLS.items()
     for kind, (sample, what) in _NOT_A_SAMPLE.items()
 ] + [
-    pytest.param(call, math.nan, DomainError, guard, id=name)
-    for name, (call, guard) in _TAIL_CALLS.items()
+    # a matrix of one such sample in every row
+    pytest.param(lambda s: eigen_symmetric([list(s)] * len(s)), sample, ValidationError,
+                 f"matrix is not numeric: it holds {what}", id=f"eigen_symmetric-{kind}")
+    for kind, (sample, what) in _NOT_REAL.items()
 ] + [
-    pytest.param(call, math.inf, DomainError, guard, id=f"{name}-inf")
-    for name, (call, guard) in _TAIL_CALLS.items() if "-df" in name
+    pytest.param(call, math.nan, DomainError, guard, id=name)
+    for name, (call, _, guard) in _TAIL_CALLS.items()
+] + [
+    pytest.param(call, bad, DomainError, guard, id=f"{name}-{kind}")
+    for name, (call, _, guard) in _TAIL_CALLS.items() if name in _FINITE_TAIL_ARGUMENTS
+    for kind, bad in (("inf", math.inf), ("huge-int", 10**400))
+] + [
+    pytest.param(call, bad, DomainError, f"{arg} must be a real number", id=f"{name}-{kind}")
+    for name, (call, arg, _) in _TAIL_CALLS.items()
+    for kind, bad in _NOT_NUMBERS.items() if "huge-int" not in kind
 ]
 
 
@@ -107,6 +142,32 @@ _CASES = [
 def test_non_finite_input_is_rejected(call, value, error, match):
     with pytest.raises(error, match=match):
         call(value)
+
+
+@pytest.mark.parametrize("name", [name for name in _TAIL_CALLS if name not in _FINITE_TAIL_ARGUMENTS])
+def test_a_huge_int_tail_statistic_reads_as_infinity(name):
+    call, _, _ = _TAIL_CALLS[name]
+
+    def outcome(value):
+        try:
+            return call(value)
+        except DomainError as exc:  # a negative statistic
+            return str(exc)
+    assert outcome(10**400) == outcome(math.inf)
+    assert outcome(-10**400) == outcome(-math.inf)
+
+
+def test_tail_arguments_of_any_real_type_are_read_as_floats():
+    """An int, a numpy number or a fractional df is read as its float, and
+    the p of an np.float64 statistic is a Python float, so float() of it
+    warns of nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p, expected in ((t_two_tailed_p(np.float64(2.0), np.int64(10)), t_two_tailed_p(2.0, 10.0)),
+                            (f_tail_p(np.float64(2.0), 2, np.float32(10)), f_tail_p(2.0, 2.0, 10.0)),
+                            (chi2_tail_p(np.float64(2.0), 4), chi2_tail_p(2.0, 4.0))):
+            assert type(p.value) is float and float(p) == p.value == expected.value
+    assert 0.0 < t_two_tailed_p(2.0, 1.5).value < t_two_tailed_p(2.0, 1).value
 
 
 @pytest.mark.parametrize("name", _SAMPLE_CALLS)
@@ -122,6 +183,14 @@ def test_real_numbers_of_any_type_are_read_as_floats(name):
 
 _FIT = fit_ols(bundled_table_a1(), SII, [IDESI])
 _SCORES = {name: 50.0 for name in DIMENSIONS}
+
+
+def _correlations(cell) -> CorrelationMatrix:
+    """A hand-built correlation matrix of two variables whose r is ``cell``."""
+    return CorrelationMatrix(variables=("a", "b"), r=((1.0, cell), (cell, 1.0)),
+                             p=((0.0, 0.0), (0.0, 0.0)), stars=(("", ""), ("", "")), n=10)
+
+
 # entry point -> (call on one number a caller passes in, the error it raises for a non-number)
 _NUMBER_CALLS = {
     "predict": (lambda v: predict(_FIT, {IDESI: v}), ValidationError),
@@ -135,18 +204,15 @@ _NUMBER_CALLS = {
         correlation_matrix(bundled_table_a1(), DIMENSIONS), v), ValidationError),
     # any non-negative int is a seed, so only the replicate count is tried
     "replicates": (lambda v: durbin_watson(_SAMPLE, replicates=v), ValidationError),
+    "matrix-cell": (lambda v: eigen_symmetric([[1.0, v], [v, 1.0]]), ValidationError),
+    "correlation-cell-pca": (lambda v: principal_components(_correlations(v)), ValidationError),
+    "correlation-cell-kmo": (lambda v: kmo(_correlations(v)), ValidationError),
+    # a statistic past the float range is infinite, so only the dfs and shapes are tried
+    **{f"tail-{name}": (call, DomainError)
+       for name, (call, _, _) in _TAIL_CALLS.items() if name in _FINITE_TAIL_ARGUMENTS},
     **{f"sample-{name}": (lambda v, call=call: call((_SAMPLE[0], v) + _SAMPLE[2:]),
                           ValidationError)
        for name, (call, _) in _SAMPLE_CALLS.items()},
-}
-_NOT_NUMBERS = {
-    "huge-int": 10**400,
-    "negative-huge-int": -10**400,
-    "Decimal": Decimal("50"),
-    "bool": True,
-    "numpy-bool": np.True_,
-    "text": "50",
-    "None": None,
 }
 
 

@@ -365,7 +365,7 @@ _KEEP_KEYS = regression._KEEP_KEYS
 def _scorer_peak_bytes(monkeypatch, k: int, n: int, replicates: int) -> int:
     """The peak of a streamed draw alone: no draw is kept before the call,
     and keeping is off for it."""
-    monkeypatch.setattr(regression, "_kept_draw", None)
+    regression._kept_draw.cache_clear()
     monkeypatch.setattr(regression, "_KEEP_KEYS", 0)
     try:
         return _peak_bytes(_seeded_residuals(k, n), replicates)
@@ -400,7 +400,8 @@ def test_kept_draw_memory(monkeypatch, n, replicates):
     streamed = _scorer_peak_bytes(monkeypatch, 3, n, replicates)
     residuals = _seeded_residuals(3, n)
     miss = _peak_bytes(residuals, replicates)
-    assert regression._kept_draw[1].shape == (replicates, n)
+    assert regression._kept_draw.cache_info().misses == 1
+    assert regression._kept_draw(1, n, replicates).shape == (replicates, n)
     assert miss <= streamed + replicates * n + 4_096, (miss, streamed)
     assert _peak_bytes(residuals, replicates) <= streamed, streamed
 
@@ -422,32 +423,42 @@ def _count_draws(monkeypatch) -> list[int]:
 
 def test_kept_draw_scores_as_a_fresh_draw(monkeypatch, dataset):
     """The published run at seed 42 and R = 10,000 gives the same report on a
-    miss and on a hit, and at a smaller R as a fresh draw at that R."""
+    miss and on a hit, and a smaller R after it draws once, as a fresh draw."""
     def report(replicates: int) -> str:
         return emit(reproduce_all(dataset, seed=42, replicates=replicates), "json")
 
     draws = _count_draws(monkeypatch)
-    smaller = report(4_501)
-    full = report(10_000)  # more rows than are kept: drawn again, and kept
-    key, kept = regression._kept_draw
-    assert key == (42, 29) and kept.shape == (10_000, 29) and kept.dtype == np.uint8
-    assert draws
-    draws.clear()
+    full = report(10_000)
+    assert draws == [10_000]
     assert report(10_000) == full
+    assert draws == [10_000]
+    assert regression._kept_draw.cache_info()[:2] == (1, 1)  # hits, misses
+    kept = regression._kept_draw(42, 29, 10_000)
+    assert kept.shape == (10_000, 29) and kept.dtype == np.uint8
+    smaller = report(4_501)
+    assert draws == [10_000, 4_501]
+    regression._kept_draw.cache_clear()
     assert report(4_501) == smaller
-    assert regression._kept_draw[1] is kept
-    assert draws == []
+    assert draws == [10_000, 4_501, 4_501]
 
 
-def test_kept_draw_is_read_only_and_keyed_by_seed_and_n():
-    """A call at another seed or n draws afresh and keeps its own draw:
-    read-only, and equal to the streamed rows."""
-    for seed, n in ((3, 29), (4, 29), (4, 28)):
+def _kept_calls() -> int:
+    info = regression._kept_draw.cache_info()
+    return info.hits + info.misses
+
+
+def test_kept_draw_is_read_only_and_keyed_by_seed_n_and_r():
+    """A call at another seed, n or R draws afresh and keeps its own draw:
+    read-only uint8, and equal to the streamed rows."""
+    for seed, n, replicates in ((3, 29, 100), (4, 29, 100), (4, 28, 100), (4, 28, 99)):
         residuals = _seeded_residuals(2, n)
-        assert regression._durbin_watson_many(residuals, 100, seed) \
-            == _per_vector_durbin_watson_many(residuals, 100, seed), (seed, n)
-        key, kept = regression._kept_draw
-        assert key == (seed, n) and np.array_equal(kept, _permutation_rows(seed, n, 100))
+        misses = regression._kept_draw.cache_info().misses
+        assert regression._durbin_watson_many(residuals, replicates, seed) \
+            == _per_vector_durbin_watson_many(residuals, replicates, seed), (seed, n)
+        assert regression._kept_draw.cache_info().misses == misses + 1
+        kept = regression._kept_draw(seed, n, replicates)
+        assert kept.dtype == np.uint8
+        assert np.array_equal(kept, _permutation_rows(seed, n, replicates))
         assert not kept.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             kept[0, 0] = 1
@@ -455,26 +466,48 @@ def test_kept_draw_is_read_only_and_keyed_by_seed_and_n():
 
 def test_draws_past_the_bounds_are_not_kept():
     """A draw past the table bound (n = 257) or of more than 2**20 keys
-    streams and leaves the kept draw as it was; one of 2**20 keys is kept."""
+    streams and never calls the memo, so the kept draw stays; one of 2**20
+    keys is kept."""
     regression._durbin_watson_many(_seeded_residuals(1, 29), 100, 3)
-    kept = regression._kept_draw
+    calls = _kept_calls()
     for n, replicates in ((257, 100), (256, 4_097), (29, 2**20 // 29 + 1)):
         residuals = _seeded_residuals(1, n)
         assert regression._durbin_watson_many(residuals, replicates, 3) \
             == _per_vector_durbin_watson_many(residuals, replicates, 3), (n, replicates)
-        assert regression._kept_draw is kept, (n, replicates)
+        assert _kept_calls() == calls, (n, replicates)
+    assert regression._kept_draw.cache_info().currsize == 1
     regression._durbin_watson_many(_seeded_residuals(1, 256), 4_096, 3)
-    assert regression._kept_draw[0] == (3, 256)
-    assert np.array_equal(regression._kept_draw[1], _permutation_rows(3, 256, 4_096))
+    assert regression._kept_draw.cache_info().misses == 2
+    assert np.array_equal(regression._kept_draw(3, 256, 4_096), _permutation_rows(3, 256, 4_096))
 
 
-@pytest.mark.parametrize("error", [RuntimeError("scorer failed"), KeyboardInterrupt()])
+@pytest.mark.parametrize("error", [RuntimeError("draw failed"), KeyboardInterrupt()])
 def test_failed_draw_is_not_kept(monkeypatch, error):
     """A draw that fails part way reaches the caller and is not kept: the
-    next call draws again and gives the p-values of an undisturbed draw."""
+    next call draws again and gives the p-values of an undisturbed draw. A
+    failure while scoring leaves the whole draw kept, and the next call
+    scores it to the same p-values without drawing again."""
     residuals = _seeded_residuals(2, 29)
     expected = regression._durbin_watson_many(residuals, 10_000, 1)
-    regression._kept_draw = None
+    regression._kept_draw.cache_clear()
+
+    def failing_chunks(seed, n, replicates):
+        for i, chunk in enumerate(_PERMUTATION_CHUNKS(seed, n, replicates)):
+            if i == 4:
+                raise error
+            yield chunk
+
+    monkeypatch.setattr(regression, "_permutation_chunks", failing_chunks)
+    with pytest.raises(type(error)) as caught:
+        regression._durbin_watson_many(residuals, 10_000, 1)
+    assert caught.value is error
+    assert regression._kept_draw.cache_info().currsize == 0
+    draws = _count_draws(monkeypatch)
+    assert regression._durbin_watson_many(residuals, 10_000, 1) == expected
+    assert draws == [10_000]
+
+    regression._kept_draw.cache_clear()
+    draws.clear()
     step_sums = regression._step_sums
     scored = itertools.count()
 
@@ -491,11 +524,11 @@ def test_failed_draw_is_not_kept(monkeypatch, error):
     with pytest.raises(type(error)) as caught:
         regression._durbin_watson_many(residuals, 10_000, 1)
     assert caught.value is error
-    assert regression._kept_draw is None
-    draws = _count_draws(monkeypatch)
+    assert draws == [10_000]
+    assert np.array_equal(regression._kept_draw(1, 29, 10_000), _permutation_rows(1, 29, 10_000))
+    monkeypatch.setattr(regression, "_step_sums", step_sums)
     assert regression._durbin_watson_many(residuals, 10_000, 1) == expected
     assert draws == [10_000]
-    assert regression._kept_draw[0] == (1, 29)
 
 
 def test_published_run_starts_no_thread(monkeypatch, dataset):
