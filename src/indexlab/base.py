@@ -55,10 +55,8 @@ def check_array(x: Any, *, name: str, ndim: int = 1) -> np.ndarray:
         raise ValidationError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if isinstance(x, np.ndarray):
         cells = x.reshape(-1)
-    else:  # a nested sequence's values, row by row
-        cells = x
-        for _ in range(ndim - 1):
-            cells = [v for row in cells for v in row]
+    else:  # a sequence's values, a matrix's row by row
+        cells = [v for row in x for v in row] if ndim == 2 else x
     # the set of a list's value types costs about 1/35 of reading each value
     if not (arr.dtype.kind in "fiu" and (isinstance(x, np.ndarray)
                                          or set(map(type, cells)).issubset(FLOAT_TYPES))):

@@ -52,9 +52,7 @@ class PValue:
 
 def _real(value, name: str) -> float:
     """``value`` as a float by ``base.real``'s rule, else a DomainError
-    naming it; a float is read as it is."""
-    if type(value) is float:
-        return value
+    naming it."""
     number = real(value)
     if number is None:
         raise DomainError(f"{name} must be a real number, got {value!r}")
